@@ -27,7 +27,6 @@ __all__ = [
     "fit_lorentzians",
     "fit_gaussian",
     "fit_full_model",
-    "fit_batch",
     "kde",
     "isotope_shift_ratio",
     "chi2_independence",
@@ -387,13 +386,22 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
 
     y_all = np.concatenate([np.asarray(t.signal, dtype=float) for t in traces])
 
+    # Only a_ple_scale and strain_alpha change the line tables; the other
+    # parameters (and the Jacobian columns that step them) reuse them.
+    row_tables = {}
+
+    def tables_at(scale, alpha):
+        key = (float(scale), float(alpha))
+        if key not in row_tables:
+            scaled = emitter.scaled_hyperfine(scale)
+            row_tables[key] = [transitions(scaled, b, alpha_ghz=alpha) for b in fields]
+        return row_tables[key]
+
     def model_signal(values):
         p = dict(defaults)
         p.update(zip(free, values))
-        scaled = emitter.scaled_hyperfine(p["a_ple_scale"])
         out = []
-        for t, b in zip(traces, fields):
-            table = transitions(scaled, b, alpha_ghz=p["strain_alpha"])
+        for t, table in zip(traces, tables_at(p["a_ple_scale"], p["strain_alpha"])):
             grid = np.asarray(t.freq_mhz, dtype=float)
             sig = kernels.lorentzian_sum(
                 table.freq_mhz + p["freq_offset"], table.intensity, abs(p["fwhm"]), grid
@@ -421,11 +429,6 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         std["a_ple_mhz"] = std["a_ple_scale"] * abs(a_ple(emitter))
     return FitResult(model="full", params=params, std_errs=std, residual_rms=rms,
                      converged=converged, n_iterations=iters, seed=seed)
-
-
-def fit_batch(traces, model: str = "triplet211", seed: int | None = None) -> list:
-    """Independent per-trace fits (embarrassingly parallel by contract)."""
-    return [fit_lorentzians(t, model=model, seed=seed) for t in traces]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ All numeric output uses 9 significant digits with '.' decimal separator
 and LF line endings, so repeated runs diff clean.  File writes are
 whole-file atomic (temp file + rename).
 """
+import contextlib
 import dataclasses
 import json
 import math
@@ -57,9 +58,14 @@ def write_text(path, text: str) -> None:
     """Atomic whole-file write: temp file in the same directory, then rename."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_json(path, payload) -> None:

@@ -15,9 +15,15 @@ Terms:
                     A_par = A_FC + A_DD,  A_perp = A_FC - 2 A_DD
     quadobs         Q (Iz^2 - I(I+1)/3)          (I > 1/2 only, traceless)
     nuclear SOC     (upsilon/2) sz_orb Iz
+
+Each term is a scalar times a fixed full-basis operator.  Those operators
+(and J^2, see jsq_operator) are built once per nuclear spin, cached and
+marked read-only; every term_* call and build_hamiltonian return a fresh
+array, so callers may modify their results freely.
 """
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,21 +160,67 @@ class EmitterModel:
         )
 
 
-def _nuclear_identity(i) -> np.ndarray:
-    return np.eye(int(round(2.0 * float(i))) + 1, dtype=complex)
+@dataclass(frozen=True)
+class _Operators:
+    """The fixed full-basis operators of one nuclear spin, each read-only."""
+
+    soc: np.ndarray        # sz_orb sz_spin
+    strain_x: np.ndarray   # sx_orb
+    strain_y: np.ndarray   # sy_orb
+    s_x: np.ndarray        # Pauli sx_spin
+    s_y: np.ndarray
+    s_z: np.ndarray
+    l_z: np.ndarray        # sz_orb
+    i_x: np.ndarray
+    i_y: np.ndarray
+    i_z: np.ndarray
+    hf_perp: np.ndarray    # Sx Ix + Sy Iy
+    hf_par: np.ndarray     # Sz Iz
+    quad: np.ndarray       # Iz^2 - I(I+1)/3, zero for I <= 1/2
+    ioc: np.ndarray        # sz_orb Iz
+    jsq: np.ndarray        # J^2, J = S + I
+
+
+@lru_cache(maxsize=None)
+def _operators(i) -> _Operators:
+    nuc = spin_matrices(i)  # rejects a spin that is not a non-negative half-integer
+    i = float(i)
+    one_n = np.eye(nuc.dim, dtype=complex)
+    # Exactly zero for I <= 1/2, where Iz^2 = I(I+1)/3.
+    quad = nuc.z @ nuc.z - i * (i + 1.0) / 3.0 * one_n
+    j = [kron(IDENTITY_2, 0.5 * s, one_n) + kron(IDENTITY_2, IDENTITY_2, n)
+         for s, n in ((SIGMA_X, nuc.x), (SIGMA_Y, nuc.y), (SIGMA_Z, nuc.z))]
+    ops = _Operators(
+        soc=kron(SIGMA_Z, SIGMA_Z, one_n),
+        strain_x=kron(SIGMA_X, IDENTITY_2, one_n),
+        strain_y=kron(SIGMA_Y, IDENTITY_2, one_n),
+        s_x=kron(IDENTITY_2, SIGMA_X, one_n),
+        s_y=kron(IDENTITY_2, SIGMA_Y, one_n),
+        s_z=kron(IDENTITY_2, SIGMA_Z, one_n),
+        l_z=kron(SIGMA_Z, IDENTITY_2, one_n),
+        i_x=kron(IDENTITY_2, IDENTITY_2, nuc.x),
+        i_y=kron(IDENTITY_2, IDENTITY_2, nuc.y),
+        i_z=kron(IDENTITY_2, IDENTITY_2, nuc.z),
+        hf_perp=kron(IDENTITY_2, 0.5 * SIGMA_X, nuc.x) + kron(IDENTITY_2, 0.5 * SIGMA_Y, nuc.y),
+        hf_par=kron(IDENTITY_2, 0.5 * SIGMA_Z, nuc.z),
+        quad=kron(IDENTITY_2, IDENTITY_2, quad),
+        ioc=kron(SIGMA_Z, IDENTITY_2, nuc.z),
+        jsq=j[0] @ j[0] + j[1] @ j[1] + j[2] @ j[2],
+    )
+    for m in vars(ops).values():
+        m.flags.writeable = False
+    return ops
 
 
 def term_soc(params: ManifoldParams, i) -> np.ndarray:
     """Spin-orbit term (lambda/2) sz_orb sz_spin, MHz."""
-    one_n = _nuclear_identity(i)
-    return 0.5 * params.lambda_soc_ghz * GHZ * kron(SIGMA_Z, SIGMA_Z, one_n)
+    return 0.5 * params.lambda_soc_ghz * GHZ * _operators(i).soc
 
 
 def term_strain(alpha_ghz: float, beta_ghz: float, i) -> np.ndarray:
     """Transverse-strain term -alpha sx_orb - beta sy_orb, inputs GHz."""
-    one_n = _nuclear_identity(i)
-    return -alpha_ghz * GHZ * kron(SIGMA_X, IDENTITY_2, one_n) \
-        - beta_ghz * GHZ * kron(SIGMA_Y, IDENTITY_2, one_n)
+    ops = _operators(i)
+    return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
 
 
 def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
@@ -180,53 +232,32 @@ def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
     for c in (bx, by, bz):
         _finite("magnetic field component", c)
     params = emitter.manifold(manifold)
-    nuc = spin_matrices(emitter.nuclear_spin)
-    one_n = _nuclear_identity(emitter.nuclear_spin)
+    ops = _operators(emitter.nuclear_spin)
 
     ge_mub = emitter.g_electron * MU_B_MHZ_PER_T
-    h = 0.5 * ge_mub * (
-        bx * kron(IDENTITY_2, SIGMA_X, one_n)
-        + by * kron(IDENTITY_2, SIGMA_Y, one_n)
-        + bz * kron(IDENTITY_2, SIGMA_Z, one_n)
-    )
-    h += params.q_orb * MU_B_MHZ_PER_T * bz * kron(SIGMA_Z, IDENTITY_2, one_n)
+    h = 0.5 * ge_mub * (bx * ops.s_x + by * ops.s_y + bz * ops.s_z)
+    h += params.q_orb * MU_B_MHZ_PER_T * bz * ops.l_z
     gi_mun = emitter.g_nuclear * MU_N_MHZ_PER_T
-    h += gi_mun * (
-        bx * kron(IDENTITY_2, IDENTITY_2, nuc.x)
-        + by * kron(IDENTITY_2, IDENTITY_2, nuc.y)
-        + bz * kron(IDENTITY_2, IDENTITY_2, nuc.z)
-    )
+    h += gi_mun * (bx * ops.i_x + by * ops.i_y + bz * ops.i_z)
     return h
 
 
 def term_hyperfine(params: ManifoldParams, i) -> np.ndarray:
     """A_perp (Sx Ix + Sy Iy) + A_par Sz Iz on spin (x) nucleus, MHz."""
-    nuc = spin_matrices(i)
-    apar = a_parallel(params)
-    aperp = a_perp(params)
-    h = aperp * (
-        kron(IDENTITY_2, 0.5 * SIGMA_X, nuc.x) + kron(IDENTITY_2, 0.5 * SIGMA_Y, nuc.y)
-    )
-    h += apar * kron(IDENTITY_2, 0.5 * SIGMA_Z, nuc.z)
+    ops = _operators(i)
+    h = a_perp(params) * ops.hf_perp
+    h += a_parallel(params) * ops.hf_par
     return h
 
 
 def term_quadrupole(params: ManifoldParams, i) -> np.ndarray:
     """Axial quadrupole term Q (Iz^2 - I(I+1)/3), traceless, zero for I <= 1/2."""
-    i = float(i)
-    nuc = spin_matrices(i)
-    dim_n = nuc.dim
-    if i <= 0.5:
-        return np.zeros((4 * dim_n, 4 * dim_n), dtype=complex)
-    casimir = i * (i + 1.0) / 3.0
-    quad = nuc.z @ nuc.z - casimir * np.eye(dim_n, dtype=complex)
-    return params.quad_q_mhz * kron(IDENTITY_2, IDENTITY_2, quad)
+    return params.quad_q_mhz * _operators(i).quad
 
 
 def term_ioc(params: ManifoldParams, i) -> np.ndarray:
     """Nuclear spin-orbit term (upsilon/2) sz_orb Iz, MHz."""
-    nuc = spin_matrices(i)
-    return 0.5 * params.ioc_upsilon_mhz * kron(SIGMA_Z, IDENTITY_2, nuc.z)
+    return 0.5 * params.ioc_upsilon_mhz * _operators(i).ioc
 
 
 def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
@@ -270,13 +301,10 @@ def a_ple(emitter: EmitterModel) -> float:
 
 
 def jsq_operator(i) -> np.ndarray:
-    """Total electro-nuclear angular momentum squared, J = S + I, full basis."""
-    nuc = spin_matrices(i)
-    one_n = _nuclear_identity(i)
-    jx = kron(IDENTITY_2, 0.5 * SIGMA_X, one_n) + kron(IDENTITY_2, IDENTITY_2, nuc.x)
-    jy = kron(IDENTITY_2, 0.5 * SIGMA_Y, one_n) + kron(IDENTITY_2, IDENTITY_2, nuc.y)
-    jz = kron(IDENTITY_2, 0.5 * SIGMA_Z, one_n) + kron(IDENTITY_2, IDENTITY_2, nuc.z)
-    return jx @ jx + jy @ jy + jz @ jz
+    """Total electro-nuclear angular momentum squared, J = S + I, full basis.
+
+    Cached per spin and read-only."""
+    return _operators(i).jsq
 
 
 def jt_shifted_params(params: ManifoldParams, delta_fc_mhz: float,

@@ -130,7 +130,8 @@ def _check_branch_gap(emitter: EmitterModel, manifold: str, values: np.ndarray) 
 
 
 def _jsq_labels(es: EigenSystem, jop: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("ik,ij,jk->k", es.vectors.conj(), jop, es.vectors))
+    v = es.vectors
+    return np.real(np.einsum("ij,ij->j", v.conj(), jop @ v))
 
 
 def transition_intensity_matrix(es_gnd: EigenSystem, es_exc: EigenSystem) -> np.ndarray:
@@ -152,6 +153,11 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
     the lower-branch ground states.  Lines weaker than 1e-9 of the
     strongest are dropped.
     """
+    return _solve_transitions(emitter, b, alpha_ghz, beta_ghz)[0]
+
+
+def _solve_transitions(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
+    """The transition table and the two eigen-solutions it was built from."""
     es_g = solve_manifold(emitter, "gnd", b, alpha_ghz, beta_ghz)
     es_e = solve_manifold(emitter, "exc", b, alpha_ghz, beta_ghz)
     _check_branch_gap(emitter, "gnd", es_g.values)
@@ -184,7 +190,7 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
         "alpha_ghz": float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz),
         "beta_ghz": float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz),
     }
-    return TransitionTable(
+    table = TransitionTable(
         freq_mhz=freq[e_idx, g_idx],
         intensity=inten[e_idx, g_idx],
         gnd_index=g_idx,
@@ -193,6 +199,7 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
         jsq_exc=jsq_e[e_idx],
         meta=meta,
     )
+    return table, es_g, es_e
 
 
 def merge_lines(table: TransitionTable, tol: float = MERGE_TOL_MHZ):
@@ -280,12 +287,10 @@ def transition_diagram(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=No
     branch mean) plus the transition line list; gnd_index/exc_index of
     each line refer to positions in the level arrays.
     """
-    es_g = solve_manifold(emitter, "gnd", b, alpha_ghz, beta_ghz)
-    es_e = solve_manifold(emitter, "exc", b, alpha_ghz, beta_ghz)
+    table, es_g, es_e = _solve_transitions(emitter, b, alpha_ghz, beta_ghz)
     n_low = lower_branch_size(emitter)
     gnd_levels = es_g.values[:n_low] - es_g.values[:n_low].mean()
     exc_levels = es_e.values[:n_low] - es_e.values[:n_low].mean()
-    table = transitions(emitter, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
     return {
         "gnd_levels_mhz": [float(v) for v in gnd_levels],
         "exc_levels_mhz": [float(v) for v in exc_levels],

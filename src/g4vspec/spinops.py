@@ -119,13 +119,10 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-def _cluster_slices(values: np.ndarray, tol: float):
+def _cluster_slices(values: np.ndarray, tol: float) -> list:
     """Slices of consecutive eigenvalues closer than tol (degenerate clusters)."""
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            yield slice(start, k)
-            start = k
+    edges = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def eigh(h, degeneracy_operator=None, cluster_tol: float = 1e-6,

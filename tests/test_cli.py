@@ -294,3 +294,22 @@ def test_fit_full_model_on_map(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["params"]["a_ple_scale"] == pytest.approx(1.2, rel=1e-3)
     assert doc["params"]["fwhm"] == pytest.approx(150.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv", [["-m", "g4vspec.cli", "stats", "-h"],
+                                  ["-m", "g4vspec", "--help"]])
+def test_module_entry_points_run_the_cli(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g4vspec
+
+    src = str(Path(g4vspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

@@ -258,3 +258,13 @@ def test_synth_dataset_jitter_spread(tmp_path):
     aples = np.array([entry["a_ple_mhz"] for entry in truth["entries"]])
     assert np.std(aples) > 10.0
     assert np.all(aples < 0.0)
+
+
+def test_write_text_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        dataio.write_text(target, "ok \ud800")
+    assert not target.exists()
+    assert list(tmp_path.glob("*.tmp.*")) == []
+    dataio.write_text(target, "ok\n")
+    assert target.read_text(encoding="utf-8") == "ok\n"

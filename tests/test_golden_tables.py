@@ -49,3 +49,21 @@ def test_field_map_fit_matches_golden():
     assert res.converged == want["converged"]
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]
+
+
+def test_field_map_fit_computes_each_table_once(monkeypatch):
+    from g4vspec import analysis
+
+    seen = []
+    real = analysis.transitions
+
+    def counted(emitter, b=(0.0, 0.0, 0.0), *, alpha_ghz=None, beta_ghz=None):
+        seen.append((emitter, tuple(float(c) for c in b), float(alpha_ghz)))
+        return real(emitter, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
+
+    monkeypatch.setattr(analysis, "transitions", counted)
+    want = GOLDEN["fit"]
+    res = _recorder().run_fit(want)
+    assert seen and len(set(seen)) == len(seen)
+    assert res.n_iterations == want["n_iterations"]
+    assert {k: float(v) for k, v in res.params.items()} == want["params"]

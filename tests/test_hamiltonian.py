@@ -359,3 +359,61 @@ def test_random_emitters_build_hermitian(rng):
         b = tuple(rng.uniform(-0.3, 0.3, size=3))
         for manifold in ("gnd", "exc"):
             assert is_hermitian(build_hamiltonian(e, manifold, b), tol=1e-12)
+
+
+# --- operator cache ---
+
+def test_jsq_operator_is_cached_and_read_only():
+    jop = jsq_operator(4.5)
+    with pytest.raises(ValueError):
+        jop[0, 0] = 1.0
+    assert jsq_operator(4.5) is jop
+
+
+RESULTS = {
+    "soc": lambda e: term_soc(e.gnd, e.nuclear_spin),
+    "strain": lambda e: term_strain(12.0, 7.0, e.nuclear_spin),
+    "zeeman": lambda e: term_zeeman(e, "gnd", (0.05, -0.02, 0.2)),
+    "hyperfine": lambda e: term_hyperfine(e.gnd, e.nuclear_spin),
+    "quadrupole": lambda e: term_quadrupole(e.gnd, e.nuclear_spin),
+    "ioc": lambda e: term_ioc(e.gnd, e.nuclear_spin),
+    "build_hamiltonian": lambda e: build_hamiltonian(e, "gnd", (0.01, 0.02, 0.1),
+                                                     alpha_ghz=5.0, beta_ghz=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+@pytest.mark.parametrize("label", ["28Si", "117Sn", "73Ge"])
+def test_mutating_a_result_leaves_the_next_call_unchanged(label, name):
+    e = registry_lookup(label)
+    quad = 4.3 if e.nuclear_spin > 0.5 else 0.0
+    e = dataclasses.replace(e, gnd=dataclasses.replace(e.gnd, quad_q_mhz=quad,
+                                                       ioc_upsilon_mhz=3.0))
+    first = RESULTS[name](e)
+    want = first.copy()
+    first += 7.0 + 1.0j
+    first[0, 0] = -3.0
+    assert np.array_equal(RESULTS[name](e), want)
+
+
+def test_cached_operators_need_no_kronecker_products(monkeypatch):
+    import g4vspec.hamiltonian as ham
+
+    e = registry_lookup("73Ge")
+    want = build_hamiltonian(e, "exc", (0.02, 0.0, 0.1))
+    jop = jsq_operator(e.nuclear_spin).copy()
+    calls = []
+    real = ham.kron
+    monkeypatch.setattr(ham, "kron", lambda *ops: calls.append(len(ops)) or real(*ops))
+    assert np.array_equal(build_hamiltonian(e, "exc", (0.02, 0.0, 0.1)), want)
+    assert np.array_equal(jsq_operator(e.nuclear_spin), jop)
+    assert calls == []
+
+
+def test_terms_reject_non_half_integer_spin():
+    p = ManifoldParams(lambda_soc_ghz=100.0)
+    for fn in (term_soc, term_hyperfine, term_quadrupole, term_ioc):
+        with pytest.raises(ValueError, match="half-integer"):
+            fn(p, 0.3)
+    with pytest.raises(ValueError, match="half-integer"):
+        jsq_operator(-0.5)

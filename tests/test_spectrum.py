@@ -385,3 +385,30 @@ def test_diagram_jsq_labels_match_between_views():
     # strongly strained ground manifold resolves into singlet/triplet labels
     labels = sorted({round(l["jsq_gnd"], 1) for l in d["lines"]})
     assert labels[0] < 0.5 and labels[-1] > 1.5
+
+
+def test_jsq_labels_match_the_explicit_expectation():
+    from g4vspec.hamiltonian import jsq_operator
+    from g4vspec.spectrum import _jsq_labels
+
+    e = registry_lookup("73Ge")
+    es = solve_manifold(e, "gnd", (0.02, 0.0, 0.1))
+    jop = jsq_operator(e.nuclear_spin)
+    want = np.array([np.real(v.conj() @ jop @ v) for v in es.vectors.T])
+    assert np.abs(_jsq_labels(es, jop) - want).max() <= 1e-12
+
+
+def test_diagram_levels_come_from_the_table_solves(monkeypatch):
+    import g4vspec.spectrum as spectrum_mod
+
+    e = registry_lookup("117Sn", strain_alpha_ghz=20.0)
+    calls = []
+    real = spectrum_mod.solve_manifold
+    monkeypatch.setattr(spectrum_mod, "solve_manifold",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    d = transition_diagram(e, (0.0, 0.0, 0.05))
+    assert len(calls) == 4
+    es_g = real(e, "gnd", (0.0, 0.0, 0.05))
+    low = es_g.values[:e.dim // 2]
+    assert d["gnd_levels_mhz"] == [float(v) for v in low - low.mean()]
+    assert d["lines"] == list(transitions(e, (0.0, 0.0, 0.05)).records())

@@ -155,3 +155,20 @@ def test_expectation_singlet_total_spin_zero():
 def test_expectation_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         expectation(np.eye(2), np.array([1.0, 1.0]))
+
+
+def test_cluster_slices_split_at_gaps_above_tol(rng):
+    from g4vspec.spinops import _cluster_slices
+
+    def by_loop(values, tol):
+        out, start = [], 0
+        for k in range(1, len(values) + 1):
+            if k == len(values) or values[k] - values[k - 1] > tol:
+                out.append(slice(start, k))
+                start = k
+        return out
+
+    for _ in range(50):
+        values = np.sort(np.round(rng.uniform(0.0, 3.0, rng.integers(1, 12)), 1))
+        assert _cluster_slices(values, 0.1) == by_loop(values, 0.1)
+    assert _cluster_slices(np.array([0.0, 1e-7, 1.0]), 1e-6) == [slice(0, 2), slice(2, 3)]
