@@ -6,6 +6,7 @@ fit does not converge.  Every command is deterministic given its
 arguments, input files and seed.
 """
 import argparse
+import functools
 import json
 import re
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import analysis, dataio
 from .hamiltonian import a_parallel, a_perp, a_ple, registry_lookup
-from .spectrum import sweep_field, sweep_strain, synth_spectrum, transition_diagram, transitions
+from .spectrum import _diagram, _solve_transitions, sweep_field, sweep_strain, synth_spectrum
 
 __all__ = ["run_cli", "main"]
 
@@ -34,7 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  Reuse is safe:
+    every parse_args call fills a fresh namespace and the 'append' action
+    copies its default list before appending."""
     parser = _Parser(prog="g4vspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,14 +131,13 @@ def _build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     emitter = dataio.load_emitter(args.emitter)
-    table = transitions(emitter, dataio.parse_field(args.b),
-                        alpha_ghz=args.alpha, beta_ghz=args.beta)
+    # One solve serves both the spectrum and the diagram.
+    table, es_g, es_e = _solve_transitions(emitter, dataio.parse_field(args.b),
+                                           args.alpha, args.beta)
     trace = synth_spectrum(table, args.fwhm, dataio.parse_grid(args.grid))
     dataio.write_spectrum_csv(args.out, trace)
     if args.diagram_out:
-        diagram = transition_diagram(emitter, dataio.parse_field(args.b),
-                                     alpha_ghz=args.alpha, beta_ghz=args.beta)
-        dataio.write_json(args.diagram_out, diagram)
+        dataio.write_json(args.diagram_out, _diagram(table, es_g, es_e))
     print(f"wrote {args.out} ({len(trace.freq_mhz)} points, {len(table)} lines)")
     return 0
 
@@ -349,9 +353,8 @@ _COMMANDS = {
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,19 +1,22 @@
-"""Emitter files, CSV ingestion/emission, and the seeded synthetic-data
-generator.
+"""Emitter files, fit-report validation, CSV ingestion/emission, and the
+seeded synthetic-data generator.
 
 All numeric output uses 9 significant digits with '.' decimal separator
 and LF line endings, so repeated runs diff clean.  File writes are
-whole-file atomic (temp file + rename).
+whole-file atomic (temp file + rename).  Emitter files and fit reports
+are checked against the packaged JSON schemas; each schema's validator
+is compiled once per process, on first use, so importing this module
+does not import jsonschema.
 """
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .hamiltonian import EmitterModel, ManifoldParams, a_ple, registry_labels, registry_lookup
@@ -106,29 +109,41 @@ def parse_field(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# emitter files
+# schemas
 
-def _load_schema(name: str) -> dict:
+@functools.cache
+def _validator(name: str):
+    """Compiled validator for a packaged schema, built on first use.
+
+    jsonschema is imported here, not at module level, and the schema is
+    checked against its metaschema once per process.
+    """
+    import jsonschema
+
     with resources.files("g4vspec.schemas").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-_EMITTER_SCHEMA = _load_schema("emitter.schema.json")
-_FIT_REPORT_SCHEMA = _load_schema("fit_report.schema.json")
+def _validate(doc, name: str, what: str) -> None:
+    """Raise ValueError naming the error jsonschema.validate would raise."""
+    from jsonschema.exceptions import best_match
+
+    err = best_match(_validator(name).iter_errors(doc))
+    if err is not None:
+        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
+        raise ValueError(f"invalid {what}: at {where}: {err.message}") from err
 
 
-def _schema_error(exc: jsonschema.ValidationError, what: str) -> ValueError:
-    where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-    return ValueError(f"invalid {what}: at {where}: {exc.message}")
-
+# ---------------------------------------------------------------------------
+# emitter files
 
 def emitter_from_dict(doc: dict) -> EmitterModel:
     """EmitterModel from a validated document; registry defaults fill any
     field the document does not override."""
-    try:
-        jsonschema.validate(doc, _EMITTER_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _schema_error(exc, "emitter file") from exc
+    _validate(doc, "emitter.schema.json", "emitter file")
     label = doc["isotope"]
     if label in registry_labels():
         base = registry_lookup(label)
@@ -212,10 +227,7 @@ def load_emitter(label_or_path: str) -> EmitterModel:
 
 
 def validate_fit_report(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, _FIT_REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _schema_error(exc, "fit report") from exc
+    _validate(doc, "fit_report.schema.json", "fit report")
     return doc
 
 
@@ -288,9 +300,12 @@ def read_map_csv(path) -> list:
         if len(cells) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
         try:
-            rows.append(tuple(float(c) for c in cells))
+            row = tuple(float(c) for c in cells)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
     traces = []
     k = 0
     while k < len(rows):

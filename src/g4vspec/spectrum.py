@@ -287,8 +287,12 @@ def transition_diagram(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=No
     branch mean) plus the transition line list; gnd_index/exc_index of
     each line refer to positions in the level arrays.
     """
-    table, es_g, es_e = _solve_transitions(emitter, b, alpha_ghz, beta_ghz)
-    n_low = lower_branch_size(emitter)
+    return _diagram(*_solve_transitions(emitter, b, alpha_ghz, beta_ghz))
+
+
+def _diagram(table: TransitionTable, es_g: EigenSystem, es_e: EigenSystem) -> dict:
+    """The diagram bundle of a table and the two solves it came from."""
+    n_low = es_g.values.size // 2
     gnd_levels = es_g.values[:n_low] - es_g.values[:n_low].mean()
     exc_levels = es_e.values[:n_low] - es_e.values[:n_low].mean()
     return {

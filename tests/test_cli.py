@@ -58,6 +58,39 @@ def test_simulate_with_diagram(tmp_path):
     assert len(d["gnd_levels_mhz"]) == 4
 
 
+def test_simulate_with_diagram_solves_each_manifold_once(tmp_path, monkeypatch):
+    from g4vspec import spectrum
+
+    solved = []
+    original = spectrum.solve_manifold
+
+    def counting(emitter, manifold, *args, **kwargs):
+        solved.append(manifold)
+        return original(emitter, manifold, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_manifold", counting)
+    out, diagram = tmp_path / "ge.csv", tmp_path / "ge.json"
+    b, alpha, beta = (0.01, 0.02, 0.05), 3.0, 1.5
+    code = run_cli([
+        "simulate", "73Ge", "--b", ",".join(map(str, b)), "--alpha", str(alpha),
+        "--beta", str(beta), "--fwhm", "26", "--grid", "-200:200:0.5",
+        "--out", str(out), "--diagram-out", str(diagram),
+    ])
+    assert code == 0
+    # the emitter and its coupling-free copy, both manifolds: 4 solves in all
+    assert sorted(solved) == ["exc", "exc", "gnd", "gnd"]
+    monkeypatch.undo()
+
+    emitter = dataio.load_emitter("73Ge")
+    table = spectrum.transitions(emitter, b, alpha_ghz=alpha, beta_ghz=beta)
+    dataio.write_spectrum_csv(tmp_path / "ref.csv", spectrum.synth_spectrum(
+        table, 26.0, dataio.parse_grid("-200:200:0.5")))
+    dataio.write_json(tmp_path / "ref.json", spectrum.transition_diagram(
+        emitter, b, alpha_ghz=alpha, beta_ghz=beta))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert diagram.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 def test_sweep_strain_csv(tmp_path):
     out = tmp_path / "levels.csv"
     code = run_cli([
@@ -294,6 +327,39 @@ def test_fit_full_model_on_map(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["params"]["a_ple_scale"] == pytest.approx(1.2, rel=1e-3)
     assert doc["params"]["fwhm"] == pytest.approx(150.0, rel=1e-3)
+
+
+def test_fit_map_with_non_finite_value_names_file_and_line(tmp_path, capsys):
+    map_path = tmp_path / "map.csv"
+    map_path.write_text("b_tesla,freq_mhz,intensity\n0,-10,1.0\n0,0,nan\n0,10,1.0\n")
+    code = run_cli([
+        "fit", "--map", str(map_path), "--model", "full", "--emitter", "117Sn",
+        "--out", str(tmp_path / "full.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {map_path}: line 3: non-finite value\n"
+    assert not (tmp_path / "full.json").exists()
+
+
+def test_consecutive_commands_share_no_state(tmp_path, capsys):
+    from g4vspec import cli
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    values = tmp_path / "values.csv"
+    dataio.write_values_csv(values, [250.0, 270.0, 266.0])
+    assert run_cli(["stats", "--aple-exp", "117Sn=-484", "--out", str(first)]) == 0
+    assert run_cli(["stats", "--values", str(values), "--out", str(second)]) == 0
+    assert "aple_comparison" in json.loads(first.read_text())
+    doc = json.loads(second.read_text())
+    assert "aple_comparison" not in doc and doc["ensemble"]["n"] == 3
+
+    capsys.readouterr()
+    assert run_cli(["aple", "117Sn", "--frobnicate"]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert run_cli(["aple", "117Sn"]) == 0
+    assert capsys.readouterr().err == ""
+    # the commands above did run on one parser
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", [["-m", "g4vspec.cli", "stats", "-h"],

@@ -1,5 +1,7 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -189,6 +191,15 @@ def test_map_csv_round_trip(tmp_path):
     assert header == "b_tesla,freq_mhz,intensity"
 
 
+@pytest.mark.parametrize("row", ["0.01,10,nan", "inf,10,1.0", "0.01,-inf,1.0"])
+def test_map_csv_non_finite_rejected(tmp_path, row):
+    p = write_csv(tmp_path, f"b_tesla,freq_mhz,intensity\n0.01,0,1.0\n{row}\n0.01,20,1.0\n",
+                  name="map.csv")
+    with pytest.raises(ValueError) as info:
+        dataio.read_map_csv(p)
+    assert str(info.value) == f"{p}: line 3: non-finite value"
+
+
 def test_values_csv_round_trip(tmp_path):
     path = tmp_path / "v.csv"
     dataio.write_values_csv(path, [1.5, 2.5, -3.25], column="aple")
@@ -198,22 +209,135 @@ def test_values_csv_round_trip(tmp_path):
         dataio.read_values_csv(path, column="missing")
 
 
+_GOOD_REPORT = {
+    "schema_version": "1",
+    "model": "single",
+    "params": {"f0": 1.0},
+    "std_errs": {"f0": 0.1},
+    "residual_rms": 0.01,
+    "converged": True,
+    "n_iterations": 7,
+    "seed": 0,
+}
+
+
 def test_fit_report_schema_validation():
-    good = {
-        "schema_version": "1",
-        "model": "single",
-        "params": {"f0": 1.0},
-        "std_errs": {"f0": 0.1},
-        "residual_rms": 0.01,
-        "converged": True,
-        "n_iterations": 7,
-        "seed": 0,
-    }
-    dataio.validate_fit_report(good)
-    bad = dict(good)
-    bad["extra"] = 1
+    assert dataio.validate_fit_report(_GOOD_REPORT) is _GOOD_REPORT
     with pytest.raises(ValueError, match="extra"):
-        dataio.validate_fit_report(bad)
+        dataio.validate_fit_report({**_GOOD_REPORT, "extra": 1})
+
+
+_BAD_REPORTS = [
+    {**_GOOD_REPORT, "extra": 1},
+    {k: v for k, v in _GOOD_REPORT.items() if k != "model"},
+    {**_GOOD_REPORT, "schema_version": "2"},
+    {**_GOOD_REPORT, "residual_rms": -0.5},
+    {**_GOOD_REPORT, "converged": "yes"},
+    {**_GOOD_REPORT, "n_iterations": 1.5},
+    {**_GOOD_REPORT, "n_iterations": -1},
+    {**_GOOD_REPORT, "seed": "0"},
+    {**_GOOD_REPORT, "params": {"f0": "x"}},
+    {**_GOOD_REPORT, "std_errs": [0.1]},
+    {**_GOOD_REPORT, "extra": 1, "residual_rms": -0.5, "params": {"f0": None}},
+    # the first error found is nested, the one reported is at top level
+    {k: v for k, v in _GOOD_REPORT.items() if k != "model"} | {"params": {"f0": "x"}},
+    {},
+    [],
+]
+
+_BAD_EMITTERS = [
+    {},
+    {"isotope": ""},
+    {"isotope": 117},
+    {"isotope": "117Sn", "foo": 1.0},
+    {"isotope": "117Sn", "gnd": {"lambda_mhz": 1.0}},
+    {"isotope": "117Sn", "gnd": {"lambda_ghz": 0.0}},
+    {"isotope": "117Sn", "nuclear_spin": -0.5},
+    {"isotope": "117Sn", "schema_version": "2"},
+    {"isotope": "117Sn", "exc": 3},
+    {"isotope": "117Sn", "strain_alpha_ghz": "55", "exc": {"q": "x"}},
+    {"gnd": {"lambda_ghz": -1.0}},
+]
+
+
+def _packaged_schema(name):
+    return json.loads(resources.files("g4vspec.schemas").joinpath(name)
+                      .read_text(encoding="utf-8"))
+
+
+def _reference_message(doc, schema_name, what):
+    """The message of the original code path: jsonschema.validate against
+    the packaged schema, formatted as 'invalid <what>: at <path>: <msg>'."""
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(doc, _packaged_schema(schema_name))
+    exc = info.value
+    where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
+    return f"invalid {what}: at {where}: {exc.message}"
+
+
+@pytest.mark.parametrize("doc", _BAD_REPORTS)
+def test_fit_report_error_matches_jsonschema_validate(doc):
+    want = _reference_message(doc, "fit_report.schema.json", "fit report")
+    with pytest.raises(ValueError) as info:
+        dataio.validate_fit_report(doc)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("doc", _BAD_EMITTERS)
+def test_emitter_error_matches_jsonschema_validate(doc):
+    want = _reference_message(doc, "emitter.schema.json", "emitter file")
+    with pytest.raises(ValueError) as info:
+        dataio.emitter_from_dict(doc)
+    assert str(info.value) == want
+
+
+def test_packaged_schemas_pass_their_metaschema():
+    names = sorted(f.name for f in resources.files("g4vspec.schemas").iterdir()
+                   if f.name.endswith(".schema.json"))
+    assert names == ["emitter.schema.json", "fit_report.schema.json"]
+    for name in names:
+        schema = _packaged_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_metaschema_checked_once_for_many_reports(monkeypatch):
+    cls = jsonschema.validators.validator_for(
+        {"$schema": "https://json-schema.org/draft/2020-12/schema"})
+    original = cls.check_schema
+    calls = []
+
+    def counting(schema, *args, **kwargs):
+        calls.append(schema.get("title"))
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    dataio._validator.cache_clear()
+    try:
+        for k in range(50):
+            dataio.validate_fit_report({**_GOOD_REPORT, "n_iterations": k})
+        with pytest.raises(ValueError):
+            dataio.validate_fit_report({**_GOOD_REPORT, "extra": 1})
+    finally:
+        dataio._validator.cache_clear()
+    assert calls == ["Fit report"]
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g4vspec
+
+    src = str(Path(g4vspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, g4vspec, g4vspec.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- synthetic datasets ---
