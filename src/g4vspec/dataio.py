@@ -209,17 +209,28 @@ def emitter_to_dict(emitter: EmitterModel) -> dict:
     }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite literal {name} is not allowed")
+
+
 def load_emitter(label_or_path: str) -> EmitterModel:
-    """Emitter from a registry label or a JSON parameter file."""
+    """Emitter from a registry label or a JSON parameter file.
+
+    Every error about a file names it, as 'emitter file <path>: ...'.
+    The NaN and Infinity literals that `json` accepts are refused.
+    """
     if label_or_path in registry_labels():
         return registry_lookup(label_or_path)
     if os.path.exists(label_or_path):
         with open(label_or_path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+                doc = json.load(fh, parse_constant=_reject_constant)
+            except ValueError as exc:  # JSONDecodeError, a refused literal, bad UTF-8
                 raise ValueError(f"emitter file {label_or_path}: invalid JSON: {exc}") from exc
-        return emitter_from_dict(doc)
+        try:
+            return emitter_from_dict(doc)
+        except ValueError as exc:
+            raise ValueError(f"emitter file {label_or_path}: {exc}") from exc
     known = ", ".join(sorted(registry_labels()))
     raise ValueError(
         f"{label_or_path!r} is neither a registry label ({known}) nor an existing file"
@@ -343,14 +354,14 @@ def write_values_csv(path, values, column: str = "value") -> None:
 
 
 def read_values_csv(path, column: str | None = None) -> np.ndarray:
-    """Single column of numbers from a CSV; picks `column` by header name
-    when given, else the only column."""
+    """Single column of finite numbers from a CSV; picks `column` by header
+    name when given, else the only column.  Blank lines are skipped."""
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if column is None:
         if len(header) != 1:
             raise ValueError(f"{path}: multiple columns, pass a column name")
@@ -360,12 +371,15 @@ def read_values_csv(path, column: str | None = None) -> np.ndarray:
             raise ValueError(f"{path}: no column {column!r} in header {header}")
         col = header.index(column)
     out = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in lines[1:]:
         cells = raw.split(",")
         try:
-            out.append(float(cells[col]))
+            value = float(cells[col])
         except (IndexError, ValueError):
             raise ValueError(f"{path}: line {lineno}: bad value in {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        out.append(value)
     return np.asarray(out)
 
 

@@ -1,26 +1,14 @@
-"""Line-profile kernels with a compiled core and a NumPy fallback.
+"""Line-profile kernels: a comb of weighted lines broadened onto a grid.
 
-At import time the Cython extension `g4vspec._kernels` is preferred; if it
-is missing (or G4VSPEC_PURE_PYTHON is set to a non-empty value) the
-pure-NumPy implementation is used instead.  `BACKEND` records the choice.
+This is the one synthesis kernel of the package, in NumPy.  Lines are
+processed in chunks of `_CHUNK` so the broadcast temporary stays small.
+`BACKEND` names it for run metadata and is always "python".
 """
-import os
-
 import numpy as np
 
-if os.environ.get("G4VSPEC_PURE_PYTHON"):
-    from . import _kernels_py as _impl
+BACKEND = "python"
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
-
-        BACKEND = "python"
+_CHUNK = 128
 
 
 def _as_vec(x):
@@ -30,10 +18,7 @@ def _as_vec(x):
     return a
 
 
-def lorentzian_sum(centers, weights, fwhm: float, grid, out=None):
-    """Sum of unit-area Lorentzians, weight[i] at centers[i], FWHM fwhm."""
-    if fwhm <= 0:
-        raise ValueError(f"fwhm must be positive, got {fwhm}")
+def _checked(centers, weights, grid, out):
     centers = _as_vec(centers)
     weights = _as_vec(weights)
     grid = _as_vec(grid)
@@ -41,20 +26,39 @@ def lorentzian_sum(centers, weights, fwhm: float, grid, out=None):
         raise ValueError("centers and weights must have the same length")
     if out is None:
         out = np.zeros_like(grid)
-    _impl.lorentzian_sum(centers, weights, float(fwhm), grid, out)
+    return centers, weights, grid, out
+
+
+def lorentzian_sum(centers, weights, fwhm: float, grid, out=None):
+    """Sum of unit-area Lorentzians, weight[i] at centers[i], FWHM fwhm.
+
+    Accumulates into `out` when given and returns it.
+    """
+    if fwhm <= 0:
+        raise ValueError(f"fwhm must be positive, got {fwhm}")
+    centers, weights, grid, out = _checked(centers, weights, grid, out)
+    hw = 0.5 * float(fwhm)
+    pref = hw / np.pi
+    for k in range(0, len(centers), _CHUNK):
+        c = centers[k : k + _CHUNK, None]
+        w = weights[k : k + _CHUNK, None]
+        out += (w * pref / ((grid[None, :] - c) ** 2 + hw * hw)).sum(axis=0)
     return out
 
 
 def gaussian_sum(centers, weights, sigma: float, grid, out=None):
-    """Sum of unit-area Gaussians, weight[i] at centers[i], std dev sigma."""
+    """Sum of unit-area Gaussians, weight[i] at centers[i], std dev sigma.
+
+    Accumulates into `out` when given and returns it.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    centers = _as_vec(centers)
-    weights = _as_vec(weights)
-    grid = _as_vec(grid)
-    if centers.shape != weights.shape:
-        raise ValueError("centers and weights must have the same length")
-    if out is None:
-        out = np.zeros_like(grid)
-    _impl.gaussian_sum(centers, weights, float(sigma), grid, out)
+    centers, weights, grid, out = _checked(centers, weights, grid, out)
+    sigma = float(sigma)
+    pref = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    for k in range(0, len(centers), _CHUNK):
+        c = centers[k : k + _CHUNK, None]
+        w = weights[k : k + _CHUNK, None]
+        out += (w * pref * np.exp(-((grid[None, :] - c) ** 2) * inv2s2)).sum(axis=0)
     return out

@@ -341,6 +341,36 @@ def test_fit_map_with_non_finite_value_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "full.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_values_with_non_finite_entry_name_file_and_line(tmp_path, capsys, value):
+    src = tmp_path / "v.csv"
+    src.write_text(f"value\n1.0\n{value}\n3.0\n")
+    kde_out = tmp_path / "kde.csv"
+    stats_out = tmp_path / "stats.json"
+    want = f"error: {src}: line 3: non-finite value\n"
+    assert run_cli(["fit-pl", "--values", str(src), "--bandwidth", "5",
+                    "--kde-out", str(kde_out)]) == 1
+    assert capsys.readouterr().err == want
+    assert run_cli(["stats", "--values", str(src), "--out", str(stats_out)]) == 1
+    assert capsys.readouterr().err == want
+    assert not kde_out.exists()
+    assert not stats_out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_emitter_file_with_non_finite_literal_names_file(tmp_path, capsys, literal):
+    em = tmp_path / "em.json"
+    em.write_text(f'{{"isotope": "117Sn", "strain_alpha_ghz": {literal}}}')
+    out = tmp_path / "s.csv"
+    code = run_cli(["simulate", str(em), "--fwhm", "30", "--grid", "-500:500:5",
+                    "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: emitter file {em}: invalid JSON: non-finite literal {literal} is not allowed\n"
+    )
+    assert not out.exists()
+
+
 def test_consecutive_commands_share_no_state(tmp_path, capsys):
     from g4vspec import cli
 

@@ -117,6 +117,32 @@ def test_emitter_bad_schema_version(tmp_path):
         dataio.load_emitter(str(path))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_emitter_file_non_finite_literal_rejected(tmp_path, literal):
+    path = tmp_path / "e.json"
+    path.write_text(f'{{"isotope": "117Sn", "gnd": {{"a_fc_mhz": {literal}}}}}')
+    with pytest.raises(ValueError) as info:
+        dataio.load_emitter(str(path))
+    assert str(info.value) == (
+        f"emitter file {path}: invalid JSON: non-finite literal {literal} is not allowed"
+    )
+
+
+def test_emitter_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "e.json"
+    doc = {"isotope": "117Sn", "gnd": {"q": "big"}}
+    path.write_text(json.dumps(doc))
+    want = _reference_message(doc, "emitter.schema.json", "emitter file")
+    with pytest.raises(ValueError) as info:
+        dataio.load_emitter(str(path))
+    assert str(info.value) == f"emitter file {path}: {want}"
+    # 1e400 parses to inf, passes the schema and is stopped by EmitterModel.
+    path.write_text('{"isotope": "117Sn", "strain_alpha_ghz": 1e400}')
+    with pytest.raises(ValueError) as info:
+        dataio.load_emitter(str(path))
+    assert str(info.value) == f"emitter file {path}: strain_alpha_ghz must be finite, got inf"
+
+
 # --- CSV ingestion ---
 
 def write_csv(tmp_path, text, name="t.csv"):
@@ -207,6 +233,15 @@ def test_values_csv_round_trip(tmp_path):
     assert np.allclose(vals, [1.5, 2.5, -3.25])
     with pytest.raises(ValueError, match="no column"):
         dataio.read_values_csv(path, column="missing")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_values_csv_non_finite_rejected(tmp_path, value):
+    p = write_csv(tmp_path, f"a,b\n1,2\n\n3,{value}\n5,6\n", name="v.csv")
+    with pytest.raises(ValueError) as info:
+        dataio.read_values_csv(p, column="b")
+    assert str(info.value) == f"{p}: line 4: non-finite value"
+    assert np.array_equal(dataio.read_values_csv(p, column="a"), [1.0, 3.0, 5.0])
 
 
 _GOOD_REPORT = {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import g4vspec
 from g4vspec import kernels
-from g4vspec import _kernels_py
 
 
 def reference_lorentzian(centers, weights, fwhm, grid):
@@ -13,8 +13,17 @@ def reference_lorentzian(centers, weights, fwhm, grid):
     ).sum(axis=0)
 
 
+def reference_gaussian(centers, weights, sigma, grid):
+    d = grid[None, :] - np.asarray(centers)[:, None]
+    return (
+        np.asarray(weights)[:, None] / (sigma * np.sqrt(2.0 * np.pi))
+        * np.exp(-d * d / (2.0 * sigma * sigma))
+    ).sum(axis=0)
+
+
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert g4vspec.KERNEL_BACKEND == "python"
+    assert kernels.BACKEND == "python"
 
 
 def test_lorentzian_matches_direct_formula(rng):
@@ -25,19 +34,22 @@ def test_lorentzian_matches_direct_formula(rng):
     assert np.allclose(out, reference_lorentzian(centers, weights, 13.0, grid), rtol=1e-13)
 
 
-def test_both_backends_agree(rng):
+@pytest.mark.parametrize(
+    "kernel, reference, width",
+    [
+        (kernels.lorentzian_sum, reference_lorentzian, 7.5),
+        (kernels.gaussian_sum, reference_gaussian, 2.5),
+    ],
+    ids=["lorentzian", "gaussian"],
+)
+def test_matches_direct_formula_across_chunks(rng, kernel, reference, width):
+    # 200 lines span two of the kernel's 128-line chunks.
+    assert 200 > kernels._CHUNK
     centers = rng.uniform(-50, 50, 200)
     weights = rng.uniform(0.0, 1.0, 200)
     grid = np.linspace(-100, 100, 2048)
-    via_dispatch = kernels.lorentzian_sum(centers, weights, 7.5, grid)
-    manual = np.zeros_like(grid)
-    _kernels_py.lorentzian_sum(centers, weights, 7.5, grid, manual)
-    assert np.allclose(via_dispatch, manual, rtol=1e-12, atol=1e-15)
-
-    gd = kernels.gaussian_sum(centers, weights, 2.5, grid)
-    gm = np.zeros_like(grid)
-    _kernels_py.gaussian_sum(centers, weights, 2.5, grid, gm)
-    assert np.allclose(gd, gm, rtol=1e-12, atol=1e-15)
+    out = kernel(centers, weights, width, grid)
+    assert np.allclose(out, reference(centers, weights, width, grid), rtol=1e-13, atol=0.0)
 
 
 def test_lorentzian_unit_area():
