@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import EmitterModel, a_ple
-from .spectrum import SpectrumTrace, transitions
+from .spectrum import SpectrumTrace, reference_memo, transitions
 
 __all__ = [
     "FitResult",
@@ -343,6 +343,7 @@ def _as_trace_list(data):
     return [data]
 
 
+@reference_memo()
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
                    seed: int | None = None) -> FitResult:
     """Least-squares fit of the Hamiltonian-model spectrum to data.
@@ -354,6 +355,11 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     a_ple_scale multiplies the hyperfine couplings of both manifolds by a
     single factor (a spectrum near the C line constrains only that
     combination).  The derived a_ple_mhz is included in the report.
+
+    The whole call runs inside `spectrum.reference_memo()`: reference
+    lines are memoized for the duration of one fit, so each distinct
+    (b, strain) solves its coupling-free reference once, and the memo is
+    dropped when the fit returns or raises.
     """
     traces = _as_trace_list(data)
     free = tuple(free)

@@ -245,6 +245,18 @@ def validate_fit_report(doc: dict) -> dict:
 # ---------------------------------------------------------------------------
 # CSV formats
 
+def _increasing_grid(path, freqs, linenos) -> np.ndarray:
+    """freqs as an array; raises at the first file line whose frequency
+    does not exceed the one before it."""
+    freqs = np.asarray(freqs)
+    bad = np.nonzero(np.diff(freqs) <= 0)[0]
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {linenos[int(bad[0]) + 1]}: frequency grid is not strictly increasing"
+        )
+    return freqs
+
+
 def ingest_csv(path) -> MeasuredTrace:
     """Spectrum CSV with header 'freq_mhz,intensity', at least 3 rows,
     strictly increasing finite frequencies."""
@@ -253,7 +265,7 @@ def ingest_csv(path) -> MeasuredTrace:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "freq_mhz,intensity":
         raise ValueError(f"{path}: expected header 'freq_mhz,intensity'")
-    freqs, signal = [], []
+    freqs, signal, linenos = [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -268,15 +280,11 @@ def ingest_csv(path) -> MeasuredTrace:
             raise ValueError(f"{path}: line {lineno}: non-finite value")
         freqs.append(f)
         signal.append(s)
+        linenos.append(lineno)
     if len(freqs) < 3:
         raise ValueError(f"{path}: need at least 3 data rows, got {len(freqs)}")
-    freqs = np.asarray(freqs)
+    freqs = _increasing_grid(path, freqs, linenos)
     signal = np.asarray(signal)
-    bad = np.nonzero(np.diff(freqs) <= 0)[0]
-    if bad.size:
-        raise ValueError(
-            f"{path}: line {int(bad[0]) + 3}: frequency grid is not strictly increasing"
-        )
     stem = os.path.splitext(os.path.basename(path))[0]
     return MeasuredTrace(freq_mhz=freqs, signal=signal, source=path, emitter_id=stem)
 
@@ -297,7 +305,11 @@ def write_map_csv(path, traces) -> None:
 
 
 def read_map_csv(path) -> list:
-    """Inverse of write_map_csv: list of MeasuredTrace, one per field value."""
+    """Inverse of write_map_csv: list of MeasuredTrace, one per field value.
+
+    Each field value must form one contiguous block of at least 3 rows
+    whose frequencies strictly increase (the spectrum rules of ingest_csv).
+    """
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -316,19 +328,31 @@ def read_map_csv(path) -> list:
             raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
-        rows.append(row)
+        rows.append((lineno,) + row)
     traces = []
+    block_end = {}  # field value -> last line of its block
     k = 0
     while k < len(rows):
-        b = rows[k][0]
+        first, b = rows[k][:2]
+        if b in block_end:
+            raise ValueError(
+                f"{path}: line {first}: field {fmt(b)} T already has a block ending at "
+                f"line {block_end[b]}; each field's rows must be contiguous"
+            )
         j = k
-        while j < len(rows) and rows[j][0] == b:
+        while j < len(rows) and rows[j][1] == b:
             j += 1
         chunk = rows[k:j]
+        block_end[b] = chunk[-1][0]
+        if len(chunk) < 3:
+            raise ValueError(
+                f"{path}: line {first}: field {fmt(b)} T has {len(chunk)} data row(s), "
+                "need at least 3"
+            )
         traces.append(
             MeasuredTrace(
-                freq_mhz=np.array([r[1] for r in chunk]),
-                signal=np.array([r[2] for r in chunk]),
+                freq_mhz=_increasing_grid(path, [r[2] for r in chunk], [r[0] for r in chunk]),
+                signal=np.array([r[3] for r in chunk]),
                 source=path,
                 meta={"b_mag_tesla": b},
             )

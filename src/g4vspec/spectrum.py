@@ -9,7 +9,16 @@ kept, with equal populations over the lower-branch ground states.
 Frequencies are detunings from the unperturbed C line, defined as the
 same lower-branch transition computed with all hyperfine, quadrupole and
 nuclear-SOC couplings zeroed.
+
+That reference line depends only on the coupling-free emitter, the field
+and the strain.  Inside ``with reference_memo():`` it is solved once per
+distinct (coupling-free emitter, b, alpha, beta) and reused; a fit enters
+the memo for its whole duration, so its row tables, steps and Jacobian
+columns share the reference solves.  Outside it every table solves its
+reference afresh.  Both ways give bit-identical numbers.
 """
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +41,16 @@ __all__ = [
     "transition_diagram",
     "solve_manifold",
     "lower_branch_size",
+    "reference_memo",
 ]
 
 # Lines below this fraction of the strongest one are numerical noise.
 INTENSITY_FLOOR = 1e-9
 # Degenerate lines are merged at presentation time within this spacing (MHz).
 MERGE_TOL_MHZ = 0.01
+
+# The active reference-line memo, or None outside any `reference_memo()`.
+_REFERENCE_MEMO = contextvars.ContextVar("g4vspec_reference_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,39 @@ def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     return eigh(h, degeneracy_operator=jsq_operator(emitter.nuclear_spin))
 
 
+@contextlib.contextmanager
+def reference_memo():
+    """Solve each unperturbed C line once for the duration of the block.
+
+    A fresh memo is entered on every use (nested blocks do not share) and
+    the previous state is restored on exit, also when the block raises.
+    The memo lives in a context variable, so threads and copied contexts
+    see only their own.
+    """
+    token = _REFERENCE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _REFERENCE_MEMO.reset(token)
+
+
+def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz) -> float:
+    """Unperturbed C line: mean lower-branch energies of the stripped system."""
+    bare = emitter.without_couplings()
+    memo = _REFERENCE_MEMO.get()
+    if memo is not None:
+        key = (bare, tuple(float(c) for c in b), alpha_ghz, beta_ghz)
+        if key in memo:
+            return memo[key]
+    bare_g = solve_manifold(bare, "gnd", b, alpha_ghz, beta_ghz)
+    bare_e = solve_manifold(bare, "exc", b, alpha_ghz, beta_ghz)
+    n_low = lower_branch_size(emitter)
+    e_ref = bare_e.values[:n_low].mean() - bare_g.values[:n_low].mean()
+    if memo is not None:
+        memo[key] = e_ref
+    return e_ref
+
+
 def _check_branch_gap(emitter: EmitterModel, manifold: str, values: np.ndarray) -> None:
     n_low = len(values) // 2
     gap = values[n_low] - values[n_low - 1]
@@ -163,13 +209,9 @@ def _solve_transitions(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
     _check_branch_gap(emitter, "gnd", es_g.values)
     _check_branch_gap(emitter, "exc", es_e.values)
 
-    bare = emitter.without_couplings()
-    bare_g = solve_manifold(bare, "gnd", b, alpha_ghz, beta_ghz)
-    bare_e = solve_manifold(bare, "exc", b, alpha_ghz, beta_ghz)
+    e_ref = _reference_line(emitter, b, alpha_ghz, beta_ghz)
 
     n_low = lower_branch_size(emitter)
-    # Unperturbed C line: mean lower-branch energies of the stripped system.
-    e_ref = bare_e.values[:n_low].mean() - bare_g.values[:n_low].mean()
 
     jop = jsq_operator(emitter.nuclear_spin)
     jsq_g = _jsq_labels(es_g, jop)[:n_low]

@@ -341,6 +341,30 @@ def test_fit_map_with_non_finite_value_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "full.json").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0,1,1\n0,1,1\n0,2,1\n", "line 3: frequency grid is not strictly increasing"),
+    ("0,1,1\n0,3,1\n\n0,2,1\n", "line 5: frequency grid is not strictly increasing"),
+    ("0,1,1\n0,2,1\n0,3,1\n0.1,1,1\n",
+     "line 5: field 0.1 T has 1 data row(s), need at least 3"),
+    ("0,1,1\n0,2,1\n\n0.1,1,1\n0.1,2,1\n0.1,3,1\n",
+     "line 2: field 0 T has 2 data row(s), need at least 3"),
+    ("0,1,1\n0,2,1\n0,3,1\n0.1,1,1\n0.1,2,1\n0.1,3,1\n0,4,1\n0,5,1\n0,6,1\n",
+     "line 8: field 0 T already has a block ending at line 4; "
+     "each field's rows must be contiguous"),
+])
+def test_fit_map_breaking_the_spectrum_rules_names_file_and_line(tmp_path, capsys, body,
+                                                                  message):
+    map_path = tmp_path / "map.csv"
+    map_path.write_text("b_tesla,freq_mhz,intensity\n" + body)
+    code = run_cli([
+        "fit", "--map", str(map_path), "--model", "full", "--emitter", "117Sn",
+        "--out", str(tmp_path / "full.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {map_path}: {message}\n"
+    assert not (tmp_path / "full.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_values_with_non_finite_entry_name_file_and_line(tmp_path, capsys, value):
     src = tmp_path / "v.csv"

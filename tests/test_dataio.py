@@ -176,6 +176,18 @@ def test_ingest_duplicate_frequency_rejected(tmp_path):
         dataio.ingest_csv(p)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("freq_mhz,intensity\n\n1,1\n2,1\n3,1\n3,1\n", 6),
+    ("freq_mhz,intensity\n1,1\n\n\n2,1\n1.5,1\n", 6),
+    ("freq_mhz,intensity\n1,1\n1,1\n\n2,1\n", 3),
+])
+def test_ingest_non_increasing_line_counts_blank_lines(tmp_path, text, line):
+    p = write_csv(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        dataio.ingest_csv(p)
+    assert str(info.value) == f"{p}: line {line}: frequency grid is not strictly increasing"
+
+
 def test_ingest_too_short(tmp_path):
     p = write_csv(tmp_path, "freq_mhz,intensity\n0,1.0\n1,2.0\n")
     with pytest.raises(ValueError, match="3 data rows"):
