@@ -13,6 +13,7 @@ Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,25 @@ def _model_gaussian(p, f):
     return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * sigma**2))
 
 
+def _check_init(init, names, complete):
+    """ValueError unless init is None or a dict of finite numbers keyed by
+    names, with a value for every name when complete."""
+    if init is None:
+        return
+    if not isinstance(init, dict):
+        raise ValueError(f"init must be a dict of initial values, got {type(init).__name__}")
+    unknown = [k for k in init if k not in names]
+    if unknown:
+        raise ValueError(f"unknown init parameter(s) {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(names)}")
+    missing = [n for n in names if n not in init] if complete else []
+    if missing:
+        raise ValueError(f"init needs a value for every parameter; missing {', '.join(missing)}")
+    for name, value in init.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"init {name!r} must be a finite number, got {value!r}")
+
+
 def _get_xy(trace):
     x = np.asarray(trace.freq_mhz, dtype=float)
     y = np.asarray(trace.signal, dtype=float)
@@ -199,7 +219,7 @@ def _get_xy(trace):
 
 def _find_peaks(x, y):
     """Local maxima above baseline + 3x the MAD noise estimate, tallest
-    first; ties broken toward lower frequency.
+    first; ties broken toward lower frequency.  ValueError if there is none.
 
     The trace is lightly smoothed before peak seeking and candidates too
     close to an already-accepted taller peak are dropped, so single noise
@@ -218,7 +238,7 @@ def _find_peaks(x, y):
     ]
     idx.sort(key=lambda k: (-smooth[k], x[k]))
     if not idx:
-        return [], baseline
+        raise ValueError("no peak found above the noise floor to seed the fit")
     min_sep = 0.5 * _width_at_half(x, smooth, idx[0], baseline)
     accepted = []
     for k in idx:
@@ -239,6 +259,13 @@ def _width_at_half(x, y, k, baseline):
     return width if width > 0 else (x[1] - x[0]) * 2.0
 
 
+# Parameter names and model function of each fit_lorentzians model.
+_PEAK_MODELS = {
+    "single": (("f0", "fwhm", "amplitude", "baseline"), _model_single),
+    "triplet211": (("f_ch1", "a_ple", "delta", "fwhm", "amplitude", "baseline"), _model_triplet),
+}
+
+
 def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
                     seed: int | None = None) -> FitResult:
     """Fit one Lorentzian peak, or three with heights locked 2:1:1.
@@ -249,49 +276,24 @@ def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
     Initial guesses are found by peak seeking unless given.
     """
     x, y = _get_xy(trace)
-    if model == "single":
-        names = ("f0", "fwhm", "amplitude", "baseline")
-        fn = _model_single
-        if init is None:
-            peaks, baseline = _find_peaks(x, y)
-            if not peaks:
-                raise ValueError("no peak found above the noise floor to seed the fit")
-            k = peaks[0]
-            init = {
-                "f0": x[k],
-                "fwhm": _width_at_half(x, y, k, baseline),
-                "amplitude": y[k] - baseline,
-                "baseline": baseline,
-            }
-    elif model == "triplet211":
-        names = ("f_ch1", "a_ple", "delta", "fwhm", "amplitude", "baseline")
-        fn = _model_triplet
-        if init is None:
-            peaks, baseline = _find_peaks(x, y)
-            if not peaks:
-                raise ValueError("no peak found above the noise floor to seed the fit")
-            k = peaks[0]
-            fwhm0 = _width_at_half(x, y, k, baseline)
-            if len(peaks) >= 3:
-                side = sorted(x[j] for j in peaks[1:3])
-                aple0 = 0.5 * (side[0] + side[1]) - x[k]
-                delta0 = side[1] - side[0]
-            elif len(peaks) == 2:
-                aple0 = x[peaks[1]] - x[k]
-                delta0 = fwhm0
-            else:
-                aple0 = 3.0 * fwhm0
-                delta0 = fwhm0
-            init = {
-                "f_ch1": x[k],
-                "a_ple": abs(aple0),
-                "delta": abs(delta0),
-                "fwhm": fwhm0,
-                "amplitude": y[k] - baseline,
-                "baseline": baseline,
-            }
-    else:
+    if model not in _PEAK_MODELS:
         raise ValueError(f"model must be 'single' or 'triplet211', got {model!r}")
+    names, fn = _PEAK_MODELS[model]
+    _check_init(init, names, complete=True)
+    if init is None:
+        peaks, baseline = _find_peaks(x, y)
+        k = peaks[0]
+        fwhm0 = _width_at_half(x, y, k, baseline)
+        if len(peaks) >= 3:
+            side = sorted(x[j] for j in peaks[1:3])
+            aple0, delta0 = 0.5 * (side[0] + side[1]) - x[k], side[1] - side[0]
+        elif len(peaks) == 2:
+            aple0, delta0 = x[peaks[1]] - x[k], fwhm0
+        else:
+            aple0, delta0 = 3.0 * fwhm0, fwhm0
+        # f0 seeds the single peak, f_ch1 the strong peak of the triplet.
+        init = {"f0": x[k], "f_ch1": x[k], "a_ple": abs(aple0), "delta": abs(delta0),
+                "fwhm": fwhm0, "amplitude": y[k] - baseline, "baseline": baseline}
 
     p0 = np.array([init[n] for n in names], dtype=float)
     residual = lambda p: fn(p, x) - y
@@ -311,17 +313,12 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> Fi
     """Gaussian peak fit {center, sigma, amplitude, baseline}."""
     x, y = _get_xy(trace)
     names = ("center", "sigma", "amplitude", "baseline")
+    _check_init(init, names, complete=True)
     if init is None:
         peaks, baseline = _find_peaks(x, y)
-        if not peaks:
-            raise ValueError("no peak found above the noise floor to seed the fit")
         k = peaks[0]
-        init = {
-            "center": x[k],
-            "sigma": _width_at_half(x, y, k, baseline) / 2.3548,
-            "amplitude": y[k] - baseline,
-            "baseline": baseline,
-        }
+        init = {"center": x[k], "sigma": _width_at_half(x, y, k, baseline) / 2.3548,
+                "amplitude": y[k] - baseline, "baseline": baseline}
     p0 = np.array([init[n] for n in names], dtype=float)
     residual = lambda p: _model_gaussian(p, x) - y
     p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0)
@@ -335,12 +332,6 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> Fi
 # full-model fits
 
 FULL_MODEL_FREE = ("a_ple_scale", "strain_alpha", "fwhm", "amplitude", "freq_offset")
-
-
-def _as_trace_list(data):
-    if isinstance(data, (list, tuple)):
-        return list(data)
-    return [data]
 
 
 @reference_memo()
@@ -361,13 +352,16 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     (b, strain) solves its coupling-free reference once, and the memo is
     dropped when the fit returns or raises.
     """
-    traces = _as_trace_list(data)
+    traces = list(data) if isinstance(data, (list, tuple)) else [data]
+    if not traces:
+        raise ValueError("fit_full_model needs at least one trace")
     free = tuple(free)
     for name in free:
         if name not in FULL_MODEL_FREE:
             raise ValueError(f"unknown free parameter {name!r}; choose from {FULL_MODEL_FREE}")
     if not free:
         raise ValueError("at least one free parameter is required")
+    _check_init(init, FULL_MODEL_FREE, complete=False)
 
     fields = []
     for t in traces:

@@ -153,11 +153,8 @@ def _cmd_sweep_strain(args) -> int:
 
 def _cmd_sweep_field(args) -> int:
     emitter = dataio.load_emitter(args.emitter)
-    direction = np.asarray([float(c) for c in args.direction.split(",")])
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("field direction must be non-zero")
-    traces = sweep_field(emitter, direction / norm, dataio.parse_grid(args.b_range),
+    traces = sweep_field(emitter, dataio.parse_direction(args.direction),
+                         dataio.parse_grid(args.b_range),
                          args.fwhm, dataio.parse_grid(args.grid))
     dataio.write_map_csv(args.out, traces)
     print(f"wrote {args.out} ({len(traces)} field rows)")
@@ -174,6 +171,16 @@ def _cmd_aple(args) -> int:
     return 0
 
 
+def _parse_init(spec):
+    """The --init JSON, or None; analysis checks its names and values."""
+    if not spec:
+        return None
+    try:
+        return json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--init is not valid JSON: {exc}") from None
+
+
 def _cmd_fit_batch(args) -> int:
     import glob
     import os
@@ -184,9 +191,9 @@ def _cmd_fit_batch(args) -> int:
     if not paths:
         raise ValueError(f"--batch matched no files: {args.batch!r}")
     model = "triplet211" if args.model == "triplet" else "single"
-    init = json.loads(args.init) if args.init else None
+    init = _parse_init(args.init)
     reports = []
-    summary = ["label,model,a_ple_mhz,delta_mhz,fwhm_mhz,residual_rms"]
+    summary = []  # one row per trace
     all_converged = True
     for path in paths:
         label = os.path.splitext(os.path.basename(path))[0]
@@ -194,15 +201,16 @@ def _cmd_fit_batch(args) -> int:
         res = analysis.fit_lorentzians(trace, model=model, init=init, seed=args.seed)
         all_converged &= res.converged
         reports.append({"label": label, "report": dataio.validate_fit_report(res.as_report())})
-        aple = abs(res.params.get("a_ple", float("nan")))
-        delta = res.params.get("delta", float("nan"))
-        summary.append(
-            f"{label},{args.model},{dataio.fmt(aple)},{dataio.fmt(delta)},"
-            f"{dataio.fmt(res.params['fwhm'])},{dataio.fmt(res.residual_rms)}"
-        )
+        summary.append((label, args.model, abs(res.params.get("a_ple", float("nan"))),
+                        res.params.get("delta", float("nan")), res.params["fwhm"],
+                        res.residual_rms))
     dataio.write_json(args.out, reports)
     if args.summary_out:
-        dataio.write_text(args.summary_out, "\n".join(summary) + "\n")
+        dataio._write_csv(
+            args.summary_out,
+            ("label", "model", "a_ple_mhz", "delta_mhz", "fwhm_mhz", "residual_rms"),
+            [zip(*summary)], {"label": "%s", "model": "%s"},
+        )
     print(f"wrote {args.out} ({len(reports)} fits)")
     return 0 if all_converged else 2
 
@@ -210,7 +218,7 @@ def _cmd_fit_batch(args) -> int:
 def _cmd_fit(args) -> int:
     if args.batch:
         return _cmd_fit_batch(args)
-    init = json.loads(args.init) if args.init else None
+    init = _parse_init(args.init)
     if args.model in ("single", "triplet"):
         if not args.trace:
             raise ValueError(f"--model {args.model} needs --trace")
@@ -224,8 +232,7 @@ def _cmd_fit(args) -> int:
         free = tuple(s for s in args.free.split(",") if s)
         if args.map_path:
             traces = dataio.read_map_csv(args.map_path)
-            direction = np.asarray([float(c) for c in args.direction.split(",")])
-            direction = direction / np.linalg.norm(direction)
+            direction = dataio.parse_direction(args.direction)
             for t in traces:
                 t.meta["b_direction"] = tuple(direction)
             data = traces
@@ -253,13 +260,7 @@ def _cmd_fit_pl(args) -> int:
     else:
         raise ValueError("fit-pl needs --values or --traces")
     density = analysis.kde(centers, args.bandwidth)
-    dataio.write_text(
-        args.kde_out,
-        "value,density\n"
-        + "\n".join(f"{dataio.fmt(v)},{dataio.fmt(d)}"
-                    for v, d in zip(density.freq_mhz, density.signal))
-        + "\n",
-    )
+    dataio._write_csv(args.kde_out, ("value", "density"), [(density.freq_mhz, density.signal)])
     if args.out:
         stats = analysis.ensemble_stats(centers, bin_width=max(args.bandwidth, 1e-9))
         payload = {

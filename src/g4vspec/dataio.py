@@ -1,8 +1,12 @@
 """Emitter files, fit-report validation, CSV ingestion/emission, and the
 seeded synthetic-data generator.
 
-All numeric output uses 9 significant digits with '.' decimal separator
-and LF line endings, so repeated runs diff clean.  File writes are
+Each format is defined once.  `_read_rows` reads the spectrum and map
+CSVs (header, blank lines, field count, finite numbers); `read_values_csv`
+picks one column of a ragged CSV.  `_write_csv` writes every CSV, at 9
+significant digits with '.' decimal separator and LF line endings, so
+repeated runs diff clean.  `_MANIFOLD_KEYS` and `_TOP_KEYS` map
+emitter-file keys to `EmitterModel` fields both ways.  File writes are
 whole-file atomic (temp file + rename).  Emitter files and fit reports
 are checked against the packaged JSON schemas; each schema's validator
 is compiled once per process, on first use, so importing this module
@@ -11,6 +15,7 @@ does not import jsonschema.
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -27,13 +32,17 @@ __all__ = [
     "fmt",
     "parse_grid",
     "parse_field",
+    "parse_direction",
     "load_emitter",
     "emitter_from_dict",
     "emitter_to_dict",
     "ingest_csv",
+    "read_map_csv",
+    "read_values_csv",
     "write_spectrum_csv",
     "write_map_csv",
     "write_levels_csv",
+    "write_values_csv",
     "write_json",
     "write_text",
     "validate_fit_report",
@@ -108,6 +117,19 @@ def parse_field(spec: str):
     raise ValueError(f"field spec must have 1 or 3 components, got {spec!r}")
 
 
+def parse_direction(spec: str) -> np.ndarray:
+    """Unit field direction from 'x,y,z': three finite numbers, not all zero."""
+    try:
+        direction = np.asarray([float(p) for p in spec.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"field direction {spec!r} has a non-numeric component") from exc
+    with np.errstate(over="ignore"):  # NaN, inf and overflow all fail the test below
+        norm = np.linalg.norm(direction)
+    if direction.size != 3 or not 0.0 < norm < math.inf:
+        raise ValueError(f"field direction must be 3 finite numbers, not all 0, got {spec!r}")
+    return direction / norm
+
+
 # ---------------------------------------------------------------------------
 # schemas
 
@@ -140,6 +162,14 @@ def _validate(doc, name: str, what: str) -> None:
 # ---------------------------------------------------------------------------
 # emitter files
 
+# emitter-file key -> ManifoldParams field, in file order
+_MANIFOLD_KEYS = {"lambda_ghz": "lambda_soc_ghz", "q": "q_orb", "a_fc_mhz": "a_fc_mhz",
+                  "a_dd_mhz": "a_dd_mhz", "quad_q_mhz": "quad_q_mhz",
+                  "ioc_upsilon_mhz": "ioc_upsilon_mhz"}
+# top-level keys that are EmitterModel fields of the same name, in file order
+_TOP_KEYS = ("nuclear_spin", "g_nuclear", "g_electron", "strain_alpha_ghz", "strain_beta_ghz")
+
+
 def emitter_from_dict(doc: dict) -> EmitterModel:
     """EmitterModel from a validated document; registry defaults fill any
     field the document does not override."""
@@ -157,53 +187,29 @@ def emitter_from_dict(doc: dict) -> EmitterModel:
             )
         base = None
 
-    def manifold(which: str, fallback: ManifoldParams | None) -> ManifoldParams:
-        sub = doc.get(which, {})
-        if fallback is None and "lambda_ghz" not in sub:
+    def manifold(which: str) -> ManifoldParams:
+        kw = {_MANIFOLD_KEYS[k]: v for k, v in doc.get(which, {}).items()}
+        if base is not None:
+            return dataclasses.replace(getattr(base, which), **kw)
+        if "lambda_soc_ghz" not in kw:
             raise ValueError(f"emitter file: {which}.lambda_ghz is required for {label!r}")
-        kw = {
-            "lambda_soc_ghz": sub.get("lambda_ghz",
-                                      fallback.lambda_soc_ghz if fallback else None),
-            "q_orb": sub.get("q", fallback.q_orb if fallback else 0.1),
-            "a_fc_mhz": sub.get("a_fc_mhz", fallback.a_fc_mhz if fallback else 0.0),
-            "a_dd_mhz": sub.get("a_dd_mhz", fallback.a_dd_mhz if fallback else 0.0),
-            "quad_q_mhz": sub.get("quad_q_mhz", fallback.quad_q_mhz if fallback else 0.0),
-            "ioc_upsilon_mhz": sub.get("ioc_upsilon_mhz",
-                                       fallback.ioc_upsilon_mhz if fallback else 0.0),
-        }
         return ManifoldParams(**kw)
 
-    return EmitterModel(
-        isotope=label,
-        nuclear_spin=doc.get("nuclear_spin", base.nuclear_spin if base else None),
-        g_nuclear=doc.get("g_nuclear", base.g_nuclear if base else None),
-        gnd=manifold("gnd", base.gnd if base else None),
-        exc=manifold("exc", base.exc if base else None),
-        g_electron=doc.get("g_electron", base.g_electron if base else 2.0023),
-        strain_alpha_ghz=doc.get("strain_alpha_ghz", base.strain_alpha_ghz if base else 0.0),
-        strain_beta_ghz=doc.get("strain_beta_ghz", base.strain_beta_ghz if base else 0.0),
-    )
+    gnd, exc = manifold("gnd"), manifold("exc")
+    top = {k: doc[k] for k in _TOP_KEYS if k in doc}
+    if base is not None:
+        return dataclasses.replace(base, gnd=gnd, exc=exc, **top)
+    return EmitterModel(isotope=label, gnd=gnd, exc=exc, **top)
 
 
 def emitter_to_dict(emitter: EmitterModel) -> dict:
     def manifold(p: ManifoldParams) -> dict:
-        return {
-            "lambda_ghz": p.lambda_soc_ghz,
-            "q": p.q_orb,
-            "a_fc_mhz": p.a_fc_mhz,
-            "a_dd_mhz": p.a_dd_mhz,
-            "quad_q_mhz": p.quad_q_mhz,
-            "ioc_upsilon_mhz": p.ioc_upsilon_mhz,
-        }
+        return {key: getattr(p, name) for key, name in _MANIFOLD_KEYS.items()}
 
     return {
         "schema_version": "1",
         "isotope": emitter.isotope,
-        "nuclear_spin": emitter.nuclear_spin,
-        "g_nuclear": emitter.g_nuclear,
-        "g_electron": emitter.g_electron,
-        "strain_alpha_ghz": emitter.strain_alpha_ghz,
-        "strain_beta_ghz": emitter.strain_beta_ghz,
+        **{key: getattr(emitter, key) for key in _TOP_KEYS},
         "gnd": manifold(emitter.gnd),
         "exc": manifold(emitter.exc),
     }
@@ -257,51 +263,80 @@ def _increasing_grid(path, freqs, linenos) -> np.ndarray:
     return freqs
 
 
+def _read_rows(path, header):
+    """Data rows of a CSV whose line 1 is `header`, as (file line numbers,
+    one list of floats per column).  Blank lines are skipped; every other
+    line must hold one finite number per header column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}: expected header '{header}'")
+    ncols = header.count(",") + 1
+    linenos, body = range(2, len(lines) + 1), lines[1:]
+    if not all(map(str.strip, body)):
+        kept = [(n, raw) for n, raw in zip(linenos, body) if raw.strip()]
+        linenos, body = [n for n, _ in kept], [raw for _, raw in kept]
+    if not body:
+        return linenos, [[] for _ in range(ncols)]
+    # One parse of the whole body: a per-row loop costs 1.5-3x as much.
+    if set(map(str.count, body, itertools.repeat(","))) == {ncols - 1}:
+        with contextlib.suppress(ValueError):
+            values = list(map(float, ",".join(body).split(",")))
+            if all(map(math.isfinite, values)):
+                return linenos, [values[k::ncols] for k in range(ncols)]
+    # Bad input: name the first bad line, checking its field count, then
+    # its numbers, then their finiteness.
+    for lineno, raw in zip(linenos, body):
+        cells = raw.split(",")
+        if len(cells) != ncols:
+            raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(cells)}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+
+
+def _write_csv(path, columns, blocks, formats=None) -> None:
+    """One `write_text` of the header `columns` and each block's rows.
+
+    A block holds one sequence per column, cut to the shortest, with
+    `itertools.repeat(x)` for a value shared by its rows.  It is formatted
+    by one `%` call, at 9 significant digits unless `formats` maps the
+    column name to another format."""
+    formats = formats or {}
+    row = ",".join(formats.get(name, "%.9g") for name in columns) + "\n"
+    parts = [",".join(columns) + "\n"]
+    for block in blocks:
+        cells = tuple(itertools.chain.from_iterable(
+            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+        ))
+        parts.append(row * (len(cells) // len(columns)) % cells)
+    write_text(path, "".join(parts))
+
+
 def ingest_csv(path) -> MeasuredTrace:
     """Spectrum CSV with header 'freq_mhz,intensity', at least 3 rows,
     strictly increasing finite frequencies."""
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "freq_mhz,intensity":
-        raise ValueError(f"{path}: expected header 'freq_mhz,intensity'")
-    freqs, signal, linenos = [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(cells)}")
-        try:
-            f, s = float(cells[0]), float(cells[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
-        if not (math.isfinite(f) and math.isfinite(s)):
-            raise ValueError(f"{path}: line {lineno}: non-finite value")
-        freqs.append(f)
-        signal.append(s)
-        linenos.append(lineno)
+    linenos, (freqs, signal) = _read_rows(path, "freq_mhz,intensity")
     if len(freqs) < 3:
         raise ValueError(f"{path}: need at least 3 data rows, got {len(freqs)}")
-    freqs = _increasing_grid(path, freqs, linenos)
-    signal = np.asarray(signal)
     stem = os.path.splitext(os.path.basename(path))[0]
-    return MeasuredTrace(freq_mhz=freqs, signal=signal, source=path, emitter_id=stem)
+    return MeasuredTrace(freq_mhz=_increasing_grid(path, freqs, linenos),
+                         signal=np.asarray(signal), source=path, emitter_id=stem)
 
 
 def write_spectrum_csv(path, trace) -> None:
-    rows = ["freq_mhz,intensity"]
-    rows += [f"{fmt(f)},{fmt(s)}" for f, s in zip(trace.freq_mhz, trace.signal)]
-    write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, ("freq_mhz", "intensity"), [(trace.freq_mhz, trace.signal)])
 
 
 def write_map_csv(path, traces) -> None:
     """Field map rows in field-outer order: b_tesla,freq_mhz,intensity."""
-    rows = ["b_tesla,freq_mhz,intensity"]
-    for trace in traces:
-        b = trace.meta.get("b_mag_tesla", 0.0)
-        rows += [f"{fmt(b)},{fmt(f)},{fmt(s)}" for f, s in zip(trace.freq_mhz, trace.signal)]
-    write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, ("b_tesla", "freq_mhz", "intensity"),
+               ((itertools.repeat(t.meta.get("b_mag_tesla", 0.0)), t.freq_mhz, t.signal)
+                for t in traces))
 
 
 def read_map_csv(path) -> list:
@@ -311,70 +346,42 @@ def read_map_csv(path) -> list:
     whose frequencies strictly increase (the spectrum rules of ingest_csv).
     """
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "b_tesla,freq_mhz,intensity":
-        raise ValueError(f"{path}: expected header 'b_tesla,freq_mhz,intensity'")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
-        try:
-            row = tuple(float(c) for c in cells)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{path}: line {lineno}: non-finite value")
-        rows.append((lineno,) + row)
+    linenos, (fields, freqs, signal) = _read_rows(path, "b_tesla,freq_mhz,intensity")
+    if not fields:
+        raise ValueError(f"{path}: no data rows")
     traces = []
     block_end = {}  # field value -> last line of its block
-    k = 0
-    while k < len(rows):
-        first, b = rows[k][:2]
+    j = 0
+    for b, block in itertools.groupby(fields):
+        k, j = j, j + len(list(block))
         if b in block_end:
             raise ValueError(
-                f"{path}: line {first}: field {fmt(b)} T already has a block ending at "
+                f"{path}: line {linenos[k]}: field {fmt(b)} T already has a block ending at "
                 f"line {block_end[b]}; each field's rows must be contiguous"
             )
-        j = k
-        while j < len(rows) and rows[j][1] == b:
-            j += 1
-        chunk = rows[k:j]
-        block_end[b] = chunk[-1][0]
-        if len(chunk) < 3:
+        block_end[b] = linenos[j - 1]
+        if j - k < 3:
             raise ValueError(
-                f"{path}: line {first}: field {fmt(b)} T has {len(chunk)} data row(s), "
+                f"{path}: line {linenos[k]}: field {fmt(b)} T has {j - k} data row(s), "
                 "need at least 3"
             )
-        traces.append(
-            MeasuredTrace(
-                freq_mhz=_increasing_grid(path, [r[2] for r in chunk], [r[0] for r in chunk]),
-                signal=np.array([r[3] for r in chunk]),
-                source=path,
-                meta={"b_mag_tesla": b},
-            )
-        )
-        k = j
+        traces.append(MeasuredTrace(freq_mhz=_increasing_grid(path, freqs[k:j], linenos[k:j]),
+                                    signal=np.array(signal[k:j]), source=path,
+                                    meta={"b_mag_tesla": b}))
     return traces
 
 
 def write_levels_csv(path, sweep) -> None:
     """Strain sweep rows: alpha_ghz,level_index,energy_mhz,jsq."""
-    rows = ["alpha_ghz,level_index,energy_mhz,jsq"]
-    for k, alpha in enumerate(sweep.axis):
-        for idx in range(sweep.levels.shape[1]):
-            rows.append(
-                f"{fmt(alpha)},{idx},{fmt(sweep.levels[k, idx])},{fmt(sweep.jsq[k, idx])}"
-            )
-    write_text(path, "\n".join(rows) + "\n")
+    n_points, n_levels = sweep.levels.shape
+    _write_csv(path, ("alpha_ghz", "level_index", "energy_mhz", "jsq"),
+               [(np.repeat(sweep.axis, n_levels), np.tile(np.arange(n_levels), n_points),
+                 sweep.levels.ravel(), sweep.jsq.ravel())],
+               {"level_index": "%d"})
 
 
 def write_values_csv(path, values, column: str = "value") -> None:
-    rows = [column] + [fmt(v) for v in values]
-    write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, (column,), [(values,)])
 
 
 def read_values_csv(path, column: str | None = None) -> np.ndarray:
@@ -386,19 +393,15 @@ def read_values_csv(path, column: str | None = None) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0][1].split(",")
-    if column is None:
-        if len(header) != 1:
-            raise ValueError(f"{path}: multiple columns, pass a column name")
-        col = 0
-    else:
-        if column not in header:
-            raise ValueError(f"{path}: no column {column!r} in header {header}")
-        col = header.index(column)
+    if column is None and len(header) != 1:
+        raise ValueError(f"{path}: multiple columns, pass a column name")
+    if column is not None and column not in header:
+        raise ValueError(f"{path}: no column {column!r} in header {header}")
+    col = 0 if column is None else header.index(column)
     out = []
     for lineno, raw in lines[1:]:
-        cells = raw.split(",")
         try:
-            value = float(cells[col])
+            value = float(raw.split(",")[col])
         except (IndexError, ValueError):
             raise ValueError(f"{path}: line {lineno}: bad value in {raw!r}") from None
         if not math.isfinite(value):

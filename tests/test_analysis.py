@@ -460,3 +460,49 @@ def test_full_model_fit_in_a_copied_context_leaves_the_caller_alone():
         assert ctx[_REFERENCE_MEMO] is outer
         assert _REFERENCE_MEMO.get() is outer and outer == {}
     assert _REFERENCE_MEMO.get() is None
+
+
+@pytest.mark.parametrize("fit, init, message", [
+    (lambda t, init: fit_lorentzians(t, "single", init), [1],
+     "init must be a dict of initial values, got list"),
+    (lambda t, init: fit_lorentzians(t, "single", init), {"f0": 1.0},
+     "init needs a value for every parameter; missing fwhm, amplitude, baseline"),
+    (lambda t, init: fit_lorentzians(t, "triplet211", init),
+     {"f_ch1": 0.0, "a_ple": 1.0, "delta": 1.0, "fwhm": 1.0, "amplitude": 1.0,
+      "baseline": 0.0, "f0": 2.0},
+     "unknown init parameter(s) 'f0'; choose from f_ch1, a_ple, delta, fwhm, amplitude, "
+     "baseline"),
+    (lambda t, init: fit_gaussian(t, init),
+     {"center": 0.0, "sigma": None, "amplitude": 1.0, "baseline": 0.0},
+     "init 'sigma' must be a finite number, got None"),
+    (lambda t, init: fit_gaussian(t, init),
+     {"center": 0.0, "sigma": float("nan"), "amplitude": 1.0, "baseline": 0.0},
+     "init 'sigma' must be a finite number, got nan"),
+    (lambda t, init: fit_full_model(t, ("fwhm",), registry_lookup("117Sn"), init), [1],
+     "init must be a dict of initial values, got list"),
+    (lambda t, init: fit_full_model(t, ("fwhm",), registry_lookup("117Sn"), init),
+     {"bogus": 1},
+     "unknown init parameter(s) 'bogus'; choose from a_ple_scale, strain_alpha, fwhm, "
+     "amplitude, freq_offset"),
+    (lambda t, init: fit_full_model(t, ("fwhm",), registry_lookup("117Sn"), init),
+     {"fwhm": "wide"}, "init 'fwhm' must be a finite number, got 'wide'"),
+])
+def test_fitters_share_one_init_check(fit, init, message):
+    grid = np.arange(-100.0, 100.0, 2.0)
+    trace = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    with pytest.raises(ValueError) as info:
+        fit(trace, init)
+    assert str(info.value) == message
+
+
+def test_init_accepts_numpy_numbers():
+    grid = np.arange(-100.0, 100.0, 2.0)
+    trace = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    init = {"f0": np.float32(1.0), "fwhm": np.int64(15), "amplitude": 1, "baseline": 0.0}
+    assert fit_lorentzians(trace, "single", init).params["fwhm"] == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("data", [[], ()])
+def test_full_model_fit_of_no_traces_is_refused(data):
+    with pytest.raises(ValueError, match="^fit_full_model needs at least one trace$"):
+        fit_full_model(data, ("fwhm",), registry_lookup("117Sn"))

@@ -433,3 +433,78 @@ def test_module_entry_points_run_the_cli(argv):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def _small_map(tmp_path):
+    from g4vspec.hamiltonian import registry_lookup
+    from g4vspec.spectrum import sweep_field
+
+    traces = sweep_field(registry_lookup("117Sn"), (0, 0, 1), [0.0, 0.01], 100.0,
+                         np.arange(-500.0, 500.0, 5.0))
+    path = tmp_path / "map.csv"
+    dataio.write_map_csv(path, traces)
+    return path
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0,0,0", "field direction must be 3 finite numbers, not all 0, got '0,0,0'"),
+    ("0,1", "field direction must be 3 finite numbers, not all 0, got '0,1'"),
+    ("a,b,c", "field direction 'a,b,c' has a non-numeric component"),
+])
+@pytest.mark.parametrize("command", ["sweep-field", "fit --map"])
+def test_bad_direction_is_refused_by_both_commands(tmp_path, capsys, spec, message, command):
+    import warnings
+
+    out = tmp_path / "out"
+    if command == "sweep-field":
+        argv = ["sweep-field", "117Sn", "--b-range", "0:0.01:0.01", "--fwhm", "30",
+                "--grid", "-10:10:1"]
+    else:
+        argv = ["fit", "--map", str(_small_map(tmp_path)), "--model", "full",
+                "--emitter", "117Sn"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv + ["--direction", spec, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+_BAD_INITS = [
+    ("single", "[1]", "init must be a dict of initial values, got list"),
+    ("single", '{"f0": 1}',
+     "init needs a value for every parameter; missing fwhm, amplitude, baseline"),
+    ("triplet", "{", "--init is not valid JSON: Expecting property name enclosed in double "
+                     "quotes: line 1 column 2 (char 1)"),
+    ("full", "[1]", "init must be a dict of initial values, got list"),
+    ("full", '{"bogus": 1}', "unknown init parameter(s) 'bogus'; choose from a_ple_scale, "
+                             "strain_alpha, fwhm, amplitude, freq_offset"),
+]
+
+
+@pytest.mark.parametrize("model, init, message, batch",
+                         [case + (False,) for case in _BAD_INITS]
+                         + [case + (True,) for case in _BAD_INITS if case[0] != "full"])
+def test_bad_init_is_an_error_line_not_a_traceback(tmp_path, capsys, model, init, message,
+                                                   batch):
+    grid = np.arange(-100.0, 100.0, 2.0)
+    trace = tmp_path / "t.csv"
+    dataio.write_spectrum_csv(trace, type("T", (), {"freq_mhz": grid,
+                                                    "signal": 1.0 / (1.0 + grid**2)})())
+    source = ["--batch", str(trace)] if batch else ["--trace", str(trace)]
+    out = tmp_path / "r.json"
+    assert run_cli(["fit", *source, "--model", model, "--emitter", "117Sn", "--init", init,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["", "\n \n"])
+def test_fit_of_an_empty_map_names_the_file(tmp_path, capsys, body):
+    map_path = tmp_path / "map.csv"
+    map_path.write_text("b_tesla,freq_mhz,intensity\n" + body)
+    out = tmp_path / "full.json"
+    assert run_cli(["fit", "--map", str(map_path), "--model", "full", "--emitter", "117Sn",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {map_path}: no data rows\n"
+    assert not out.exists()

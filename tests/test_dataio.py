@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -40,6 +41,30 @@ def test_parse_field():
         dataio.parse_field("1,2")
     with pytest.raises(ValueError):
         dataio.parse_field("x")
+
+
+def test_parse_direction_returns_the_unit_vector():
+    assert np.array_equal(dataio.parse_direction("0,0,2"), [0.0, 0.0, 1.0])
+    d = dataio.parse_direction("1,-2,0.5")
+    assert np.array_equal(d, np.asarray([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5]))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0,0,0", "field direction must be 3 finite numbers, not all 0, got '0,0,0'"),
+    ("1e300,1e300,0",
+     "field direction must be 3 finite numbers, not all 0, got '1e300,1e300,0'"),
+    ("0,1", "field direction must be 3 finite numbers, not all 0, got '0,1'"),
+    ("0,0,1,", "field direction '0,0,1,' has a non-numeric component"),
+    ("a,b,c", "field direction 'a,b,c' has a non-numeric component"),
+    ("1,nan,0", "field direction must be 3 finite numbers, not all 0, got '1,nan,0'"),
+    ("inf,0,0", "field direction must be 3 finite numbers, not all 0, got 'inf,0,0'"),
+])
+def test_parse_direction_errors(spec, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            dataio.parse_direction(spec)
+    assert str(info.value) == message
 
 
 # --- emitter files ---
