@@ -6,8 +6,10 @@ All fitters share one damped least-squares core (Levenberg-Marquardt
 style): forward-difference Jacobian with 1e-6 relative steps, damping
 multiplied by 10 on a rejected step and divided by 10 on acceptance,
 stopping when the relative cost change falls below 1e-10 or after 200
-iterations.  Only improving steps are ever accepted, and everything is
-deterministic for identical inputs.
+iterations.  Only improving steps are ever accepted, a start whose residual
+is not finite is refused, and everything is deterministic for identical
+inputs.  A full-model fit solves all rows of a field map as one stack per
+manifold and reuses row tables and reference lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import EmitterModel, a_ple
-from .spectrum import SpectrumTrace, reference_memo, transitions
+from .spectrum import SpectrumTrace, _reference_line, _solve_transitions
 
 __all__ = [
     "FitResult",
@@ -93,7 +95,11 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS):
     """Minimize sum(residual_fn(p)^2).  Returns (p, cov, rms, converged, iters)."""
     p = np.asarray(p0, dtype=float).copy()
     n_par = p.size
-    r = residual_fn(p)
+    with np.errstate(all="ignore"):  # a non-finite start is refused just below
+        r = residual_fn(p)
+    if not np.isfinite(r).all():
+        raise ValueError("the fit cannot start: its residual at the initial parameters "
+                         "is not finite")
     m = r.size
     cost = float(r @ r)
     mu = 1e-3
@@ -334,7 +340,6 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> Fi
 FULL_MODEL_FREE = ("a_ple_scale", "strain_alpha", "fwhm", "amplitude", "freq_offset")
 
 
-@reference_memo()
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
                    seed: int | None = None) -> FitResult:
     """Least-squares fit of the Hamiltonian-model spectrum to data.
@@ -347,10 +352,10 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     single factor (a spectrum near the C line constrains only that
     combination).  The derived a_ple_mhz is included in the report.
 
-    The whole call runs inside `spectrum.reference_memo()`: reference
-    lines are memoized for the duration of one fit, so each distinct
-    (b, strain) solves its coupling-free reference once, and the memo is
-    dropped when the fit returns or raises.
+    A fit keeps two dicts while it runs: the row tables of each
+    (a_ple_scale, strain_alpha), all rows solved as one stack per manifold,
+    and the coupling-free reference lines of each strain_alpha, the only
+    fitted parameter they depend on.
     """
     traces = list(data) if isinstance(data, (list, tuple)) else [data]
     if not traces:
@@ -389,12 +394,16 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     # Only a_ple_scale and strain_alpha change the line tables; the other
     # parameters (and the Jacobian columns that step them) reuse them.
     row_tables = {}
+    ref_lines = {}
 
     def tables_at(scale, alpha):
         key = (float(scale), float(alpha))
         if key not in row_tables:
-            scaled = emitter.scaled_hyperfine(scale)
-            row_tables[key] = [transitions(scaled, b, alpha_ghz=alpha) for b in fields]
+            if key[1] not in ref_lines:
+                ref_lines[key[1]] = _reference_line(emitter, fields, alpha, None)
+            solved = _solve_transitions(emitter.scaled_hyperfine(scale), fields, alpha, None,
+                                        ref_lines[key[1]])
+            row_tables[key] = [table for table, _, _ in solved]
         return row_tables[key]
 
     def model_signal(values):
@@ -443,14 +452,18 @@ def kde(values, bandwidth: float, n_grid: int = 512) -> SpectrumTrace:
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("kde needs at least one value")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    lo = values.min() - 3.0 * bandwidth
-    hi = values.max() + 3.0 * bandwidth
-    grid = np.linspace(lo, hi, n_grid)
-    weights = np.full(values.size, 1.0 / values.size)
-    density = kernels.gaussian_sum(values, weights, float(bandwidth), grid)
-    density = density / _trapezoid(density, grid)
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    with np.errstate(all="ignore"):  # overflow near the float range is refused below
+        lo = values.min() - 3.0 * bandwidth
+        hi = values.max() + 3.0 * bandwidth
+        grid = np.linspace(lo, hi, n_grid)
+        weights = np.full(values.size, 1.0 / values.size)
+        density = kernels.gaussian_sum(values, weights, float(bandwidth), grid)
+        density = density / _trapezoid(density, grid)
+    if not np.isfinite(density).all():
+        raise ValueError(f"kde density is not finite with bandwidth {bandwidth}; the values "
+                         "and bandwidth must stay well inside the float range")
     return SpectrumTrace(freq_mhz=grid, signal=density,
                          meta={"bandwidth": float(bandwidth), "n": int(values.size)})
 
@@ -547,8 +560,8 @@ def ensemble_stats(values, bin_width: float) -> EnsembleStats:
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("ensemble_stats needs at least one value")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     n = values.size
     mean = float(values.mean())
     sem = 0.0 if n == 1 else float(values.std(ddof=1) / math.sqrt(n))

@@ -132,8 +132,8 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     emitter = dataio.load_emitter(args.emitter)
     # One solve serves both the spectrum and the diagram.
-    table, es_g, es_e = _solve_transitions(emitter, dataio.parse_field(args.b),
-                                           args.alpha, args.beta)
+    [(table, es_g, es_e)] = _solve_transitions(emitter, [dataio.parse_field(args.b)],
+                                               args.alpha, args.beta)
     trace = synth_spectrum(table, args.fwhm, dataio.parse_grid(args.grid))
     dataio.write_spectrum_csv(args.out, trace)
     if args.diagram_out:

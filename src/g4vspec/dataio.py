@@ -123,8 +123,13 @@ def parse_direction(spec: str) -> np.ndarray:
         direction = np.asarray([float(p) for p in spec.split(",")])
     except ValueError as exc:
         raise ValueError(f"field direction {spec!r} has a non-numeric component") from exc
-    with np.errstate(over="ignore"):  # NaN, inf and overflow all fail the test below
+    with np.errstate(over="ignore"):  # NaN and inf fail the test below
         norm = np.linalg.norm(direction)
+        biggest = np.abs(direction).max(initial=0.0)
+        if norm in (0.0, math.inf) and 0.0 < biggest < math.inf:
+            # the squares underflow or overflow: normalise the rescaled vector
+            direction = direction / biggest
+            norm = np.linalg.norm(direction)
     if direction.size != 3 or not 0.0 < norm < math.inf:
         raise ValueError(f"field direction must be 3 finite numbers, not all 0, got {spec!r}")
     return direction / norm
@@ -426,8 +431,8 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
     noise of noise_sigma times the trace maximum.  Writes one CSV per
     emitter plus a truth table JSON; returns the truth table.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     os.makedirs(out_dir, exist_ok=True)
     grid = np.asarray(grid, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))

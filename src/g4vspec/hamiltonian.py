@@ -20,6 +20,9 @@ Each term is a scalar times a fixed full-basis operator.  Those operators
 (and J^2, see jsq_operator) are built once per nuclear spin, cached and
 marked read-only; every term_* call and build_hamiltonian return a fresh
 array, so callers may modify their results freely.
+An (n, 3) field and/or n strains give an (n, d, d) stack whose slices
+equal their one-point builds bit for bit: each term is the same
+elementwise expression, broadcast over a leading axis.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -65,6 +68,14 @@ def _finite(name, value):
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _per_point(name, x):
+    """One finite value as a float, a stack of n as an (n, 1, 1) array."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        _finite(name, float(x[~np.isfinite(x)][0]))
+    return float(x) if x.ndim == 0 else x[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -217,8 +228,12 @@ def term_soc(params: ManifoldParams, i) -> np.ndarray:
     return 0.5 * params.lambda_soc_ghz * GHZ * _operators(i).soc
 
 
-def term_strain(alpha_ghz: float, beta_ghz: float, i) -> np.ndarray:
-    """Transverse-strain term -alpha sx_orb - beta sy_orb, inputs GHz."""
+def term_strain(alpha_ghz, beta_ghz, i) -> np.ndarray:
+    """Transverse-strain term -alpha sx_orb - beta sy_orb, inputs GHz.
+
+    Each of alpha and beta is one value or a stack of n."""
+    alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
+    beta_ghz = _per_point("strain beta_ghz", beta_ghz)
     ops = _operators(i)
     return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
 
@@ -226,11 +241,12 @@ def term_strain(alpha_ghz: float, beta_ghz: float, i) -> np.ndarray:
 def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
     """Electron-spin, orbital (axial, factor q) and nuclear Zeeman terms, MHz.
 
-    b is the magnetic field vector in Tesla.
+    b is the magnetic field vector in Tesla, or an (n, 3) stack of them.
     """
-    bx, by, bz = (float(c) for c in b)
-    for c in (bx, by, bz):
-        _finite("magnetic field component", c)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != 3:
+        raise ValueError(f"magnetic field needs 3 components per point, got shape {b.shape}")
+    bx, by, bz = (_per_point("magnetic field component", c) for c in b.T)
     params = emitter.manifold(manifold)
     ops = _operators(emitter.nuclear_spin)
 
@@ -266,12 +282,12 @@ def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     """Full Hermitian Hamiltonian of one manifold at field b (Tesla), MHz.
 
     Strain defaults to the emitter's shared alpha/beta and can be
-    overridden per call.
+    overridden per call.  An (n, 3) field and/or n strains give (n, d, d).
     """
     params = emitter.manifold(manifold)
     i = emitter.nuclear_spin
-    alpha = emitter.strain_alpha_ghz if alpha_ghz is None else float(alpha_ghz)
-    beta = emitter.strain_beta_ghz if beta_ghz is None else float(beta_ghz)
+    alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
+    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
     h = term_soc(params, i)
     h = h + term_strain(alpha, beta, i)
     h = h + term_zeeman(emitter, manifold, b)

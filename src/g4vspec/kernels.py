@@ -34,8 +34,8 @@ def lorentzian_sum(centers, weights, fwhm: float, grid, out=None):
 
     Accumulates into `out` when given and returns it.
     """
-    if fwhm <= 0:
-        raise ValueError(f"fwhm must be positive, got {fwhm}")
+    if not 0 < fwhm < np.inf:
+        raise ValueError(f"fwhm must be positive and finite, got {fwhm}")
     centers, weights, grid, out = _checked(centers, weights, grid, out)
     hw = 0.5 * float(fwhm)
     pref = hw / np.pi
@@ -51,8 +51,8 @@ def gaussian_sum(centers, weights, sigma: float, grid, out=None):
 
     Accumulates into `out` when given and returns it.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     centers, weights, grid, out = _checked(centers, weights, grid, out)
     sigma = float(sigma)
     pref = 1.0 / (sigma * np.sqrt(2.0 * np.pi))

@@ -10,15 +10,14 @@ Frequencies are detunings from the unperturbed C line, defined as the
 same lower-branch transition computed with all hyperfine, quadrupole and
 nuclear-SOC couplings zeroed.
 
-That reference line depends only on the coupling-free emitter, the field
-and the strain.  Inside ``with reference_memo():`` it is solved once per
-distinct (coupling-free emitter, b, alpha, beta) and reused; a fit enters
-the memo for its whole duration, so its row tables, steps and Jacobian
-columns share the reference solves.  Outside it every table solves its
-reference afresh.  Both ways give bit-identical numbers.
+`solve_manifold` is the one solver: it takes one point or a stack of n
+fields and/or strains and runs one `eigh` for the stack.  Tables along a
+field axis (`sweep_field`, the rows of a field-map fit) solve each
+manifold and the coupling-free reference once for all points; a caller
+that already holds the reference lines (a fit, whose reference depends
+only on the strain) passes them in.  Every number is bit-identical to a
+one-point solve.
 """
-import contextlib
-import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,16 +40,12 @@ __all__ = [
     "transition_diagram",
     "solve_manifold",
     "lower_branch_size",
-    "reference_memo",
 ]
 
 # Lines below this fraction of the strongest one are numerical noise.
 INTENSITY_FLOOR = 1e-9
 # Degenerate lines are merged at presentation time within this spacing (MHz).
 MERGE_TOL_MHZ = 0.01
-
-# The active reference-line memo, or None outside any `reference_memo()`.
-_REFERENCE_MEMO = contextvars.ContextVar("g4vspec_reference_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -121,42 +116,21 @@ def dipole_operator(i) -> np.ndarray:
 def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
                    alpha_ghz=None, beta_ghz=None) -> EigenSystem:
     """Diagonalize one manifold with the degenerate-subspace basis pinned
-    by the total angular momentum J^2 (reproducible <J^2> labels)."""
+    by the total angular momentum J^2 (reproducible <J^2> labels).
+
+    An (n, 3) field and/or n strains are solved as one stack in one `eigh`."""
     h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
     return eigh(h, degeneracy_operator=jsq_operator(emitter.nuclear_spin))
 
 
-@contextlib.contextmanager
-def reference_memo():
-    """Solve each unperturbed C line once for the duration of the block.
-
-    A fresh memo is entered on every use (nested blocks do not share) and
-    the previous state is restored on exit, also when the block raises.
-    The memo lives in a context variable, so threads and copied contexts
-    see only their own.
-    """
-    token = _REFERENCE_MEMO.set({})
-    try:
-        yield
-    finally:
-        _REFERENCE_MEMO.reset(token)
-
-
-def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz) -> float:
-    """Unperturbed C line: mean lower-branch energies of the stripped system."""
+def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz) -> np.ndarray:
+    """Unperturbed C line at each of the n fields b: mean lower-branch
+    energies of the stripped system."""
     bare = emitter.without_couplings()
-    memo = _REFERENCE_MEMO.get()
-    if memo is not None:
-        key = (bare, tuple(float(c) for c in b), alpha_ghz, beta_ghz)
-        if key in memo:
-            return memo[key]
     bare_g = solve_manifold(bare, "gnd", b, alpha_ghz, beta_ghz)
     bare_e = solve_manifold(bare, "exc", b, alpha_ghz, beta_ghz)
     n_low = lower_branch_size(emitter)
-    e_ref = bare_e.values[:n_low].mean() - bare_g.values[:n_low].mean()
-    if memo is not None:
-        memo[key] = e_ref
-    return e_ref
+    return bare_e.values[:, :n_low].mean(axis=1) - bare_g.values[:, :n_low].mean(axis=1)
 
 
 def _check_branch_gap(emitter: EmitterModel, manifold: str, values: np.ndarray) -> None:
@@ -177,7 +151,7 @@ def _check_branch_gap(emitter: EmitterModel, manifold: str, values: np.ndarray) 
 
 def _jsq_labels(es: EigenSystem, jop: np.ndarray) -> np.ndarray:
     v = es.vectors
-    return np.real(np.einsum("ij,ij->j", v.conj(), jop @ v))
+    return np.real(np.einsum("...ij,...ij->...j", v.conj(), jop @ v))
 
 
 def transition_intensity_matrix(es_gnd: EigenSystem, es_exc: EigenSystem) -> np.ndarray:
@@ -199,49 +173,51 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
     the lower-branch ground states.  Lines weaker than 1e-9 of the
     strongest are dropped.
     """
-    return _solve_transitions(emitter, b, alpha_ghz, beta_ghz)[0]
+    return _solve_transitions(emitter, [b], alpha_ghz, beta_ghz)[0][0]
 
 
-def _solve_transitions(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
-    """The transition table and the two eigen-solutions it was built from."""
-    es_g = solve_manifold(emitter, "gnd", b, alpha_ghz, beta_ghz)
-    es_e = solve_manifold(emitter, "exc", b, alpha_ghz, beta_ghz)
-    _check_branch_gap(emitter, "gnd", es_g.values)
-    _check_branch_gap(emitter, "exc", es_e.values)
+def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_ref=None):
+    """One (table, es_gnd, es_exc) per field of the (n, 3) stack b_stack.
 
-    e_ref = _reference_line(emitter, b, alpha_ghz, beta_ghz)
+    Each manifold is solved once for the whole stack, and so is the
+    coupling-free reference unless its n lines are given as e_ref.
+    """
+    es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
+    es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
+    if e_ref is None:
+        e_ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)
 
     n_low = lower_branch_size(emitter)
-
     jop = jsq_operator(emitter.nuclear_spin)
-    jsq_g = _jsq_labels(es_g, jop)[:n_low]
-    jsq_e = _jsq_labels(es_e, jop)[:n_low]
+    jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
+    jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
+    alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
+    beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
+    solved = []
+    for k, b in enumerate(b_stack):
+        g = EigenSystem(es_g.values[k], es_g.vectors[k])
+        e = EigenSystem(es_e.values[k], es_e.vectors[k])
+        _check_branch_gap(emitter, "gnd", g.values)
+        _check_branch_gap(emitter, "exc", e.values)
+        inten = transition_intensity_matrix(g, e)[:n_low, :n_low] * (1.0 / n_low)
+        freq = e.values[:n_low, None] - g.values[None, :n_low] - e_ref[k]
 
-    amp = transition_intensity_matrix(es_g, es_e)[:n_low, :n_low]
-    weight = 1.0 / n_low
-    freq = es_e.values[:n_low, None] - es_g.values[None, :n_low] - e_ref
-    inten = amp * weight
-
-    keep = inten > INTENSITY_FLOOR * inten.max()
-    e_idx, g_idx = np.nonzero(keep)
-    order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
-    e_idx, g_idx = e_idx[order], g_idx[order]
-    meta = {
-        "emitter": emitter.isotope,
-        "b_tesla": tuple(float(c) for c in b),
-        "alpha_ghz": float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz),
-        "beta_ghz": float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz),
-    }
-    table = TransitionTable(
-        freq_mhz=freq[e_idx, g_idx],
-        intensity=inten[e_idx, g_idx],
-        gnd_index=g_idx,
-        exc_index=e_idx,
-        jsq_gnd=jsq_g[g_idx],
-        jsq_exc=jsq_e[e_idx],
-        meta=meta,
-    )
-    return table, es_g, es_e
+        keep = inten > INTENSITY_FLOOR * inten.max()
+        e_idx, g_idx = np.nonzero(keep)
+        order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
+        e_idx, g_idx = e_idx[order], g_idx[order]
+        table = TransitionTable(
+            freq_mhz=freq[e_idx, g_idx],
+            intensity=inten[e_idx, g_idx],
+            gnd_index=g_idx,
+            exc_index=e_idx,
+            jsq_gnd=jsq_g[k, g_idx],
+            jsq_exc=jsq_e[k, e_idx],
+            meta={"emitter": emitter.isotope, "b_tesla": tuple(float(c) for c in b),
+                  "alpha_ghz": alpha, "beta_ghz": beta},
+        )
+        solved.append((table, g, e))
+    return solved
 
 
 def merge_lines(table: TransitionTable, tol: float = MERGE_TOL_MHZ):
@@ -274,8 +250,6 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
         raise ValueError("frequency grid is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("frequency grid must be strictly increasing")
-    if fwhm_mhz <= 0:
-        raise ValueError(f"fwhm_mhz must be positive, got {fwhm_mhz}")
     signal = kernels.lorentzian_sum(table.freq_mhz, table.intensity, float(fwhm_mhz), grid)
     meta = dict(table.meta)
     meta["fwhm_mhz"] = float(fwhm_mhz)
@@ -289,14 +263,10 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)
     jop = jsq_operator(emitter.nuclear_spin)
-    levels = np.empty((alphas.size, n_low))
-    labels = np.empty((alphas.size, n_low))
-    for k, alpha in enumerate(alphas):
-        es = solve_manifold(emitter, manifold, alpha_ghz=alpha)
-        low = es.values[:n_low]
-        levels[k] = low - low.mean()
-        labels[k] = _jsq_labels(es, jop)[:n_low]
-    return LevelSweep(axis=alphas, levels=levels, jsq=labels,
+    es = solve_manifold(emitter, manifold, alpha_ghz=alphas)
+    low = es.values[:, :n_low]
+    return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
+                      jsq=_jsq_labels(es, jop)[:, :n_low],
                       meta={"emitter": emitter.isotope, "manifold": manifold, "axis": "alpha_ghz"})
 
 
@@ -304,20 +274,18 @@ def sweep_field(emitter: EmitterModel, direction, b_magnitudes, fwhm_mhz: float,
                 grid) -> list:
     """One synthesized trace per field magnitude along a fixed direction.
 
-    Rows are independent; output order follows b_magnitudes.  The
-    direction must be a unit vector to 1e-6.
+    All rows are solved as one stack; output order follows b_magnitudes.
+    The direction must be a unit vector to 1e-6.
     """
     direction = np.asarray(direction, dtype=float).reshape(3)
     norm = float(np.linalg.norm(direction))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"field direction must be a unit vector, |d| = {norm!r}")
-    traces = []
-    for bmag in np.asarray(b_magnitudes, dtype=float):
-        table = transitions(emitter, tuple(bmag * direction))
-        trace = synth_spectrum(table, fwhm_mhz, grid)
-        trace.meta["b_mag_tesla"] = float(bmag)
-        trace.meta["b_direction"] = tuple(direction)
-        traces.append(trace)
+    b_mags = np.asarray(b_magnitudes, dtype=float).reshape(-1)
+    solved = _solve_transitions(emitter, b_mags[:, None] * direction, None, None)
+    traces = [synth_spectrum(table, fwhm_mhz, grid) for table, _, _ in solved]
+    for bmag, trace in zip(b_mags, traces):
+        trace.meta.update(b_mag_tesla=float(bmag), b_direction=tuple(direction))
     return traces
 
 
@@ -329,7 +297,7 @@ def transition_diagram(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=No
     branch mean) plus the transition line list; gnd_index/exc_index of
     each line refer to positions in the level arrays.
     """
-    return _diagram(*_solve_transitions(emitter, b, alpha_ghz, beta_ghz))
+    return _diagram(*_solve_transitions(emitter, [b], alpha_ghz, beta_ghz)[0])
 
 
 def _diagram(table: TransitionTable, es_g: EigenSystem, es_e: EigenSystem) -> dict:

@@ -44,18 +44,19 @@ class SpinOperators:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending, MHz) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending, MHz) and orthonormal eigenvector columns,
+    of one matrix ((d,) and (d, d)) or of a stack ((n, d) and (n, d, d))."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.vectors.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         v = self.vectors
-        return (v * self.values) @ v.conj().T
+        return (v * self.values[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def hermiticity_defect(m) -> float:
@@ -70,14 +71,18 @@ def is_hermitian(m, tol: float = 1e-12) -> bool:
 
 
 def require_hermitian(m, tol: float = 1e-9) -> None:
+    """ValueError unless each matrix of m (..., d, d) is Hermitian to tol
+    relative to its own largest element."""
     m = np.asarray(m)
-    scale = float(np.abs(m).max()) or 1.0
-    defect = hermiticity_defect(m)
-    if defect > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-            f"({defect / scale:.3e} relative)"
-        )
+    scales = np.abs(m).max(axis=(-2, -1), initial=0.0).ravel()
+    defects = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0).ravel()
+    for defect, scale in zip(defects, scales):
+        scale = scale or 1.0
+        if defect > tol * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: max asymmetry {defect:.3e} "
+                f"({defect / scale:.3e} relative)"
+            )
 
 
 def spin_matrices(i) -> SpinOperators:
@@ -127,29 +132,33 @@ def _cluster_slices(values: np.ndarray, tol: float) -> list:
 
 def eigh(h, degeneracy_operator=None, cluster_tol: float = 1e-6,
          hermitian_tol: float = 1e-9) -> EigenSystem:
-    """Diagonalize a Hermitian matrix, ascending eigenvalues.
+    """Diagonalize a Hermitian matrix, or a stack (..., d, d) of them in
+    one LAPACK call; ascending eigenvalues.
 
     When `degeneracy_operator` is given, each eigenvalue cluster (gap below
     `cluster_tol`) is post-rotated into the eigenbasis of that operator
     projected onto the cluster, and ordered by its ascending eigenvalue.
     This pins an otherwise arbitrary degenerate-subspace basis, so labels
-    such as <J^2> are reproducible.
+    such as <J^2> are reproducible.  Each matrix of a stack is checked and
+    pinned on its own, so every slice equals its one-matrix result.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("eigh expects a square matrix")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("eigh expects a square matrix or a stack of them")
     require_hermitian(h, hermitian_tol)
     values, vectors = np.linalg.eigh(h)
     if degeneracy_operator is not None:
         dop = np.asarray(degeneracy_operator, dtype=complex)
         vectors = vectors.copy()
-        for sl in _cluster_slices(values, cluster_tol):
-            if sl.stop - sl.start > 1:
-                block = vectors[:, sl]
-                proj = block.conj().T @ dop @ block
-                proj = 0.5 * (proj + proj.conj().T)
-                _, rot = np.linalg.eigh(proj)
-                vectors[:, sl] = block @ rot
+        for k in np.ndindex(values.shape[:-1]):
+            vecs = vectors[k]  # a view: the rotations below write into vectors
+            for sl in _cluster_slices(values[k], cluster_tol):
+                if sl.stop - sl.start > 1:
+                    block = vecs[:, sl]
+                    proj = block.conj().T @ dop @ block
+                    proj = 0.5 * (proj + proj.conj().T)
+                    _, rot = np.linalg.eigh(proj)
+                    vecs[:, sl] = block @ rot
     return EigenSystem(values=values, vectors=vectors)
 
 

@@ -378,7 +378,7 @@ def test_lm_solves_curved_valley():
     assert np.allclose(p, [1.0, 1.0], atol=1e-6)
 
 
-# --- reference-line memo inside full-model fits ---
+# --- stacked row solves and reference lines inside full-model fits ---
 
 def _small_sn_map():
     base = registry_lookup("117Sn", strain_alpha_ghz=55.0)
@@ -389,15 +389,16 @@ def _small_sn_map():
 
 
 def _record_solves(monkeypatch):
-    """Every solve_manifold call as (is_bare, manifold, b, alpha, beta, active memo)."""
+    """Every solve_manifold call as (is_bare, manifold, fields, alpha, beta)."""
     import g4vspec.spectrum as spectrum_mod
 
     calls = []
     real = spectrum_mod.solve_manifold
 
     def counting(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
-        calls.append((emitter == emitter.without_couplings(), manifold, tuple(b),
-                      alpha_ghz, beta_ghz, spectrum_mod._REFERENCE_MEMO.get()))
+        fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
+        calls.append((emitter == emitter.without_couplings(), manifold, fields,
+                      alpha_ghz, beta_ghz))
         return real(emitter, manifold, b, alpha_ghz, beta_ghz)
 
     monkeypatch.setattr(spectrum_mod, "solve_manifold", counting)
@@ -405,20 +406,20 @@ def _record_solves(monkeypatch):
 
 
 def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
-    from g4vspec.spectrum import _REFERENCE_MEMO
-
     base, traces = _small_sn_map()
+    rows = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.02))
     calls = _record_solves(monkeypatch)
     res = fit_full_model(traces, ("a_ple_scale", "strain_alpha", "fwhm"), base,
                          init={"fwhm": 120.0})
     assert res.converged
-    bare = [c[1:5] for c in calls if c[0]]
-    points = {c[2:5] for c in calls if not c[0]}
-    # each distinct (b, alpha, beta) reference is solved once per manifold
-    assert sorted(bare) == sorted((m,) + p for p in points for m in ("gnd", "exc"))
-    assert len(calls) - len(bare) > len(bare)  # more tables than references
-    assert len({id(c[5]) for c in calls}) == 1 and calls[0][5] is not None
-    assert _REFERENCE_MEMO.get() is None
+    bare = [c[1:] for c in calls if c[0]]
+    tables = [c[1:] for c in calls if not c[0]]
+    alphas = {c[2] for c in tables}
+    assert len(alphas) > 1
+    # one stacked bare solve per manifold and distinct strain_alpha, covering all rows
+    assert sorted(bare) == sorted((m, rows, a, None) for a in alphas for m in ("gnd", "exc"))
+    assert all(c[1] == rows for c in tables)  # each table solve is one stack of all rows
+    assert len(tables) > len(bare)  # more (a_ple_scale, strain_alpha) tables than references
 
 
 def test_full_model_fits_in_a_row_share_no_memo(monkeypatch):
@@ -428,38 +429,18 @@ def test_full_model_fits_in_a_row_share_no_memo(monkeypatch):
     first = list(calls)
     calls.clear()
     fit_full_model(traces, ("a_ple_scale", "fwhm"), base, init={"fwhm": 120.0})
-    assert [c[:5] for c in calls] == [c[:5] for c in first]
-    assert sum(c[0] for c in calls) == 4  # two rows, two manifolds, solved again
-    assert first[0][5] is not calls[0][5]
+    assert calls == first
+    assert sum(c[0] for c in calls) == 2  # one strain, two manifolds, solved again
 
 
 def test_full_model_fit_that_raises_drops_its_memo():
     from g4vspec.hamiltonian import EmitterModel, ManifoldParams
-    from g4vspec.spectrum import _REFERENCE_MEMO
 
     p = ManifoldParams(lambda_soc_ghz=0.001, a_fc_mhz=500.0)
     bad = EmitterModel(isotope="bad", nuclear_spin=0.5, g_nuclear=-1.0, gnd=p, exc=p)
     grid = np.linspace(-100.0, 100.0, 21)
     with pytest.raises(ValueError, match="branch"):
         fit_full_model(SpectrumTrace(grid, np.ones_like(grid)), ("fwhm",), bad)
-    assert _REFERENCE_MEMO.get() is None
-
-
-def test_full_model_fit_in_a_copied_context_leaves_the_caller_alone():
-    import contextvars
-
-    from g4vspec.spectrum import _REFERENCE_MEMO, reference_memo
-
-    base, traces = _small_sn_map()
-    with reference_memo():
-        outer = _REFERENCE_MEMO.get()
-        ctx = contextvars.copy_context()
-        res = ctx.run(fit_full_model, traces, ("a_ple_scale", "fwhm"), base,
-                      init={"fwhm": 120.0})
-        assert res.converged
-        assert ctx[_REFERENCE_MEMO] is outer
-        assert _REFERENCE_MEMO.get() is outer and outer == {}
-    assert _REFERENCE_MEMO.get() is None
 
 
 @pytest.mark.parametrize("fit, init, message", [
@@ -506,3 +487,14 @@ def test_init_accepts_numpy_numbers():
 def test_full_model_fit_of_no_traces_is_refused(data):
     with pytest.raises(ValueError, match="^fit_full_model needs at least one trace$"):
         fit_full_model(data, ("fwhm",), registry_lookup("117Sn"))
+
+
+def test_a_fit_from_a_non_finite_start_is_refused():
+    grid = np.arange(-50.0, 51.0, 1.0)
+    trace = SpectrumTrace(grid, 1.0 / (1.0 + grid**2))
+    start = {"f0": 0.0, "fwhm": 0.0, "amplitude": 1.0, "baseline": 0.0}
+    with pytest.raises(ValueError, match="cannot start: its residual at the initial "
+                                         "parameters is not finite"):
+        fit_lorentzians(trace, "single", init=start)
+    # the same start one grid step off the peak is finite and fits
+    assert fit_lorentzians(trace, "single", init=dict(start, f0=0.5, fwhm=1.0)).converged

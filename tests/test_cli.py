@@ -508,3 +508,68 @@ def test_fit_of_an_empty_map_names_the_file(tmp_path, capsys, body):
                     "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {map_path}: no data rows\n"
     assert not out.exists()
+
+
+# --- non-finite widths, strains, bandwidths, bin widths, noise and fit starts ---
+
+def _non_finite_case(tmp_path, case):
+    """argv and the files it must not write, for one refused command."""
+    out = tmp_path / "out"
+    values = tmp_path / "v.csv"
+    dataio.write_values_csv(values, [1.0, 2.0, 4.0])
+    huge = tmp_path / "huge.csv"
+    dataio.write_values_csv(huge, [-1e300, 1e300])
+    trace = tmp_path / "t.csv"
+    grid = np.arange(-50.0, 51.0, 1.0)
+    dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
+    simulate = ["simulate", "117Sn", "--grid", "-100:100:1", "--out", str(out)]
+    fit_pl = ["fit-pl", "--kde-out", str(out), "--values"]
+    stats = ["stats", "--values", str(values), "--out", str(out), "--bin-width"]
+    synth = ["synth", "117Sn", "--n", "2", "--fwhm", "30", "--grid", "-100:100:1",
+             "--out-dir", str(tmp_path / "traces"), "--truth", str(out), "--noise"]
+    zero_width = '{"f0": 0, "fwhm": 0, "amplitude": 1, "baseline": 0}'
+    argv = {
+        "simulate fwhm nan": simulate + ["--fwhm", "nan"],
+        "simulate fwhm inf": simulate + ["--fwhm", "inf"],
+        "sweep-field fwhm nan": ["sweep-field", "117Sn", "--b-range", "0:0.01:0.01", "--fwhm",
+                                 "nan", "--grid", "-10:10:1", "--out", str(out)],
+        "fit-pl bandwidth nan": fit_pl + [str(values), "--bandwidth", "nan"],
+        "fit-pl bandwidth inf": fit_pl + [str(values), "--bandwidth", "inf"],
+        "fit-pl density overflow": fit_pl + [str(huge), "--bandwidth", "1e299"],
+        "simulate alpha nan": simulate + ["--fwhm", "30", "--alpha", "nan"],
+        "simulate beta inf": simulate + ["--fwhm", "30", "--beta", "inf"],
+        "stats bin-width nan": stats + ["nan"],
+        "stats bin-width inf": stats + ["inf"],
+        "synth noise nan": synth + ["nan"],
+        "fit zero-width start": ["fit", "--trace", str(trace), "--model", "single",
+                                 "--init", zero_width, "--out", str(out)],
+    }[case]
+    return argv, [out, tmp_path / "traces"]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("simulate fwhm nan", "fwhm must be positive and finite, got nan"),
+    ("simulate fwhm inf", "fwhm must be positive and finite, got inf"),
+    ("sweep-field fwhm nan", "fwhm must be positive and finite, got nan"),
+    ("fit-pl bandwidth nan", "bandwidth must be positive and finite, got nan"),
+    ("fit-pl bandwidth inf", "bandwidth must be positive and finite, got inf"),
+    ("fit-pl density overflow", "kde density is not finite with bandwidth 1e+299"),
+    ("simulate alpha nan", "strain alpha_ghz must be finite, got nan"),
+    ("simulate beta inf", "strain beta_ghz must be finite, got inf"),
+    ("stats bin-width nan", "bin_width must be positive and finite, got nan"),
+    ("stats bin-width inf", "bin_width must be positive and finite, got inf"),
+    ("synth noise nan", "noise_sigma must be >= 0 and finite, got nan"),
+    ("fit zero-width start", "the fit cannot start: its residual at the initial parameters "
+                             "is not finite"),
+])
+def test_non_finite_inputs_are_refused_with_one_error_line(tmp_path, capsys, case, message):
+    import warnings
+
+    argv, outputs = _non_finite_case(tmp_path, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not any(p.exists() for p in outputs)

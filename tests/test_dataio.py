@@ -49,10 +49,31 @@ def test_parse_direction_returns_the_unit_vector():
     assert np.array_equal(d, np.asarray([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5]))
 
 
+@pytest.mark.parametrize("spec", ["0,0,1", "0.3,0.1,0.9", "1,-2,0.5", "-1e-150,0,2e-150"])
+def test_parse_direction_of_an_ordinary_vector_is_its_plain_normalisation(spec):
+    v = np.asarray([float(p) for p in spec.split(",")])
+    assert dataio.parse_direction(spec).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("spec, unscaled", [
+    pytest.param("1e-200,0,0", (1.0, 0.0, 0.0), id="1e-200,0,0"),
+    pytest.param("0,-3e-300,4e-300", (0.0, -3.0, 4.0), id="0,-3e-300,4e-300"),
+    pytest.param("1e200,1e200,0", (1.0, 1.0, 0.0), id="1e200,1e200,0"),
+    pytest.param("1e300,1e300,0", (1.0, 1.0, 0.0), id="1e300,1e300,0"),
+    pytest.param("-1.5e308,0,1.5e308", (-1.0, 0.0, 1.0), id="-1.5e308,0,1.5e308"),
+])
+def test_parse_direction_rescales_when_its_length_underflows_or_overflows(spec, unscaled):
+    # the squared length leaves the float range, the direction does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = dataio.parse_direction(spec)
+    v = np.asarray(unscaled)
+    assert np.allclose(d, v / np.linalg.norm(v), rtol=1e-15, atol=0.0)
+    assert abs(np.linalg.norm(d) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("spec, message", [
     ("0,0,0", "field direction must be 3 finite numbers, not all 0, got '0,0,0'"),
-    ("1e300,1e300,0",
-     "field direction must be 3 finite numbers, not all 0, got '1e300,1e300,0'"),
     ("0,1", "field direction must be 3 finite numbers, not all 0, got '0,1'"),
     ("0,0,1,", "field direction '0,0,1,' has a non-numeric component"),
     ("a,b,c", "field direction 'a,b,c' has a non-numeric component"),

@@ -52,18 +52,21 @@ def test_field_map_fit_matches_golden():
 
 
 def test_field_map_fit_computes_each_table_once(monkeypatch):
-    from g4vspec import analysis
+    from g4vspec import analysis, spectrum
 
-    seen = []
-    real = analysis.transitions
-
-    def counted(emitter, b=(0.0, 0.0, 0.0), *, alpha_ghz=None, beta_ghz=None):
-        seen.append((emitter, tuple(float(c) for c in b), float(alpha_ghz)))
-        return real(emitter, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
-
-    monkeypatch.setattr(analysis, "transitions", counted)
     want = GOLDEN["fit"]
-    res = _recorder().run_fit(want)
+    base, data = _recorder().fit_data(want)
+    seen = []
+    real = spectrum.solve_manifold
+
+    def counted(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
+        fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
+        seen.append((emitter, manifold, fields, float(alpha_ghz)))
+        return real(emitter, manifold, b, alpha_ghz, beta_ghz)
+
+    monkeypatch.setattr(spectrum, "solve_manifold", counted)
+    res = analysis.fit_full_model(data, tuple(want["free"]), base, init=dict(want["init"]))
     assert seen and len(set(seen)) == len(seen)
+    assert len({c[2] for c in seen}) == 1  # every solve is the stack of all map rows
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]

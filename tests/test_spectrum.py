@@ -414,7 +414,7 @@ def test_diagram_levels_come_from_the_table_solves(monkeypatch):
     assert d["lines"] == list(transitions(e, (0.0, 0.0, 0.05)).records())
 
 
-# --- reference-line memo ---
+# --- solve counts ---
 
 def _count_solves(monkeypatch):
     import g4vspec.spectrum as spectrum_mod
@@ -426,64 +426,9 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def _same_table(a, b):
-    return all(np.array_equal(getattr(a, n), getattr(b, n))
-               for n in ("freq_mhz", "intensity", "gnd_index", "exc_index",
-                         "jsq_gnd", "jsq_exc")) and a.meta == b.meta
-
-
-def test_reference_memo_reuses_the_bare_solves_bit_identically(monkeypatch):
-    from g4vspec.spectrum import _REFERENCE_MEMO, reference_memo
-
-    e = registry_lookup("73Ge", strain_alpha_ghz=30.0)
-    b = (0.05, 0.0, 0.08)
-    plain = [transitions(e.scaled_hyperfine(s), b) for s in (1.0, 1.3)]
-    calls = _count_solves(monkeypatch)
-    with reference_memo():
-        memo = [transitions(e.scaled_hyperfine(s), b) for s in (1.0, 1.3)]
-        assert len(_REFERENCE_MEMO.get()) == 1
-    # 2 + 2 solves for the first table, 2 for the second: its reference is reused
-    assert len(calls) == 6
-    assert all(_same_table(p, m) for p, m in zip(plain, memo))
-    assert _REFERENCE_MEMO.get() is None
-
-
 def test_transitions_outside_a_memo_solve_four_manifolds_each(monkeypatch):
     e = registry_lookup("117Sn", strain_alpha_ghz=20.0)
     calls = _count_solves(monkeypatch)
     transitions(e, (0.0, 0.0, 0.05))
     transitions(e, (0.0, 0.0, 0.05))
     assert len(calls) == 8
-
-
-def test_reference_memo_keys_on_field_strain_and_bare_system(monkeypatch):
-    from g4vspec.spectrum import reference_memo
-
-    e = registry_lookup("117Sn", strain_alpha_ghz=20.0)
-    calls = _count_solves(monkeypatch)
-    with reference_memo():
-        transitions(e, (0.0, 0.0, 0.0))
-        transitions(e, (0.0, 0.0, 0.1))
-        transitions(e, (0.0, 0.0, 0.0), alpha_ghz=21.0)
-        transitions(e, (0.0, 0.0, 0.0), beta_ghz=1.0)
-        transitions(registry_lookup("119Sn", strain_alpha_ghz=20.0), (0.0, 0.0, 0.0))
-        transitions(e.scaled_hyperfine(2.0), (0.0, 0.0, 0.0))  # same bare system
-    assert len(calls) == 5 * 4 + 2
-
-
-def test_reference_memo_blocks_are_fresh_and_restored_on_error():
-    from g4vspec.spectrum import _REFERENCE_MEMO, reference_memo
-
-    e = registry_lookup("117Sn")
-    with reference_memo():
-        outer = _REFERENCE_MEMO.get()
-        transitions(e)
-        with reference_memo():
-            assert _REFERENCE_MEMO.get() == {}
-            transitions(e, (0.0, 0.0, 0.1))
-        assert _REFERENCE_MEMO.get() is outer and len(outer) == 1
-    assert _REFERENCE_MEMO.get() is None
-    with pytest.raises(RuntimeError):
-        with reference_memo():
-            raise RuntimeError("boom")
-    assert _REFERENCE_MEMO.get() is None
