@@ -3,12 +3,16 @@ Hamiltonian-model fits of spectra and field maps, kernel density
 estimation, the sqrt(mass) isotope-shift model, and contingency testing.
 
 All fitters share one damped least-squares core (Levenberg-Marquardt
-style): forward-difference Jacobian with 1e-6 relative steps, damping
-multiplied by 10 on a rejected step and divided by 10 on acceptance,
-stopping when the relative cost change falls below 1e-10 or after 200
-iterations.  Only improving steps are ever accepted, a start whose residual
-is not finite is refused, and everything is deterministic for identical
-inputs.  A full-model fit solves all rows of a field map as one stack per
+style).  The closed-form peak models (single Lorentzian, 2:1:1 triplet,
+Gaussian) give it their Jacobians in closed form; the full-model fit has
+none and gets a forward-difference Jacobian with 1e-6 relative steps.
+Damping is multiplied by 10 on a rejected step and divided by 10 on
+acceptance.  A fit stops when the relative cost change falls below 1e-10,
+when an accepted step is shorter than machine epsilon times |p| (without
+that, a noise-free trace can keep shrinking a residual of 1e-150 until the
+cap), or after 200 iterations.  Only improving steps are ever accepted, a
+start whose residual is not finite is refused, and everything is
+deterministic for identical inputs.  A full-model fit solves all rows of a field map as one stack per
 manifold and reuses row tables and reference lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
@@ -39,6 +43,7 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 COST_TOL = 1e-10
+STEP_TOL = float(np.finfo(float).eps)
 JACOBIAN_STEP = 1e-6
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -91,8 +96,13 @@ def _solve_damped(jtj, diag, g, mu):
         return np.linalg.lstsq(a, -g, rcond=None)[0]
 
 
-def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS):
-    """Minimize sum(residual_fn(p)^2).  Returns (p, cov, rms, converged, iters)."""
+def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
+    """Minimize sum(residual_fn(p)^2).  Returns (p, cov, rms, converged, iters).
+
+    jac(p), when given, returns the (m, n) Jacobian of the residual and is
+    used for every Jacobian, the covariance's included; without it each
+    Jacobian takes one forward-difference residual call per parameter.
+    """
     p = np.asarray(p0, dtype=float).copy()
     n_par = p.size
     with np.errstate(all="ignore"):  # a non-finite start is refused just below
@@ -107,6 +117,8 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS):
     it = 0
 
     def jacobian(p, r):
+        if jac is not None:
+            return jac(p)
         j = np.empty((m, n_par))
         for k in range(n_par):
             step = JACOBIAN_STEP * max(abs(p[k]), 1.0)
@@ -128,10 +140,11 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS):
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
+                tiny_step = np.linalg.norm(delta) <= STEP_TOL * np.linalg.norm(p)
                 p, r, cost = trial, r_trial, cost_trial
                 mu = max(mu / 10.0, 1e-14)
                 accepted = True
-                if rel_drop < COST_TOL:
+                if rel_drop < COST_TOL or tiny_step:
                     converged = True
                 break
             mu *= 10.0
@@ -171,18 +184,41 @@ def _lorentz_peak(f, center, fwhm):
     return hw2 / ((f - center) ** 2 + hw2)
 
 
+def _lorentz_terms(f, center, fwhm):
+    """_lorentz_peak L with dL/dcenter and dL/dfwhm, from one denominator."""
+    hw2 = (0.5 * fwhm) ** 2
+    u = f - center
+    inv = 1.0 / (u * u + hw2)
+    peak = hw2 * inv
+    return peak, 2.0 * u * peak * inv, 0.5 * fwhm * (1.0 - peak) * inv
+
+
+def _sign(v):
+    # d|v|/dv, taken as +1 at 0 like the forward-difference step
+    return 1.0 if v >= 0 else -1.0
+
+
 def _model_single(p, f):
     f0, fwhm, amplitude, baseline = p
     return baseline + amplitude * _lorentz_peak(f, f0, abs(fwhm))
 
 
-def _model_triplet(p, f):
-    f_ch1, aple, delta, fwhm, amplitude, baseline = p
+def _jac_single(p, f):
+    f0, fwhm, amplitude, baseline = p
+    peak, d_center, d_fwhm = _lorentz_terms(f, f0, abs(fwhm))
+    return np.column_stack((amplitude * d_center, amplitude * _sign(fwhm) * d_fwhm, peak,
+                            np.ones_like(f)))
+
+
+def _triplet_centers(f_ch1, aple, delta):
     # Heights locked 2:1:1; the two weak peaks straddle |a_ple| above the
     # strong one, split by |delta|.
-    c0 = f_ch1
-    c1 = f_ch1 + abs(aple) - 0.5 * abs(delta)
-    c2 = f_ch1 + abs(aple) + 0.5 * abs(delta)
+    return (f_ch1, f_ch1 + abs(aple) - 0.5 * abs(delta), f_ch1 + abs(aple) + 0.5 * abs(delta))
+
+
+def _model_triplet(p, f):
+    f_ch1, aple, delta, fwhm, amplitude, baseline = p
+    c0, c1, c2 = _triplet_centers(f_ch1, aple, delta)
     w = abs(fwhm)
     return baseline + amplitude * (
         _lorentz_peak(f, c0, w)
@@ -191,9 +227,32 @@ def _model_triplet(p, f):
     )
 
 
+def _jac_triplet(p, f):
+    f_ch1, aple, delta, fwhm, amplitude, baseline = p
+    w = abs(fwhm)
+    (l0, dc0, dw0), (l1, dc1, dw1), (l2, dc2, dw2) = (
+        _lorentz_terms(f, c, w) for c in _triplet_centers(f_ch1, aple, delta))
+    return np.column_stack((
+        amplitude * (dc0 + 0.5 * (dc1 + dc2)),
+        amplitude * _sign(aple) * 0.5 * (dc1 + dc2),
+        amplitude * _sign(delta) * 0.25 * (dc2 - dc1),
+        amplitude * _sign(fwhm) * (dw0 + 0.5 * (dw1 + dw2)),
+        l0 + 0.5 * (l1 + l2),
+        np.ones_like(f),
+    ))
+
+
 def _model_gaussian(p, f):
     center, sigma, amplitude, baseline = p
     return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * sigma**2))
+
+
+def _jac_gaussian(p, f):
+    center, sigma, amplitude, baseline = p
+    u = f - center
+    g = np.exp(-(u**2) / (2.0 * sigma**2))
+    d_center = amplitude * g * u / sigma**2
+    return np.column_stack((d_center, d_center * u / sigma, g, np.ones_like(f)))
 
 
 def _check_init(init, names, complete):
@@ -237,11 +296,10 @@ def _find_peaks(x, y):
     width = max(3, min(9, len(y) // 50) | 1)
     kernel = np.full(width, 1.0 / width)
     smooth = np.convolve(y, kernel, mode="same")
-    idx = [
-        k
-        for k in range(1, len(y) - 1)
-        if smooth[k] > smooth[k - 1] and smooth[k] >= smooth[k + 1] and y[k] > threshold
-    ]
+    inner = np.arange(1, len(y) - 1)
+    is_max = ((smooth[inner] > smooth[inner - 1]) & (smooth[inner] >= smooth[inner + 1])
+              & (y[inner] > threshold))
+    idx = (np.flatnonzero(is_max) + 1).tolist()
     idx.sort(key=lambda k: (-smooth[k], x[k]))
     if not idx:
         raise ValueError("no peak found above the noise floor to seed the fit")
@@ -265,10 +323,11 @@ def _width_at_half(x, y, k, baseline):
     return width if width > 0 else (x[1] - x[0]) * 2.0
 
 
-# Parameter names and model function of each fit_lorentzians model.
+# Parameter names, model function and Jacobian of each fit_lorentzians model.
 _PEAK_MODELS = {
-    "single": (("f0", "fwhm", "amplitude", "baseline"), _model_single),
-    "triplet211": (("f_ch1", "a_ple", "delta", "fwhm", "amplitude", "baseline"), _model_triplet),
+    "single": (("f0", "fwhm", "amplitude", "baseline"), _model_single, _jac_single),
+    "triplet211": (("f_ch1", "a_ple", "delta", "fwhm", "amplitude", "baseline"), _model_triplet,
+                   _jac_triplet),
 }
 
 
@@ -284,7 +343,7 @@ def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
     x, y = _get_xy(trace)
     if model not in _PEAK_MODELS:
         raise ValueError(f"model must be 'single' or 'triplet211', got {model!r}")
-    names, fn = _PEAK_MODELS[model]
+    names, fn, jac = _PEAK_MODELS[model]
     _check_init(init, names, complete=True)
     if init is None:
         peaks, baseline = _find_peaks(x, y)
@@ -303,7 +362,7 @@ def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
 
     p0 = np.array([init[n] for n in names], dtype=float)
     residual = lambda p: fn(p, x) - y
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0)
+    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0, jac=lambda p: jac(p, x))
     errs = _std_errs(cov)
     params = dict(zip(names, p))
     std = dict(zip(names, errs))
@@ -327,7 +386,8 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> Fi
                 "amplitude": y[k] - baseline, "baseline": baseline}
     p0 = np.array([init[n] for n in names], dtype=float)
     residual = lambda p: _model_gaussian(p, x) - y
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0)
+    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0,
+                                                         jac=lambda p: _jac_gaussian(p, x))
     params = dict(zip(names, p))
     params["sigma"] = abs(params["sigma"])
     return FitResult(model="gaussian", params=params, std_errs=dict(zip(names, _std_errs(cov))),

@@ -433,7 +433,6 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
     """
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
-    os.makedirs(out_dir, exist_ok=True)
     grid = np.asarray(grid, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     base_aple = a_ple(emitter) * a_ple_scale
@@ -457,6 +456,8 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
         if noise_sigma > 0:
             signal = signal + rng.normal(0.0, noise_sigma * signal.max(), signal.size)
         name = f"emitter_{k:04d}.csv"
+        # Made at the first write, so input refused by the synthesis leaves no directory.
+        os.makedirs(out_dir, exist_ok=True)
         write_spectrum_csv(os.path.join(out_dir, name),
                            SpectrumTrace(freq_mhz=grid, signal=signal, meta={}))
         entries.append({

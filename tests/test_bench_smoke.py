@@ -1,11 +1,12 @@
-"""Smoke run of the benchmark harness on the Hamiltonian workloads.
+"""Smoke run of the benchmark harness on every workload.
 
 A one-second traced run of `perfbench/run.py` checks the workload's golden
-outputs and its truth gates, and installs the per-layer tracer on the real
-package, so golden drift or a tracer that no longer fits the solve path
-shows up here, not only in a benchmark job.  The run works in a copy of
-`src/` and `perfbench/` under a temporary directory, so it leaves nothing
-behind in the checkout.
+outputs and its truth gates (C8a's 2% per-trace gate on the Sn ensemble
+fits), and installs the per-layer tracer on the real package, so golden
+drift, a fitter that misses a gate, or a tracer that no longer fits the
+solve path shows up here, not only in a benchmark job.  The run works in a
+copy of `src/` and `perfbench/` under a temporary directory, so it leaves
+nothing behind in the checkout.
 """
 import json
 import os
@@ -19,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ge_map_fit", "forward_cli"])
+@pytest.mark.parametrize("workload", ["ge_map_fit", "sn_ensemble_cli", "forward_cli"])
 def test_traced_benchmark_run_is_correct(tmp_path, workload):
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name,

@@ -525,8 +525,8 @@ def _non_finite_case(tmp_path, case):
     simulate = ["simulate", "117Sn", "--grid", "-100:100:1", "--out", str(out)]
     fit_pl = ["fit-pl", "--kde-out", str(out), "--values"]
     stats = ["stats", "--values", str(values), "--out", str(out), "--bin-width"]
-    synth = ["synth", "117Sn", "--n", "2", "--fwhm", "30", "--grid", "-100:100:1",
-             "--out-dir", str(tmp_path / "traces"), "--truth", str(out), "--noise"]
+    synth = ["synth", "117Sn", "--n", "2", "--grid", "-100:100:1",
+             "--out-dir", str(tmp_path / "traces"), "--truth", str(out)]
     zero_width = '{"f0": 0, "fwhm": 0, "amplitude": 1, "baseline": 0}'
     argv = {
         "simulate fwhm nan": simulate + ["--fwhm", "nan"],
@@ -540,7 +540,8 @@ def _non_finite_case(tmp_path, case):
         "simulate beta inf": simulate + ["--fwhm", "30", "--beta", "inf"],
         "stats bin-width nan": stats + ["nan"],
         "stats bin-width inf": stats + ["inf"],
-        "synth noise nan": synth + ["nan"],
+        "synth noise nan": synth + ["--fwhm", "30", "--noise", "nan"],
+        "synth fwhm nan": synth + ["--fwhm", "nan"],
         "fit zero-width start": ["fit", "--trace", str(trace), "--model", "single",
                                  "--init", zero_width, "--out", str(out)],
     }[case]
@@ -559,6 +560,7 @@ def _non_finite_case(tmp_path, case):
     ("stats bin-width nan", "bin_width must be positive and finite, got nan"),
     ("stats bin-width inf", "bin_width must be positive and finite, got inf"),
     ("synth noise nan", "noise_sigma must be >= 0 and finite, got nan"),
+    ("synth fwhm nan", "fwhm must be positive and finite, got nan"),
     ("fit zero-width start", "the fit cannot start: its residual at the initial parameters "
                              "is not finite"),
 ])
