@@ -3,17 +3,22 @@ Hamiltonian-model fits of spectra and field maps, kernel density
 estimation, the sqrt(mass) isotope-shift model, and contingency testing.
 
 All fitters share one damped least-squares core (Levenberg-Marquardt
-style).  The closed-form peak models (single Lorentzian, 2:1:1 triplet,
-Gaussian) give it their Jacobians in closed form; the full-model fit has
-none and gets a forward-difference Jacobian with 1e-6 relative steps.
+style), and `_fit` is the one place that calls it and reports: it names
+the parameters and their errors and gives the parameters that a model sees
+only through |.| their reported sign.  The closed-form peak models (single
+Lorentzian, 2:1:1 triplet, Gaussian) sit in one table with their Jacobians,
+are seeded by one peak search and fitted by one `_fit_peaks`; the
+full-model fit has no closed-form Jacobian and gets a forward-difference
+one with 1e-6 relative steps.
 Damping is multiplied by 10 on a rejected step and divided by 10 on
 acceptance.  A fit stops when the relative cost change falls below 1e-10,
 when an accepted step is shorter than machine epsilon times |p| (without
 that, a noise-free trace can keep shrinking a residual of 1e-150 until the
 cap), or after 200 iterations.  Only improving steps are ever accepted, a
 start whose residual is not finite is refused, and everything is
-deterministic for identical inputs.  A full-model fit solves all rows of a field map as one stack per
-manifold and reuses row tables and reference lines within the fit.
+deterministic for identical inputs.  A full-model fit solves all rows of a
+field map as one stack per manifold and reuses row tables and reference
+lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
@@ -45,6 +50,9 @@ MAX_ITERATIONS = 200
 COST_TOL = 1e-10
 STEP_TOL = float(np.finfo(float).eps)
 JACOBIAN_STEP = 1e-6
+KDE_GRID_POINTS = 512
+# Reported sign of each parameter that the models use only through |.|.
+_REPORTED_SIGNS = {"fwhm": +1, "sigma": +1, "delta": +1, "a_ple": -1}
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -171,9 +179,17 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
     return p, cov, rms, converged, it
 
 
-def _std_errs(cov):
-    d = np.clip(np.diag(cov), 0.0, None)
-    return np.sqrt(d)
+def _fit(model, names, residual, p0, seed, jac=None) -> FitResult:
+    """Minimize residual from p0 and report the named parameters, their
+    1-sigma errors and the reported sign of each |.| parameter."""
+    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0, jac=jac)
+    params = dict(zip(names, p))
+    for name, sign in _REPORTED_SIGNS.items():
+        if name in params:
+            params[name] = sign * abs(params[name])
+    std = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
+    return FitResult(model=model, params=params, std_errs=std, residual_rms=rms,
+                     converged=converged, n_iterations=iters, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +339,18 @@ def _width_at_half(x, y, k, baseline):
     return width if width > 0 else (x[1] - x[0]) * 2.0
 
 
-# Parameter names, model function and Jacobian of each fit_lorentzians model.
+# Parameter names, model function and Jacobian of each closed-form peak model.
 _PEAK_MODELS = {
     "single": (("f0", "fwhm", "amplitude", "baseline"), _model_single, _jac_single),
     "triplet211": (("f_ch1", "a_ple", "delta", "fwhm", "amplitude", "baseline"), _model_triplet,
                    _jac_triplet),
+    "gaussian": (("center", "sigma", "amplitude", "baseline"), _model_gaussian, _jac_gaussian),
 }
 
 
-def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
-                    seed: int | None = None) -> FitResult:
-    """Fit one Lorentzian peak, or three with heights locked 2:1:1.
-
-    The triplet parameterization is {f_ch1, a_ple, delta, fwhm, amplitude,
-    baseline} with peak centers f_ch1, f_ch1 + |a_ple| -/+ |delta|/2.  The
-    reported a_ple is negative by convention and delta non-negative.
-    Initial guesses are found by peak seeking unless given.
-    """
+def _fit_peaks(trace, model, init, seed) -> FitResult:
+    """Fit a _PEAK_MODELS model, seeded by peak seeking unless init is given."""
     x, y = _get_xy(trace)
-    if model not in _PEAK_MODELS:
-        raise ValueError(f"model must be 'single' or 'triplet211', got {model!r}")
     names, fn, jac = _PEAK_MODELS[model]
     _check_init(init, names, complete=True)
     if init is None:
@@ -356,42 +364,32 @@ def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
             aple0, delta0 = x[peaks[1]] - x[k], fwhm0
         else:
             aple0, delta0 = 3.0 * fwhm0, fwhm0
-        # f0 seeds the single peak, f_ch1 the strong peak of the triplet.
-        init = {"f0": x[k], "f_ch1": x[k], "a_ple": abs(aple0), "delta": abs(delta0),
-                "fwhm": fwhm0, "amplitude": y[k] - baseline, "baseline": baseline}
-
+        # f0 and center seed a single peak, f_ch1 the strong peak of the triplet.
+        init = {"f0": x[k], "f_ch1": x[k], "center": x[k], "a_ple": abs(aple0),
+                "delta": abs(delta0), "fwhm": fwhm0, "sigma": fwhm0 / 2.3548,
+                "amplitude": y[k] - baseline, "baseline": baseline}
     p0 = np.array([init[n] for n in names], dtype=float)
-    residual = lambda p: fn(p, x) - y
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0, jac=lambda p: jac(p, x))
-    errs = _std_errs(cov)
-    params = dict(zip(names, p))
-    std = dict(zip(names, errs))
-    params["fwhm"] = abs(params["fwhm"])
-    if model == "triplet211":
-        params["a_ple"] = -abs(params["a_ple"])
-        params["delta"] = abs(params["delta"])
-    return FitResult(model=model, params=params, std_errs=std, residual_rms=rms,
-                     converged=converged, n_iterations=iters, seed=seed)
+    return _fit(model, names, lambda p: fn(p, x) - y, p0, seed, jac=lambda p: jac(p, x))
+
+
+def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
+                    seed: int | None = None) -> FitResult:
+    """Fit one Lorentzian peak, or three with heights locked 2:1:1.
+
+    The triplet parameterization is {f_ch1, a_ple, delta, fwhm, amplitude,
+    baseline} with peak centers f_ch1, f_ch1 + |a_ple| -/+ |delta|/2.  The
+    reported a_ple is negative by convention and delta non-negative.
+    Initial guesses are found by peak seeking unless given.
+    """
+    if model not in ("single", "triplet211"):
+        raise ValueError(f"model must be 'single' or 'triplet211', got {model!r}")
+    return _fit_peaks(trace, model, init, seed)
 
 
 def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> FitResult:
-    """Gaussian peak fit {center, sigma, amplitude, baseline}."""
-    x, y = _get_xy(trace)
-    names = ("center", "sigma", "amplitude", "baseline")
-    _check_init(init, names, complete=True)
-    if init is None:
-        peaks, baseline = _find_peaks(x, y)
-        k = peaks[0]
-        init = {"center": x[k], "sigma": _width_at_half(x, y, k, baseline) / 2.3548,
-                "amplitude": y[k] - baseline, "baseline": baseline}
-    p0 = np.array([init[n] for n in names], dtype=float)
-    residual = lambda p: _model_gaussian(p, x) - y
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0,
-                                                         jac=lambda p: _jac_gaussian(p, x))
-    params = dict(zip(names, p))
-    params["sigma"] = abs(params["sigma"])
-    return FitResult(model="gaussian", params=params, std_errs=dict(zip(names, _std_errs(cov))),
-                     residual_rms=rms, converged=converged, n_iterations=iters, seed=seed)
+    """Gaussian peak fit {center, sigma, amplitude, baseline}; sigma is
+    reported non-negative."""
+    return _fit_peaks(trace, "gaussian", init, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +484,22 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
             defaults["amplitude"] = float(y_all.max()) / top
 
     p0 = np.array([defaults[n] for n in free], dtype=float)
-    residual = lambda v: model_signal(v) - y_all
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0)
-    params = dict(zip(free, p))
-    std = dict(zip(free, _std_errs(cov)))
-    if "fwhm" in params:
-        params["fwhm"] = abs(params["fwhm"])
-    scale = params.get("a_ple_scale", defaults["a_ple_scale"])
-    params["a_ple_mhz"] = scale * a_ple(emitter)
-    if "a_ple_scale" in std:
-        std["a_ple_mhz"] = std["a_ple_scale"] * abs(a_ple(emitter))
-    return FitResult(model="full", params=params, std_errs=std, residual_rms=rms,
-                     converged=converged, n_iterations=iters, seed=seed)
+    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed)
+    scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])
+    res.params["a_ple_mhz"] = scale * a_ple(emitter)
+    if "a_ple_scale" in res.std_errs:
+        res.std_errs["a_ple_mhz"] = res.std_errs["a_ple_scale"] * abs(a_ple(emitter))
+    return res
 
 
 # ---------------------------------------------------------------------------
 # density estimation and ensemble statistics
 
-def kde(values, bandwidth: float, n_grid: int = 512) -> SpectrumTrace:
+def kde(values, bandwidth: float) -> SpectrumTrace:
     """Gaussian kernel density estimate on an automatic grid.
 
-    The grid spans the data plus three bandwidths on each side and the
-    density is normalized to unit area on that grid.
+    The grid of KDE_GRID_POINTS points spans the data plus three bandwidths
+    on each side and the density is normalized to unit area on that grid.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
@@ -517,7 +509,7 @@ def kde(values, bandwidth: float, n_grid: int = 512) -> SpectrumTrace:
     with np.errstate(all="ignore"):  # overflow near the float range is refused below
         lo = values.min() - 3.0 * bandwidth
         hi = values.max() + 3.0 * bandwidth
-        grid = np.linspace(lo, hi, n_grid)
+        grid = np.linspace(lo, hi, KDE_GRID_POINTS)
         weights = np.full(values.size, 1.0 / values.size)
         density = kernels.gaussian_sum(values, weights, float(bandwidth), grid)
         density = density / _trapezoid(density, grid)

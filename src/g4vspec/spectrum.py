@@ -133,18 +133,28 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz) -> np.ndarray
     return bare_e.values[:, :n_low].mean(axis=1) - bare_g.values[:, :n_low].mean(axis=1)
 
 
-def _check_branch_gap(emitter: EmitterModel, manifold: str, values: np.ndarray) -> None:
-    n_low = len(values) // 2
-    gap = values[n_low] - values[n_low - 1]
+def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
     p = emitter.manifold(manifold)
     i = emitter.nuclear_spin
-    hf_scale = max(abs(a_parallel(p)), abs(a_perp(p)),
-                   abs(p.quad_q_mhz) * (i + 1.0) ** 2,
-                   abs(p.ioc_upsilon_mhz) * (i + 1.0), 1e-12)
-    if gap < 10.0 * hf_scale:
+    return max(abs(a_parallel(p)), abs(a_perp(p)), abs(p.quad_q_mhz) * (i + 1.0) ** 2,
+               abs(p.ioc_upsilon_mhz) * (i + 1.0), 1e-12)
+
+
+def _check_branch_gaps(emitter: EmitterModel, es_g: EigenSystem, es_e: EigenSystem) -> None:
+    """ValueError unless, at every point of the two (n, d) stacks, each
+    manifold's spin-orbit branch gap is at least 10x its hyperfine scale.
+    The first failing point is named, its gnd manifold before its exc."""
+    n_low = lower_branch_size(emitter)
+    manifolds = ("gnd", "exc")
+    gaps = np.stack([es.values[:, n_low] - es.values[:, n_low - 1] for es in (es_g, es_e)],
+                    axis=-1)
+    scales = np.array([_hyperfine_scale(emitter, m) for m in manifolds])
+    bad = np.argwhere(gaps < 10.0 * scales)
+    if bad.size:
+        k, j = bad[0]
         raise ValueError(
-            f"{manifold}: spin-orbit branch separation {gap:.3g} MHz is not large "
-            f"against the hyperfine scale {hf_scale:.3g} MHz; lowest-2(2I+1) branch "
+            f"{manifolds[j]}: spin-orbit branch separation {gaps[k, j]:.3g} MHz is not large "
+            f"against the hyperfine scale {scales[j]:.3g} MHz; lowest-2(2I+1) branch "
             "identification is unreliable here"
         )
 
@@ -155,13 +165,14 @@ def _jsq_labels(es: EigenSystem, jop: np.ndarray) -> np.ndarray:
 
 
 def transition_intensity_matrix(es_gnd: EigenSystem, es_exc: EigenSystem) -> np.ndarray:
-    """|<exc| D |gnd>|^2 for every state pair, shape (n_exc, n_gnd).
+    """|<exc| D |gnd>|^2 for every state pair, shape (n_exc, n_gnd), or
+    (n, n_exc, n_gnd) for eigen-solutions of a stack of n points.
 
     D is the identity in the canonical bases, so this is the squared
     eigenvector overlap matrix; its total sum is the dimension 4(2I+1)
     (dipole sum rule) at any field and strain.
     """
-    return np.abs(es_exc.vectors.conj().T @ es_gnd.vectors) ** 2
+    return np.abs(np.swapaxes(es_exc.vectors.conj(), -1, -2) @ es_gnd.vectors) ** 2
 
 
 def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
@@ -180,7 +191,8 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     """One (table, es_gnd, es_exc) per field of the (n, 3) stack b_stack.
 
     Each manifold is solved once for the whole stack, and so is the
-    coupling-free reference unless its n lines are given as e_ref.
+    coupling-free reference unless its n lines are given as e_ref; the
+    branch gaps and the intensity matrices are also taken once per stack.
     """
     es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
     es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
@@ -193,13 +205,13 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
     alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
     beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
+    _check_branch_gaps(emitter, es_g, es_e)
+    intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
     solved = []
     for k, b in enumerate(b_stack):
         g = EigenSystem(es_g.values[k], es_g.vectors[k])
         e = EigenSystem(es_e.values[k], es_e.vectors[k])
-        _check_branch_gap(emitter, "gnd", g.values)
-        _check_branch_gap(emitter, "exc", e.values)
-        inten = transition_intensity_matrix(g, e)[:n_low, :n_low] * (1.0 / n_low)
+        inten = intens[k]
         freq = e.values[:n_low, None] - g.values[None, :n_low] - e_ref[k]
 
         keep = inten > INTENSITY_FLOOR * inten.max()

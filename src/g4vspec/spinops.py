@@ -27,6 +27,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+# Eigenvalues closer than this (MHz) form a degenerate cluster in `eigh`.
+CLUSTER_TOL = 1e-6
+# Largest asymmetry, relative to a matrix's largest element, that `eigh`
+# accepts as Hermitian.
+HERMITIAN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpinOperators:
@@ -59,30 +65,39 @@ class EigenSystem:
         return (v * self.values[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def hermiticity_defect(m) -> float:
+def _asymmetry(m):
+    """Largest element of |m - m^H| and of |m| (1 for a zero matrix), one
+    of each per matrix of m (..., d, d), flattened over the stack."""
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    defects = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    scales = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    return defects.ravel(), np.where(scales > 0.0, scales, 1.0).ravel()
+
+
+def hermiticity_defect(m) -> float:
+    """Largest element of |m - m^H| over a matrix or a stack (..., d, d)."""
+    return float(_asymmetry(m)[0].max(initial=0.0))
 
 
 def is_hermitian(m, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    scale = float(np.abs(m).max()) or 1.0
-    return hermiticity_defect(m) <= tol * scale
+    """Whether each matrix of m (..., d, d) is Hermitian to tol relative to
+    its own largest element."""
+    defects, scales = _asymmetry(m)
+    return bool((defects <= tol * scales).all())
 
 
-def require_hermitian(m, tol: float = 1e-9) -> None:
+def require_hermitian(m, tol: float = HERMITIAN_TOL) -> None:
     """ValueError unless each matrix of m (..., d, d) is Hermitian to tol
-    relative to its own largest element."""
-    m = np.asarray(m)
-    scales = np.abs(m).max(axis=(-2, -1), initial=0.0).ravel()
-    defects = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0).ravel()
-    for defect, scale in zip(defects, scales):
-        scale = scale or 1.0
-        if defect > tol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {defect:.3e} "
-                f"({defect / scale:.3e} relative)"
-            )
+    relative to its own largest element; the first failing matrix is named
+    by its asymmetry."""
+    defects, scales = _asymmetry(m)
+    bad = np.flatnonzero(defects > tol * scales)
+    if bad.size:
+        defect, scale = defects[bad[0]], scales[bad[0]]
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} "
+            f"({defect / scale:.3e} relative)"
+        )
 
 
 def spin_matrices(i) -> SpinOperators:
@@ -130,13 +145,12 @@ def _cluster_slices(values: np.ndarray, tol: float) -> list:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def eigh(h, degeneracy_operator=None, cluster_tol: float = 1e-6,
-         hermitian_tol: float = 1e-9) -> EigenSystem:
+def eigh(h, degeneracy_operator=None) -> EigenSystem:
     """Diagonalize a Hermitian matrix, or a stack (..., d, d) of them in
     one LAPACK call; ascending eigenvalues.
 
     When `degeneracy_operator` is given, each eigenvalue cluster (gap below
-    `cluster_tol`) is post-rotated into the eigenbasis of that operator
+    `CLUSTER_TOL`) is post-rotated into the eigenbasis of that operator
     projected onto the cluster, and ordered by its ascending eigenvalue.
     This pins an otherwise arbitrary degenerate-subspace basis, so labels
     such as <J^2> are reproducible.  Each matrix of a stack is checked and
@@ -145,14 +159,14 @@ def eigh(h, degeneracy_operator=None, cluster_tol: float = 1e-6,
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("eigh expects a square matrix or a stack of them")
-    require_hermitian(h, hermitian_tol)
+    require_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     if degeneracy_operator is not None:
         dop = np.asarray(degeneracy_operator, dtype=complex)
         vectors = vectors.copy()
         for k in np.ndindex(values.shape[:-1]):
             vecs = vectors[k]  # a view: the rotations below write into vectors
-            for sl in _cluster_slices(values[k], cluster_tol):
+            for sl in _cluster_slices(values[k], CLUSTER_TOL):
                 if sl.stop - sl.start > 1:
                     block = vecs[:, sl]
                     proj = block.conj().T @ dop @ block

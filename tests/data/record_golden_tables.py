@@ -4,8 +4,11 @@
 
 The file holds, for every registry isotope at four fixed (B, alpha, beta)
 points, the ``merge_lines`` output of ``transitions``, plus the result of
-one small full-model field-map fit (its inputs are stored with it).
-``tests/test_golden_tables.py`` recomputes both and compares.  Re-record
+one small full-model field-map fit (its inputs are stored with it), and,
+under ``peak_fits``, the full reports of ``single`` and ``triplet211`` fits
+of seeded noisy 119Sn traces, of Gaussian fits of seeded noisy Gaussian
+traces, and the field-map fit's standard errors.
+``tests/test_golden_tables.py`` recomputes them and compares.  Re-record
 only on purpose: the file pins the numbers that refactors must keep.
 """
 import dataclasses
@@ -17,6 +20,7 @@ import numpy as np
 
 import g4vspec
 from g4vspec import analysis, spectrum
+from g4vspec.hamiltonian import a_ple
 
 OUT = Path(__file__).resolve().parent / "golden_tables.json"
 
@@ -44,6 +48,58 @@ FIT = {
     "free": ["a_ple_scale", "strain_alpha", "fwhm", "amplitude"],
     "init": {"a_ple_scale": 1.0, "strain_alpha": 20.0, "fwhm": 50.0},
 }
+
+
+# Seeded noisy traces for the closed-form peak fits: 119Sn at 55 GHz strain
+# with jittered |a_ple| (as in the sn_ensemble_cli benchmark), each fitted
+# as one Lorentzian and as a 2:1:1 triplet, and Gaussian peaks.
+PEAK_FITS = {
+    "isotope": "119Sn",
+    "strain_alpha": 55.0,
+    "a_ple_scale": 1.3409,
+    "jitter_aple_mhz": 40.0,
+    "fwhm": 35.0,
+    "grid": [-500.0, 1100.0, 4.0],
+    "noise": 0.05,
+    "noise_seed": 11,
+    "n_traces": 8,
+    "gaussian_grid": [-300.0, 300.0, 2.0],
+    "gaussian_noise": 0.05,
+    "gaussian_seed": 13,
+    "n_gaussian_traces": 8,
+}
+
+
+def peak_traces(spec):
+    """(model, trace) for every peak fit of spec: both Lorentzian models of
+    each 119Sn trace, then one Gaussian fit per Gaussian trace."""
+    base = dataclasses.replace(g4vspec.registry_lookup(spec["isotope"]),
+                               strain_alpha_ghz=spec["strain_alpha"])
+    grid = np.arange(*spec["grid"])
+    rng = np.random.Generator(np.random.PCG64(spec["noise_seed"]))
+    out = []
+    for _ in range(spec["n_traces"]):
+        scale = spec["a_ple_scale"] + rng.normal(0.0, spec["jitter_aple_mhz"]) / abs(a_ple(base))
+        clean = spectrum.synth_spectrum(spectrum.transitions(base.scaled_hyperfine(scale)),
+                                        spec["fwhm"], grid)
+        trace = spectrum.SpectrumTrace(
+            grid, clean.signal + rng.normal(0.0, spec["noise"] * clean.signal.max(), grid.size))
+        out += [("single", trace), ("triplet211", trace)]
+    grid = np.arange(*spec["gaussian_grid"])
+    rng = np.random.Generator(np.random.PCG64(spec["gaussian_seed"]))
+    for _ in range(spec["n_gaussian_traces"]):
+        center, sigma = rng.uniform(-50.0, 50.0), rng.uniform(15.0, 40.0)
+        amplitude, baseline = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.2)
+        signal = (baseline + amplitude * np.exp(-((grid - center) ** 2) / (2.0 * sigma**2))
+                  + rng.normal(0.0, spec["gaussian_noise"] * amplitude, grid.size))
+        out.append(("gaussian", spectrum.SpectrumTrace(grid, signal)))
+    return out
+
+
+def peak_fit_reports(spec):
+    return [(analysis.fit_gaussian(trace) if model == "gaussian"
+             else analysis.fit_lorentzians(trace, model)).as_report()
+            for model, trace in peak_traces(spec)]
 
 
 def fit_data(spec):
@@ -86,12 +142,14 @@ def main():
         "tables": tables(),
         "fit": dict(FIT, params={k: float(v) for k, v in res.params.items()},
                     n_iterations=int(res.n_iterations), converged=bool(res.converged)),
+        "peak_fits": dict(PEAK_FITS, fits=peak_fit_reports(PEAK_FITS),
+                          field_map_fit=res.as_report()),
     }
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {OUT}: {len(doc['tables'])} tables, fit {doc['fit']['params']} "
-          f"in {res.n_iterations} iterations")
+          f"in {res.n_iterations} iterations, {len(doc['peak_fits']['fits'])} peak fits")
 
 
 if __name__ == "__main__":

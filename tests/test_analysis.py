@@ -59,6 +59,12 @@ def test_unknown_model_rejected():
         fit_lorentzians(SpectrumTrace(grid, np.sin(grid)), model="doublet")
 
 
+def test_lorentzian_fitter_refuses_the_gaussian_model():
+    grid = np.linspace(-10, 10, 41)
+    with pytest.raises(ValueError, match="model must be 'single' or 'triplet211', got 'gaussian'"):
+        fit_lorentzians(SpectrumTrace(grid, np.exp(-grid**2)), model="gaussian")
+
+
 # --- 2:1:1 triplet ---
 
 def test_triplet_noisy_round_trip():
@@ -580,14 +586,11 @@ def test_closed_form_fit_calls_its_model_once_per_trial(monkeypatch, model):
     model_calls, trials = [0], [0]
     monkeypatch.setattr(analysis, "_solve_damped", _count_calls(analysis._solve_damped, trials))
     grid = np.arange(-400.0, 900.0, 2.0)
+    names, fn, jac = analysis._PEAK_MODELS[model]
+    monkeypatch.setitem(analysis._PEAK_MODELS, model, (names, _count_calls(fn, model_calls), jac))
     if model == "gaussian":
-        monkeypatch.setattr(analysis, "_model_gaussian",
-                            _count_calls(analysis._model_gaussian, model_calls))
         res = fit_gaussian(SpectrumTrace(grid, 0.1 + 2.0 * np.exp(-((grid - 20.0) / 30.0) ** 2)))
     else:
-        names, fn, jac = analysis._PEAK_MODELS[model]
-        monkeypatch.setitem(analysis._PEAK_MODELS, model,
-                            (names, _count_calls(fn, model_calls), jac))
         sig = make_triplet(grid, -150.0, -445.0, 150.0, 35.0, 1.0, 0.02)
         res = fit_lorentzians(SpectrumTrace(grid, sig), model=model)
     assert res.converged and trials[0] >= res.n_iterations

@@ -1,5 +1,6 @@
 """Golden regression: line tables and one field-map fit recorded before the
-operator-caching refactor (tests/data/record_golden_tables.py) must come
+operator-caching refactor, and the peak-fit reports recorded before the
+fitters shared one scaffold (tests/data/record_golden_tables.py), must come
 out the same from the current code."""
 import importlib.util
 import json
@@ -49,6 +50,7 @@ def test_field_map_fit_matches_golden():
     assert res.converged == want["converged"]
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]
+    assert res.as_report() == GOLDEN["peak_fits"]["field_map_fit"]  # std_errs and rms too
 
 
 def test_field_map_fit_computes_each_table_once(monkeypatch):
@@ -70,3 +72,11 @@ def test_field_map_fit_computes_each_table_once(monkeypatch):
     assert len({c[2] for c in seen}) == 1  # every solve is the stack of all map rows
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]
+
+
+def test_peak_fits_match_golden():
+    want = GOLDEN["peak_fits"]
+    got = _recorder().peak_fit_reports(want)
+    assert len(got) == len(want["fits"])
+    for k, (g, w) in enumerate(zip(got, want["fits"])):
+        assert g == w, f"peak fit {k} ({w['model']})"

@@ -67,13 +67,6 @@ def test_gaussian_unit_area_and_peak():
     assert out.max() == pytest.approx(1.0 / (sigma * np.sqrt(2 * np.pi)), rel=1e-4)
 
 
-def test_accumulates_into_out():
-    grid = np.linspace(-10, 10, 101)
-    out = np.ones_like(grid)
-    kernels.lorentzian_sum(np.array([0.0]), np.array([0.0]), 1.0, grid, out)
-    assert np.allclose(out, 1.0)
-
-
 def test_validation():
     grid = np.linspace(0, 1, 5)
     with pytest.raises(ValueError, match="positive"):

@@ -356,6 +356,26 @@ def test_branch_gap_guard_fires_for_unphysical_emitter():
         transitions(e)
 
 
+@pytest.mark.parametrize("lambda_gnd, lambda_exc, fields, message", [
+    (0.5, None, [(0.0, 0.0, 0.0)], "gnd: spin-orbit branch separation 332 MHz"),
+    # 1.0 T passes; the gap closes to 3.05e+03 MHz at 0.3 T
+    (12.0, None, [(0.0, 0.0, 1.0), (0.0, 0.0, 0.3)],
+     "gnd: spin-orbit branch separation 3.05e.03 MHz"),
+    # both manifolds fail at 0.3 T: the ground one is named
+    (12.0, 2.0, [(0.0, 0.0, 1.0), (0.0, 0.0, 0.3)],
+     "gnd: spin-orbit branch separation 3.05e.03 MHz"),
+    (None, 2.0, [(0.0, 0.0, 1.0), (0.0, 0.0, 0.3)], "exc: spin-orbit branch separation 6.07e.03"),
+], ids=["one-point", "field-stack", "gnd-before-exc", "exc"])
+def test_branch_gap_guard_names_the_first_failing_point(lambda_gnd, lambda_exc, fields, message):
+    e = registry_lookup("117Sn", lambda_gnd_ghz=lambda_gnd, lambda_exc_ghz=lambda_exc)
+    grid = np.linspace(-100.0, 100.0, 11)
+    with pytest.raises(ValueError, match=message):
+        if len(fields) == 1:
+            transitions(e, fields[0])
+        else:
+            sweep_field(e, (0.0, 0.0, 1.0), [f[2] for f in fields], 30.0, grid)
+
+
 # --- diagram export ---
 
 def test_diagram_spinless_single_unit_line():

@@ -8,6 +8,8 @@ from g4vspec.spinops import (
     SIGMA_Z,
     eigh,
     expectation,
+    hermiticity_defect,
+    is_hermitian,
     kron,
     spin_matrices,
 )
@@ -111,10 +113,21 @@ def test_eigh_values_invariant_under_unitary_conjugation(rng):
     assert np.abs(es1.values - es2.values).max() < 1e-8 * scale
 
 
-def test_eigh_rejects_non_hermitian():
+def test_eigh_rejects_non_hermitian(rng):
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetry"):
         eigh(m)
+    assert not is_hermitian(m) and hermiticity_defect(m) == 1.0
+    # stacks are checked matrix by matrix, each against its own scale
+    sym = rng.normal(size=(8, 8, 8))
+    sym = sym + np.swapaxes(sym, -1, -2)
+    assert is_hermitian(sym) and hermiticity_defect(sym) == 0.0
+    stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+    assert is_hermitian(stack) and hermiticity_defect(stack) == 0.0
+    stack[1, 0, 1] += 1e-3
+    assert not is_hermitian(stack) and hermiticity_defect(stack) == pytest.approx(1e-3)
+    with pytest.raises(ValueError, match="asymmetry"):
+        eigh(stack)
 
 
 def test_eigh_degenerate_rotation_labels():

@@ -13,9 +13,10 @@ from g4vspec.spectrum import (
     solve_manifold,
     sweep_field,
     sweep_strain,
+    transition_intensity_matrix,
     transitions,
 )
-from g4vspec.spinops import eigh
+from g4vspec.spinops import EigenSystem, eigh
 
 # Zero field and zero strain leave degenerate clusters for the J^2 pinning.
 component = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
@@ -86,6 +87,21 @@ def test_stacked_tables_equal_one_point_tables(label):
             assert t.meta == one.meta
         assert _bits(es_g.values) == _bits(solve_manifold(e, "gnd", b, 40.0, 2.0).values)
         assert _bits(es_e.vectors) == _bits(solve_manifold(e, "exc", b, 40.0, 2.0).vectors)
+
+
+def test_stacked_intensity_matrix_equals_its_one_point_results():
+    e = registry_lookup("73Ge")
+    direction = np.array([np.sin(np.radians(33.0)), 0.0, np.cos(np.radians(33.0))])
+    fields = np.linspace(0.0, 0.14, 15)[:, None] * direction
+    es_g = solve_manifold(e, "gnd", fields)
+    es_e = solve_manifold(e, "exc", fields)
+    stacked = transition_intensity_matrix(es_g, es_e)
+    assert stacked.shape == (15, e.dim, e.dim)
+    for k in range(15):
+        one = transition_intensity_matrix(EigenSystem(es_g.values[k], es_g.vectors[k]),
+                                          EigenSystem(es_e.values[k], es_e.vectors[k]))
+        assert _bits(stacked[k]) == _bits(one)
+        assert stacked[k].sum() == pytest.approx(e.dim, rel=1e-12)  # dipole sum rule
 
 
 def test_empty_sweeps_keep_their_empty_results():
