@@ -288,20 +288,24 @@ def _cmd_stats(args) -> int:
             "counts": [int(c) for c in stats.counts],
         }
     if args.counts:
-        vals = [int(v) for v in args.counts.split(",")]
-        if len(vals) != 4:
-            raise ValueError("--counts needs four integers 'a,b,c,d'")
-        test = analysis.chi2_independence(((vals[0], vals[1]), (vals[2], vals[3])))
+        try:
+            a, b, c, d = map(int, args.counts.split(","))
+        except ValueError:
+            raise ValueError("--counts needs four integers 'a,b,c,d'") from None
+        test = analysis.chi2_independence(((a, b), (c, d)))
         payload["chi2"] = {"chi2": test["chi2"], "p_value": test["p_value"],
                            "dof": test["dof"], "correction": "none"}
     if args.aple_exp:
         rows = []
         for item in args.aple_exp:
             label, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"--aple-exp needs LABEL=MHZ, got {item!r}")
+            try:
+                measured = float(val)
+            except ValueError:
+                measured = np.nan
+            if not np.isfinite(measured):
+                raise ValueError(f"--aple-exp needs LABEL=MHZ with a finite MHZ, got {item!r}")
             model = a_ple(registry_lookup(label))
-            measured = float(val)
             big = max(abs(model), abs(measured))
             discrepancy = 100.0 * (1.0 - min(abs(model), abs(measured)) / big) if big else 0.0
             rows.append({

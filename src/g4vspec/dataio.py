@@ -93,10 +93,15 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"grid spec {spec!r} has a non-numeric field") from exc
+    for name, value in (("min", lo), ("max", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, got {value}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"grid max {hi} is below min {lo}")
+    if not math.isfinite((hi - lo) / step):
+        raise ValueError(f"grid spec {spec!r} spans too many steps")
     n = int(round((hi - lo) / step))
     if abs(lo + n * step - hi) > 0.5 * step + 1e-12 * max(abs(hi), 1.0):
         n = int(math.floor((hi - lo) / step + 1e-12))
@@ -431,8 +436,11 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
     noise of noise_sigma times the trace maximum.  Writes one CSV per
     emitter plus a truth table JSON; returns the truth table.
     """
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    for name, value in (("noise_sigma", noise_sigma), ("jitter_aple_mhz", jitter_aple_mhz),
+                        ("jitter_alpha_ghz", jitter_alpha_ghz),
+                        ("jitter_offset_mhz", jitter_offset_mhz)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     base_aple = a_ple(emitter) * a_ple_scale

@@ -139,12 +139,6 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-def _cluster_slices(values: np.ndarray, tol: float) -> list:
-    """Slices of consecutive eigenvalues closer than tol (degenerate clusters)."""
-    edges = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def eigh(h, degeneracy_operator=None) -> EigenSystem:
     """Diagonalize a Hermitian matrix, or a stack (..., d, d) of them in
     one LAPACK call; ascending eigenvalues.
@@ -153,26 +147,32 @@ def eigh(h, degeneracy_operator=None) -> EigenSystem:
     `CLUSTER_TOL`) is post-rotated into the eigenbasis of that operator
     projected onto the cluster, and ordered by its ascending eigenvalue.
     This pins an otherwise arbitrary degenerate-subspace basis, so labels
-    such as <J^2> are reproducible.  Each matrix of a stack is checked and
-    pinned on its own, so every slice equals its one-matrix result.
+    such as <J^2> are reproducible.  A stack is pinned by one batched solve
+    per cluster size, and every slice equals its one-matrix result.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("eigh expects a square matrix or a stack of them")
     require_hermitian(h)
     values, vectors = np.linalg.eigh(h)
-    if degeneracy_operator is not None:
+    if degeneracy_operator is not None and values.size:
         dop = np.asarray(degeneracy_operator, dtype=complex)
+        d = values.shape[-1]
         vectors = vectors.copy()
-        for k in np.ndindex(values.shape[:-1]):
-            vecs = vectors[k]  # a view: the rotations below write into vectors
-            for sl in _cluster_slices(values[k], CLUSTER_TOL):
-                if sl.stop - sl.start > 1:
-                    block = vecs[:, sl]
-                    proj = block.conj().T @ dop @ block
-                    proj = 0.5 * (proj + proj.conj().T)
-                    _, rot = np.linalg.eigh(proj)
-                    vecs[:, sl] = block @ rot
+        flat = vectors.reshape(-1, d, d)  # a view: the rotations below write into vectors
+        # A cluster starts at each matrix's first value and after each gap above tol.
+        starts = np.ones(values.shape, dtype=bool)
+        starts[..., 1:] = np.diff(values, axis=-1) > CLUSTER_TOL
+        first = np.flatnonzero(starts)
+        sizes = np.diff(first, append=values.size)
+        # np.unique would import numpy.ma; the groups write disjoint columns.
+        for s in set(sizes[sizes > 1].tolist()):
+            point, col = np.divmod(first[sizes == s], d)
+            idx = (point[:, None, None], np.arange(d)[:, None], col[:, None, None] + np.arange(s))
+            block = flat[idx]  # (m, d, s)
+            proj = block.conj().swapaxes(-1, -2) @ dop @ block
+            proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+            flat[idx] = block @ np.linalg.eigh(proj)[1]
     return EigenSystem(values=values, vectors=vectors)
 
 

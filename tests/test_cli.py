@@ -510,7 +510,8 @@ def test_fit_of_an_empty_map_names_the_file(tmp_path, capsys, body):
     assert not out.exists()
 
 
-# --- non-finite widths, strains, bandwidths, bin widths, noise and fit starts ---
+# --- non-finite or malformed widths, strains, bandwidths, bin widths, noise, jitters,
+# grids, stats inputs and fit starts ---
 
 def _non_finite_case(tmp_path, case):
     """argv and the files it must not write, for one refused command."""
@@ -542,6 +543,18 @@ def _non_finite_case(tmp_path, case):
         "stats bin-width inf": stats + ["inf"],
         "synth noise nan": synth + ["--fwhm", "30", "--noise", "nan"],
         "synth fwhm nan": synth + ["--fwhm", "nan"],
+        "synth jitter-aple nan": synth + ["--fwhm", "30", "--jitter-aple", "nan"],
+        "synth jitter-aple negative": synth + ["--fwhm", "30", "--jitter-aple", "-5"],
+        "synth jitter-alpha inf": synth + ["--fwhm", "30", "--jitter-alpha", "inf"],
+        "synth jitter-offset nan": synth + ["--fwhm", "30", "--jitter-offset", "nan"],
+        "simulate grid max inf": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:inf:1",
+                                  "--out", str(out)],
+        "simulate grid step nan": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:1:nan",
+                                   "--out", str(out)],
+        "stats aple-exp nan": ["stats", "--aple-exp", "73Ge=nan", "--out", str(out)],
+        "stats aple-exp inf": ["stats", "--aple-exp", "73Ge=inf", "--out", str(out)],
+        "stats aple-exp text": ["stats", "--aple-exp", "73Ge=abc", "--out", str(out)],
+        "stats counts text": ["stats", "--counts", "1,2,3,x", "--out", str(out)],
         "fit zero-width start": ["fit", "--trace", str(trace), "--model", "single",
                                  "--init", zero_width, "--out", str(out)],
     }[case]
@@ -561,6 +574,16 @@ def _non_finite_case(tmp_path, case):
     ("stats bin-width inf", "bin_width must be positive and finite, got inf"),
     ("synth noise nan", "noise_sigma must be >= 0 and finite, got nan"),
     ("synth fwhm nan", "fwhm must be positive and finite, got nan"),
+    ("synth jitter-aple nan", "jitter_aple_mhz must be >= 0 and finite, got nan"),
+    ("synth jitter-aple negative", "jitter_aple_mhz must be >= 0 and finite, got -5.0"),
+    ("synth jitter-alpha inf", "jitter_alpha_ghz must be >= 0 and finite, got inf"),
+    ("synth jitter-offset nan", "jitter_offset_mhz must be >= 0 and finite, got nan"),
+    ("simulate grid max inf", "grid max must be finite, got inf"),
+    ("simulate grid step nan", "grid step must be finite, got nan"),
+    ("stats aple-exp nan", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=nan'"),
+    ("stats aple-exp inf", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=inf'"),
+    ("stats aple-exp text", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=abc'"),
+    ("stats counts text", "--counts needs four integers 'a,b,c,d'"),
     ("fit zero-width start", "the fit cannot start: its residual at the initial parameters "
                              "is not finite"),
 ])

@@ -5,6 +5,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g4vspec import dataio
 from g4vspec.hamiltonian import registry_lookup
@@ -32,6 +34,26 @@ def test_parse_grid_errors():
     for bad in ("1:2", "a:b:c", "0:10:0", "5:1:1"):
         with pytest.raises(ValueError):
             dataio.parse_grid(bad)
+    for bad, message in (("0:inf:1", "grid max must be finite, got inf"),
+                         ("nan:1:1", "grid min must be finite, got nan"),
+                         ("-inf:0:1", "grid min must be finite, got -inf"),
+                         ("0:1:nan", "grid step must be finite, got nan"),
+                         ("0:1:inf", "grid step must be finite, got inf"),
+                         ("-1e308:1e308:1", "grid spec '-1e308:1e308:1' spans too many steps")):
+        with pytest.raises(ValueError) as info:
+            dataio.parse_grid(bad)
+        assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e4, 1e4), step=st.floats(1e-3, 1e3), steps=st.floats(0.0, 1e4))
+def test_parse_grid_starts_at_min_spaces_by_step_and_ends_within_half_a_step(lo, step, steps):
+    hi = lo + steps * step  # at most 1e4 steps, so no example allocates a huge grid
+    grid = dataio.parse_grid(f"{lo!r}:{hi!r}:{step!r}")
+    scale = max(abs(lo), abs(hi), 1.0)
+    assert grid[0] == lo
+    assert np.abs(np.diff(grid) - step).max(initial=0.0) <= 1e-12 * scale
+    assert abs(grid[-1] - hi) <= 0.5 * step + 1e-12 * scale
 
 
 def test_parse_field():
@@ -475,6 +497,19 @@ def test_synth_dataset_jitter_spread(tmp_path):
     aples = np.array([entry["a_ple_mhz"] for entry in truth["entries"]])
     assert np.std(aples) > 10.0
     assert np.all(aples < 0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -5.0, float("inf")])
+@pytest.mark.parametrize("name", ["jitter_aple_mhz", "jitter_alpha_ghz", "jitter_offset_mhz"])
+def test_synth_dataset_refuses_a_bad_jitter_before_writing(tmp_path, name, value):
+    with pytest.raises(ValueError) as info:
+        dataio.synth_dataset(
+            registry_lookup("117Sn"), tmp_path / "d", n_emitters=2, seed=0, noise_sigma=0.0,
+            fwhm_mhz=30.0, grid=np.arange(-600.0, 600.0, 2.0), truth_path=tmp_path / "t.json",
+            **{name: value},
+        )
+    assert str(info.value) == f"{name} must be >= 0 and finite, got {value}"
+    assert not (tmp_path / "d").exists() and not (tmp_path / "t.json").exists()
 
 
 def test_write_text_failure_leaves_no_temp_file(tmp_path):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from g4vspec.hamiltonian import EmitterModel, ManifoldParams, a_ple, registry_lookup
+from g4vspec.hamiltonian import (
+    EmitterModel,
+    ManifoldParams,
+    a_ple,
+    registry_labels,
+    registry_lookup,
+)
 from g4vspec.spectrum import (
     TransitionTable,
     dipole_operator,
@@ -338,6 +344,25 @@ def test_zero_field_parity(rng):
         f1 = np.sort(transitions(e, b).freq_mhz)
         f2 = np.sort(transitions(e, minus).freq_mhz)
         assert np.abs(f1 - f2).max() < 1e-6
+
+
+@pytest.mark.parametrize("label", registry_labels())
+def test_rotating_the_field_about_z_at_zero_strain_leaves_the_lines_unchanged(label):
+    e = registry_lookup(label)
+    for b_perp, b_z in ((0.02, 0.05), (0.3, 0.1)):
+        f0, x0 = merge_lines(transitions(e, (b_perp, 0.0, b_z)))
+        for phi in (0.7, 2.0, 4.4):
+            b = (b_perp * np.cos(phi), b_perp * np.sin(phi), b_z)
+            f, x = merge_lines(transitions(e, b))
+            assert f.shape == f0.shape
+            assert np.abs(f - f0).max() < 1e-7
+            assert np.abs(x - x0).max() < 1e-9 * x0.max()
+
+
+@pytest.mark.parametrize("label", registry_labels())
+def test_zero_hyperfine_puts_every_line_on_the_bare_c_line(label):
+    table = transitions(registry_lookup(label).scaled_hyperfine(0.0))
+    assert len(table) > 0 and np.all(table.freq_mhz == 0.0)
 
 
 def test_a_ple_consistency_at_zero_field():

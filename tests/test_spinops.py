@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from g4vspec.spinops import (
+    CLUSTER_TOL,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -170,18 +171,71 @@ def test_expectation_rejects_unnormalized():
         expectation(np.eye(2), np.array([1.0, 1.0]))
 
 
-def test_cluster_slices_split_at_gaps_above_tol(rng):
-    from g4vspec.spinops import _cluster_slices
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
 
-    def by_loop(values, tol):
-        out, start = [], 0
-        for k in range(1, len(values) + 1):
-            if k == len(values) or values[k] - values[k - 1] > tol:
-                out.append(slice(start, k))
-                start = k
-        return out
 
-    for _ in range(50):
-        values = np.sort(np.round(rng.uniform(0.0, 3.0, rng.integers(1, 12)), 1))
-        assert _cluster_slices(values, 0.1) == by_loop(values, 0.1)
-    assert _cluster_slices(np.array([0.0, 1e-7, 1.0]), 1e-6) == [slice(0, 2), slice(2, 3)]
+def _pinned_by_loop(h, dop):
+    """Reference oracle for `eigh` with a degeneracy operator: one matrix at a
+    time, one cluster at a time."""
+    values, vectors = np.linalg.eigh(h)
+    vectors = vectors.copy()
+    for k in np.ndindex(values.shape[:-1]):
+        vecs = vectors[k]  # a view: the rotations below write into vectors
+        edges = [0, *(np.flatnonzero(np.diff(values[k]) > CLUSTER_TOL) + 1).tolist(),
+                 values.shape[-1]]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b - a > 1:
+                block = vecs[:, a:b]
+                proj = block.conj().T @ dop @ block
+                proj = 0.5 * (proj + proj.conj().T)
+                _, rot = np.linalg.eigh(proj)
+                vecs[:, a:b] = block @ rot
+    return values, vectors
+
+
+def test_eigh_pins_gaps_below_tol_and_leaves_wider_gaps_alone(rng):
+    # clusters at the first and at the last index; 1 and 1 + 2 tol stay apart
+    values = np.array([0.0, 1e-7, 1.0, 1.0 + 2 * CLUSTER_TOL, 2.0, 2.0 + 1e-7, 2.0 + 2e-7])
+    label_op = random_hermitian(rng, 7)
+    h = np.diag(values).astype(complex)
+    # the second matrix starts within tol of the first one's last value
+    stack = np.stack([h, h + 2.0 * np.eye(7)])
+    plain = eigh(stack)
+    es = eigh(stack, degeneracy_operator=label_op)
+    for k in range(2):
+        v = es.vectors[k]
+        for sl in (slice(0, 2), slice(4, 7)):
+            labels = v[:, sl].conj().T @ label_op @ v[:, sl]
+            assert np.abs(labels - np.diag(np.linalg.eigvalsh(label_op[sl, sl]))).max() < 1e-12
+        assert _bits(v[:, 2:4]) == _bits(plain.vectors[k][:, 2:4])
+        assert _bits(v) == _bits(eigh(stack[k], degeneracy_operator=label_op).vectors)
+
+
+def _clustered_hermitian(rng, sizes):
+    """Random Hermitian matrix whose eigenvalues come in clusters of the given
+    sizes: 1e-8 wide, at least 0.1 apart."""
+    d = sum(sizes)
+    centres = np.cumsum(rng.uniform(0.1, 1.0, len(sizes)))
+    values = np.repeat(centres, sizes) + rng.uniform(0.0, 1e-8, d)
+    q, _ = np.linalg.qr(random_hermitian(rng, d) + 1j * random_hermitian(rng, d))
+    h = (q * values) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_eigh_pinning_equals_the_per_matrix_loop_bit_for_bit(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = 8
+    sizes = [[1] * d, [4, 3, 1], [2, 2, 2, 2]]  # no cluster, then sizes 1-4
+    while len(sizes) < 12:
+        sizes.append([])
+        while sum(sizes[-1]) < d:
+            sizes[-1].append(int(min(rng.integers(1, 5), d - sum(sizes[-1]))))
+    stack = np.stack([_clustered_hermitian(rng, s) for s in sizes])
+    dop = random_hermitian(rng, d)
+    for h in (stack, stack.reshape(3, 4, d, d), stack[1]):
+        es = eigh(h, degeneracy_operator=dop)
+        values, vectors = _pinned_by_loop(h, dop)
+        assert _bits(es.values) == _bits(values)
+        assert _bits(es.vectors) == _bits(vectors)

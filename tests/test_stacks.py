@@ -66,6 +66,19 @@ def test_each_stack_slice_equals_its_one_point_solve_bit_for_bit(case):
         assert _bits(labels[k]) == _bits(_jsq_labels(one, jop))
 
 
+@pytest.mark.parametrize("manifold", ["gnd", "exc"])
+@pytest.mark.parametrize("label", registry_labels())
+def test_zero_field_strain_stacks_equal_their_one_point_solves(label, manifold):
+    strains = np.arange(-45.0, 35.0, 5.0)  # 16 strains, 0 among them
+    e = registry_lookup(label)
+    for emitter in (e, e.without_couplings()):
+        es = solve_manifold(emitter, manifold, alpha_ghz=strains)
+        for k, alpha in enumerate(strains):
+            one = solve_manifold(emitter, manifold, alpha_ghz=alpha)
+            assert _bits(es.values[k]) == _bits(one.values)
+            assert _bits(es.vectors[k]) == _bits(one.vectors)
+
+
 def test_one_point_still_gives_one_matrix():
     e = registry_lookup("73Ge")
     assert build_hamiltonian(e, "gnd", (0.0, 0.0, 0.1), 5.0).shape == (40, 40)
