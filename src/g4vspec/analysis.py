@@ -3,13 +3,18 @@ Hamiltonian-model fits of spectra and field maps, kernel density
 estimation, the sqrt(mass) isotope-shift model, and contingency testing.
 
 All fitters share one damped least-squares core (Levenberg-Marquardt
-style), and `_fit` is the one place that calls it and reports: it names
-the parameters and their errors and gives the parameters that a model sees
-only through |.| their reported sign.  The closed-form peak models (single
-Lorentzian, 2:1:1 triplet, Gaussian) sit in one table with their Jacobians,
-are seeded by one peak search and fitted by one `_fit_peaks`; the
-full-model fit has no closed-form Jacobian and gets a forward-difference
-one with 1e-6 relative steps.
+style) that solves one problem or a stack of k independent ones at once:
+each problem keeps its own damping, acceptance, convergence and iteration
+count, and every product, solve and inverse is taken per slice, so a
+problem gives the same bits alone or in any stack.  `_fit` is the one
+place that calls the core and reports: it names the parameters and their
+errors and gives the parameters that a model sees only through |.| their
+reported sign.  The closed-form peak models (single Lorentzian, 2:1:1
+triplet, Gaussian) sit in one table with their Jacobians, broadcast over a
+stack of traces, are seeded by one peak search per trace and fitted by one
+`_fit_peaks`, which fits the traces of a list that share a grid length as
+one stack.  The full-model fit is one problem; it has no closed-form
+Jacobian and gets a forward-difference one with 1e-6 relative steps.
 Damping is multiplied by 10 on a rejected step and divided by 10 on
 acceptance.  A fit stops when the relative cost change falls below 1e-10,
 when an accepted step is shorter than machine epsilon times |p| (without
@@ -35,6 +40,7 @@ from .spectrum import SpectrumTrace, _reference_line, _solve_transitions
 
 __all__ = [
     "FitResult",
+    "TraceError",
     "EnsembleStats",
     "fit_lorentzians",
     "fit_gaussian",
@@ -50,6 +56,7 @@ MAX_ITERATIONS = 200
 COST_TOL = 1e-10
 STEP_TOL = float(np.finfo(float).eps)
 JACOBIAN_STEP = 1e-6
+STACK_POINTS = 1 << 14  # grid points of the traces in one stacked peak fit, at most
 KDE_GRID_POINTS = 512
 # Reported sign of each parameter that the models use only through |.|.
 _REPORTED_SIGNS = {"fwhm": +1, "sigma": +1, "delta": +1, "a_ple": -1}
@@ -96,134 +103,241 @@ class EnsembleStats:
 # ---------------------------------------------------------------------------
 # damped least squares
 
-def _solve_damped(jtj, diag, g, mu):
-    a = jtj + mu * np.diag(diag)
+class TraceError(ValueError):
+    """A fit error that belongs to one trace, or one problem of a stacked
+    fit; index is its position in the list or stack."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
+
+
+def _rowdot(a, b):
+    # One BLAS dot per row of two (k, m) stacks: the bits of the 1-D a @ b.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _per_slice(op, fallback, *stacks):
+    """op over stacks of matrices at once; if a slice is singular, op slice
+    by slice, with fallback for each singular one."""
     try:
-        return np.linalg.solve(a, -g)
+        return op(*stacks)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, -g, rcond=None)[0]
+        out = []
+        for args in zip(*stacks):
+            try:
+                out.append(op(*args))
+            except np.linalg.LinAlgError:
+                out.append(fallback(*args))
+        return np.array(out)
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _solve_damped(jtj, diag, g, mu):
+    """Steps solving (jtj + mu diag(diag)) step = -g for a stack of k
+    problems, jtj (k, n, n) and diag, g (k, n); a singular slice takes least
+    squares."""
+    a = jtj.copy()
+    n = a.shape[-1]
+    a.reshape(len(a), n * n)[:, :: n + 1] += mu[:, None] * diag
+    return _per_slice(np.linalg.solve, _lstsq, a, -g[..., None])[..., 0]
 
 
 def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
-    """Minimize sum(residual_fn(p)^2).  Returns (p, cov, rms, converged, iters).
+    """Minimize sum(residual^2) of one problem or of k independent ones.
 
-    jac(p), when given, returns the (m, n) Jacobian of the residual and is
-    used for every Jacobian, the covariance's included; without it each
-    Jacobian takes one forward-difference residual call per parameter.
+    With p0 of shape (n,), residual_fn(p) returns the (m,) residual and
+    jac(p), when given, its (m, n) Jacobian; the result is (p, cov, rms,
+    converged, iters).  With p0 of shape (k, n), residual_fn(P, rows) and
+    jac(P, rows) get the parameters of the problems at positions rows
+    (anything that indexes a first axis) and return (k', m) and (k', m, n);
+    they are called only for problems still pending, and the five results
+    come back stacked.  Each problem keeps its own damping, acceptance,
+    convergence and iteration count, and every product is taken per slice,
+    so a problem's result does not depend on the stack it is solved in.
+    Without jac each Jacobian takes one forward-difference residual call
+    per parameter.  A start whose residual is not finite is refused with a
+    TraceError naming the first such problem.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    n_par = p.size
+    p = np.array(p0, dtype=float)
+    single = p.ndim == 1
+    if single:  # one problem is a stack of one
+        p, fn, fn_jac = p[None], residual_fn, jac
+        residual_fn = lambda q, rows: fn(q[0])[None]
+        jac = None if fn_jac is None else (lambda q, rows: fn_jac(q[0])[None])
+    k, n_par = p.shape
+    everything = slice(None)
     with np.errstate(all="ignore"):  # a non-finite start is refused just below
-        r = residual_fn(p)
-    if not np.isfinite(r).all():
-        raise ValueError("the fit cannot start: its residual at the initial parameters "
-                         "is not finite")
-    m = r.size
-    cost = float(r @ r)
-    mu = 1e-3
-    converged = False
-    it = 0
+        r = residual_fn(p, everything)
+    finite = np.isfinite(r).all(axis=1)
+    if not finite.all():
+        raise TraceError(int(np.argmin(finite)), "the fit cannot start: its residual at the "
+                                                 "initial parameters is not finite")
+    m = r.shape[1]
 
-    def jacobian(p, r):
+    def jacobian(p, r, rows):
         if jac is not None:
-            return jac(p)
-        j = np.empty((m, n_par))
-        for k in range(n_par):
-            step = JACOBIAN_STEP * max(abs(p[k]), 1.0)
+            return jac(p, rows)
+        j = np.empty(r.shape + (n_par,))
+        for c in range(n_par):
+            step = JACOBIAN_STEP * np.maximum(np.abs(p[:, c]), 1.0)
             q = p.copy()
-            q[k] += step
-            j[:, k] = (residual_fn(q) - r) / step
+            q[:, c] += step
+            j[..., c] = (residual_fn(q, rows) - r) / step[:, None]
         return j
 
-    j = jacobian(p, r)
-    for it in range(1, max_iter + 1):
-        g = j.T @ r
-        jtj = j.T @ j
-        diag = np.clip(np.diag(jtj), 1e-300, None)
-        accepted = False
-        while mu <= 1e12:
-            delta = _solve_damped(jtj, diag, g, mu)
-            trial = p + delta
-            r_trial = residual_fn(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                rel_drop = (cost - cost_trial) / max(cost, 1e-300)
-                tiny_step = np.linalg.norm(delta) <= STEP_TOL * np.linalg.norm(p)
-                p, r, cost = trial, r_trial, cost_trial
-                mu = max(mu / 10.0, 1e-14)
-                accepted = True
-                if rel_drop < COST_TOL or tiny_step:
-                    converged = True
+    def normal_equations(p, r, rows):
+        # J^T r and J^T J at p; the Jacobian itself is not kept.
+        j = jacobian(p, r, rows)
+        jt = j.transpose(0, 2, 1)
+        return (jt @ r[:, :, None])[..., 0], jt @ j
+
+    # The loop works on the pending problems, at positions rows, and writes
+    # each one's final state back here when it finishes.
+    cost = _rowdot(r, r)
+    p_out, r_out, cost_out = p.copy(), r.copy(), cost.copy()
+    converged_out = np.zeros(k, dtype=bool)
+    iters_out = np.zeros(k, dtype=int)
+    rows = np.arange(k if max_iter >= 1 else 0)
+    sel = everything  # rows for the callbacks: a view until a problem finishes
+    mu = np.full(k, 1e-3)
+    iters = np.ones(k, dtype=int)
+    g, jtj = np.empty((k, n_par)), np.empty((k, n_par, n_par))
+    n_moved = k  # problems whose p moved since their last Jacobian: all, at first
+    while rows.size:
+        if n_moved == rows.size:
+            g[...], jtj[...] = normal_equations(p, r, sel)
+        elif n_moved:
+            g[moved], jtj[moved] = normal_equations(p[moved], r[moved], rows[moved])
+        if n_moved:
+            diag = np.maximum(jtj.reshape(-1, n_par * n_par)[:, :: n_par + 1], 1e-300)
+        step = _solve_damped(jtj, diag, g, mu)
+        trial = p + step
+        r_trial = residual_fn(trial, sel)
+        cost_trial = _rowdot(r_trial, r_trial)
+        moved = cost_trial < cost
+        mu = np.where(moved, np.maximum(mu / 10.0, 1e-14), mu * 10.0)
+        # An improving step is taken, and converges on a small relative drop
+        # or a rounding-size step.  Damping exhausted without an improving
+        # step (mu only reaches 1e13 that way) is a gradient-limited optimum,
+        # treated as converged too.
+        converged = moved & (
+            ((cost - cost_trial) / np.maximum(cost, 1e-300) < COST_TOL)
+            | (np.sqrt(_rowdot(step, step)) <= STEP_TOL * np.sqrt(_rowdot(p, p)))
+        ) | (mu > 1e12)
+        n_moved = np.count_nonzero(moved)
+        if n_moved == rows.size:
+            p, r, cost = trial, r_trial, cost_trial
+        elif n_moved:
+            p = np.where(moved[:, None], trial, p)
+            r = np.where(moved[:, None], r_trial, r)
+            cost = np.where(moved, cost_trial, cost)
+        done = converged | moved & (iters == max_iter)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            at = rows[done]
+            p_out[at], r_out[at], cost_out[at] = p[done], r[done], cost[done]
+            converged_out[at], iters_out[at] = converged[done], iters[done]
+            if n_done == rows.size:
                 break
-            mu *= 10.0
-        if not accepted:
-            # Damping exhausted without an improving step: gradient-limited
-            # optimum, treat as converged.
-            converged = True
-            break
-        if converged:
-            break
-        j = jacobian(p, r)
-    else:
-        it = max_iter
+            keep = ~done
+            rows, p, r, cost, mu, iters, moved, g, jtj, diag = (
+                a[keep] for a in (rows, p, r, cost, mu, iters, moved, g, jtj, diag))
+            n_moved = np.count_nonzero(moved)
+            sel = rows
+        iters += moved
 
-    j = jacobian(p, r)
-    jtj = j.T @ j
-    dof = max(m - n_par, 1)
-    variance = cost / dof
-    try:
-        cov = np.linalg.inv(jtj) * variance
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj) * variance
-    rms = math.sqrt(cost / m)
-    return p, cov, rms, converged, it
+    _, jtj = normal_equations(p_out, r_out, everything)
+    variance = cost_out / max(m - n_par, 1)
+    cov = _per_slice(np.linalg.inv, np.linalg.pinv, jtj) * variance[:, None, None]
+    rms = np.sqrt(cost_out / m)
+    if single:
+        return p_out[0], cov[0], float(rms[0]), bool(converged_out[0]), int(iters_out[0])
+    return p_out, cov, rms, converged_out, iters_out
 
 
-def _fit(model, names, residual, p0, seed, jac=None) -> FitResult:
-    """Minimize residual from p0 and report the named parameters, their
-    1-sigma errors and the reported sign of each |.| parameter."""
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, p0, jac=jac)
+def _report(model, names, seed, p, cov, rms, converged, iters) -> FitResult:
     params = dict(zip(names, p))
     for name, sign in _REPORTED_SIGNS.items():
         if name in params:
             params[name] = sign * abs(params[name])
     std = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
-    return FitResult(model=model, params=params, std_errs=std, residual_rms=rms,
-                     converged=converged, n_iterations=iters, seed=seed)
+    return FitResult(model=model, params=params, std_errs=std, residual_rms=float(rms),
+                     converged=bool(converged), n_iterations=int(iters), seed=seed)
+
+
+def _fit(model, names, residual, p0, seed, jac=None):
+    """Minimize residual from p0, one problem (n,) or a stack (k, n), and
+    report the named parameters, their 1-sigma errors and the reported sign
+    of each |.| parameter: one FitResult, or a list of k."""
+    out = _levenberg_marquardt(residual, p0, jac=jac)
+    if np.ndim(p0) == 1:
+        return _report(model, names, seed, *out)
+    p, cov, rms, converged, iters = out
+    return [_report(model, names, seed, *row)
+            for row in zip(p, cov, rms.tolist(), converged.tolist(), iters.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # peak models
 
-def _lorentz_peak(f, center, fwhm):
-    hw2 = (0.5 * fwhm) ** 2
-    return hw2 / ((f - center) ** 2 + hw2)
+def _columns(p):
+    """Each parameter of a stack (k, n) as a column that broadcasts over the
+    stack's grids (k, m); of one problem (n,), or a stack of one, as a
+    float, whose arithmetic costs less than NumPy's and rounds the same."""
+    return p.T[..., None] if p.ndim == 2 and len(p) > 1 else p.reshape(-1).tolist()
 
 
-def _lorentz_terms(f, center, fwhm):
-    """_lorentz_peak L with dL/dcenter and dL/dfwhm, from one denominator."""
-    hw2 = (0.5 * fwhm) ** 2
-    u = f - center
-    inv = 1.0 / (u * u + hw2)
-    peak = hw2 * inv
-    return peak, 2.0 * u * peak * inv, 0.5 * fwhm * (1.0 - peak) * inv
+def _square(v):
+    # C pow(), as a NumPy scalar's v**2 takes it; an array's v**2 is v*v,
+    # which differs in the last bit for about 0.1% of values.  The recorded
+    # peak-fit goldens were fitted with scalar parameters.
+    return np.float_power(v, 2)
+
+
+def _lorentz_peaks(f, centers, fwhm):
+    """Unit-height Lorentzians of one FWHM at each of centers."""
+    hw2 = _square(0.5 * fwhm)
+    return [hw2 / ((f - c) ** 2 + hw2) for c in centers]
+
+
+def _lorentz_terms(f, centers, fwhm):
+    """For each of centers, the _lorentz_peaks L with dL/dcenter and
+    dL/dfwhm, from one denominator."""
+    half = 0.5 * fwhm
+    hw2 = _square(half)
+    terms = []
+    for c in centers:
+        u = f - c
+        inv = 1.0 / (u * u + hw2)
+        peak = hw2 * inv
+        terms.append((peak, 2.0 * u * peak * inv, half * (1.0 - peak) * inv))
+    return terms
 
 
 def _sign(v):
     # d|v|/dv, taken as +1 at 0 like the forward-difference step
-    return 1.0 if v >= 0 else -1.0
+    return np.where(v >= 0, 1.0, -1.0)
 
 
 def _model_single(p, f):
-    f0, fwhm, amplitude, baseline = p
-    return baseline + amplitude * _lorentz_peak(f, f0, abs(fwhm))
+    f0, fwhm, amplitude, baseline = _columns(p)
+    [peak] = _lorentz_peaks(f, (f0,), abs(fwhm))
+    return baseline + amplitude * peak
 
 
 def _jac_single(p, f):
-    f0, fwhm, amplitude, baseline = p
-    peak, d_center, d_fwhm = _lorentz_terms(f, f0, abs(fwhm))
-    return np.column_stack((amplitude * d_center, amplitude * _sign(fwhm) * d_fwhm, peak,
-                            np.ones_like(f)))
+    f0, fwhm, amplitude, baseline = _columns(p)
+    [(peak, d_center, d_fwhm)] = _lorentz_terms(f, (f0,), abs(fwhm))
+    j = np.empty(peak.shape + (4,))  # each column written as soon as it is formed
+    j[..., 0] = amplitude * d_center
+    j[..., 1] = amplitude * _sign(fwhm) * d_fwhm
+    j[..., 2] = peak
+    j[..., 3] = 1.0
+    return j
 
 
 def _triplet_centers(f_ch1, aple, delta):
@@ -233,42 +347,43 @@ def _triplet_centers(f_ch1, aple, delta):
 
 
 def _model_triplet(p, f):
-    f_ch1, aple, delta, fwhm, amplitude, baseline = p
-    c0, c1, c2 = _triplet_centers(f_ch1, aple, delta)
-    w = abs(fwhm)
-    return baseline + amplitude * (
-        _lorentz_peak(f, c0, w)
-        + 0.5 * _lorentz_peak(f, c1, w)
-        + 0.5 * _lorentz_peak(f, c2, w)
-    )
+    f_ch1, aple, delta, fwhm, amplitude, baseline = _columns(p)
+    l0, l1, l2 = _lorentz_peaks(f, _triplet_centers(f_ch1, aple, delta), abs(fwhm))
+    return baseline + amplitude * (l0 + 0.5 * l1 + 0.5 * l2)
 
 
 def _jac_triplet(p, f):
-    f_ch1, aple, delta, fwhm, amplitude, baseline = p
-    w = abs(fwhm)
-    (l0, dc0, dw0), (l1, dc1, dw1), (l2, dc2, dw2) = (
-        _lorentz_terms(f, c, w) for c in _triplet_centers(f_ch1, aple, delta))
-    return np.column_stack((
-        amplitude * (dc0 + 0.5 * (dc1 + dc2)),
-        amplitude * _sign(aple) * 0.5 * (dc1 + dc2),
-        amplitude * _sign(delta) * 0.25 * (dc2 - dc1),
-        amplitude * _sign(fwhm) * (dw0 + 0.5 * (dw1 + dw2)),
-        l0 + 0.5 * (l1 + l2),
-        np.ones_like(f),
-    ))
+    f_ch1, aple, delta, fwhm, amplitude, baseline = _columns(p)
+    _, s_aple, s_delta, s_fwhm, _, _ = _columns(_sign(p))
+    (l0, dc0, dw0), (l1, dc1, dw1), (l2, dc2, dw2) = _lorentz_terms(
+        f, _triplet_centers(f_ch1, aple, delta), abs(fwhm))
+    j = np.empty(l0.shape + (6,))
+    j[..., 0] = amplitude * (dc0 + 0.5 * (dc1 + dc2))
+    j[..., 1] = amplitude * s_aple * 0.5 * (dc1 + dc2)
+    j[..., 2] = amplitude * s_delta * 0.25 * (dc2 - dc1)
+    j[..., 3] = amplitude * s_fwhm * (dw0 + 0.5 * (dw1 + dw2))
+    j[..., 4] = l0 + 0.5 * (l1 + l2)
+    j[..., 5] = 1.0
+    return j
 
 
 def _model_gaussian(p, f):
-    center, sigma, amplitude, baseline = p
-    return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * sigma**2))
+    center, sigma, amplitude, baseline = _columns(p)
+    return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * _square(sigma)))
 
 
 def _jac_gaussian(p, f):
-    center, sigma, amplitude, baseline = p
+    center, sigma, amplitude, baseline = _columns(p)
     u = f - center
-    g = np.exp(-(u**2) / (2.0 * sigma**2))
-    d_center = amplitude * g * u / sigma**2
-    return np.column_stack((d_center, d_center * u / sigma, g, np.ones_like(f)))
+    s2 = _square(sigma)
+    g = np.exp(-(u**2) / (2.0 * s2))
+    d_center = amplitude * g * u / s2
+    j = np.empty(g.shape + (4,))
+    j[..., 0] = d_center
+    j[..., 1] = d_center * u / sigma
+    j[..., 2] = g
+    j[..., 3] = 1.0
+    return j
 
 
 def _check_init(init, names, complete):
@@ -348,47 +463,86 @@ _PEAK_MODELS = {
 }
 
 
-def _fit_peaks(trace, model, init, seed) -> FitResult:
-    """Fit a _PEAK_MODELS model, seeded by peak seeking unless init is given."""
-    x, y = _get_xy(trace)
+def _seed_peaks(x, y) -> dict:
+    """Starting values for every peak model's parameters, by peak seeking."""
+    peaks, baseline = _find_peaks(x, y)
+    k = peaks[0]
+    fwhm0 = _width_at_half(x, y, k, baseline)
+    if len(peaks) >= 3:
+        side = sorted(x[j] for j in peaks[1:3])
+        aple0, delta0 = 0.5 * (side[0] + side[1]) - x[k], side[1] - side[0]
+    elif len(peaks) == 2:
+        aple0, delta0 = x[peaks[1]] - x[k], fwhm0
+    else:
+        aple0, delta0 = 3.0 * fwhm0, fwhm0
+    # f0 and center seed a single peak, f_ch1 the strong peak of the triplet.
+    return {"f0": x[k], "f_ch1": x[k], "center": x[k], "a_ple": abs(aple0),
+            "delta": abs(delta0), "fwhm": fwhm0, "sigma": fwhm0 / 2.3548,
+            "amplitude": y[k] - baseline, "baseline": baseline}
+
+
+def _fit_peaks(data, model, init, seed):
+    """Fit a _PEAK_MODELS model to one trace, or to each trace of a list or
+    tuple, seeded by peak seeking unless init is given.
+
+    The traces of a list that share a grid length are fitted together, in
+    stacks of at most STACK_POINTS grid points (and at least one trace).  An
+    error of one trace is a TraceError naming its position in the list.
+    """
+    single = not isinstance(data, (list, tuple))
+    traces = [data] if single else data
     names, fn, jac = _PEAK_MODELS[model]
     _check_init(init, names, complete=True)
-    if init is None:
-        peaks, baseline = _find_peaks(x, y)
-        k = peaks[0]
-        fwhm0 = _width_at_half(x, y, k, baseline)
-        if len(peaks) >= 3:
-            side = sorted(x[j] for j in peaks[1:3])
-            aple0, delta0 = 0.5 * (side[0] + side[1]) - x[k], side[1] - side[0]
-        elif len(peaks) == 2:
-            aple0, delta0 = x[peaks[1]] - x[k], fwhm0
-        else:
-            aple0, delta0 = 3.0 * fwhm0, fwhm0
-        # f0 and center seed a single peak, f_ch1 the strong peak of the triplet.
-        init = {"f0": x[k], "f_ch1": x[k], "center": x[k], "a_ple": abs(aple0),
-                "delta": abs(delta0), "fwhm": fwhm0, "sigma": fwhm0 / 2.3548,
-                "amplitude": y[k] - baseline, "baseline": baseline}
-    p0 = np.array([init[n] for n in names], dtype=float)
-    return _fit(model, names, lambda p: fn(p, x) - y, p0, seed, jac=lambda p: jac(p, x))
+    xs, ys, starts = [], [], []
+    for i, trace in enumerate(traces):
+        try:
+            x, y = _get_xy(trace)
+            start = _seed_peaks(x, y) if init is None else init
+        except ValueError as exc:
+            raise TraceError(i, str(exc)) from None
+        xs.append(x)
+        ys.append(y)
+        starts.append([start[n] for n in names])
+    by_length = {}
+    for i, x in enumerate(xs):
+        by_length.setdefault(x.size, []).append(i)
+    fits = [None] * len(traces)
+    for size, same in by_length.items():
+        per_stack = max(1, STACK_POINTS // size)
+        for first in range(0, len(same), per_stack):
+            at = same[first:first + per_stack]
+            x, y = np.array([xs[i] for i in at]), np.array([ys[i] for i in at])
+            p0 = np.array([starts[i] for i in at], dtype=float)
+            try:
+                stack = _fit(model, names, lambda p, rows: fn(p, x[rows]) - y[rows], p0, seed,
+                             jac=lambda p, rows: jac(p, x[rows]))
+            except TraceError as exc:
+                raise TraceError(at[exc.index], str(exc)) from None
+            for i, res in zip(at, stack):
+                fits[i] = res
+    return fits[0] if single else fits
 
 
 def fit_lorentzians(trace, model: str = "single", init: dict | None = None,
-                    seed: int | None = None) -> FitResult:
+                    seed: int | None = None):
     """Fit one Lorentzian peak, or three with heights locked 2:1:1.
 
-    The triplet parameterization is {f_ch1, a_ple, delta, fwhm, amplitude,
-    baseline} with peak centers f_ch1, f_ch1 + |a_ple| -/+ |delta|/2.  The
-    reported a_ple is negative by convention and delta non-negative.
-    Initial guesses are found by peak seeking unless given.
+    trace is one trace, giving one FitResult, or a list of traces, giving a
+    list of FitResults in the same order; each is the result the trace
+    gives alone.  The triplet parameterization is {f_ch1, a_ple, delta,
+    fwhm, amplitude, baseline} with peak centers f_ch1, f_ch1 + |a_ple| -/+
+    |delta|/2.  The reported a_ple is negative by convention and delta
+    non-negative.  Initial guesses are found by peak seeking unless given.
     """
     if model not in ("single", "triplet211"):
         raise ValueError(f"model must be 'single' or 'triplet211', got {model!r}")
     return _fit_peaks(trace, model, init, seed)
 
 
-def fit_gaussian(trace, init: dict | None = None, seed: int | None = None) -> FitResult:
-    """Gaussian peak fit {center, sigma, amplitude, baseline}; sigma is
-    reported non-negative."""
+def fit_gaussian(trace, init: dict | None = None, seed: int | None = None):
+    """Gaussian peak fit {center, sigma, amplitude, baseline} of one trace or
+    of each trace of a list, as fit_lorentzians; sigma is reported
+    non-negative."""
     return _fit_peaks(trace, "gaussian", init, seed)
 
 

@@ -181,6 +181,16 @@ def _parse_init(spec):
         raise ValueError(f"--init is not valid JSON: {exc}") from None
 
 
+def _fit_files(paths, fit):
+    """fit(traces) over the traces of paths, in their order; an error of one
+    trace's fit names its file."""
+    traces = [dataio.ingest_csv(path) for path in paths]
+    try:
+        return fit(traces)
+    except analysis.TraceError as exc:
+        raise ValueError(f"{paths[exc.index]}: {exc}") from None
+
+
 def _cmd_fit_batch(args) -> int:
     import glob
     import os
@@ -192,14 +202,12 @@ def _cmd_fit_batch(args) -> int:
         raise ValueError(f"--batch matched no files: {args.batch!r}")
     model = "triplet211" if args.model == "triplet" else "single"
     init = _parse_init(args.init)
+    fits = _fit_files(paths, lambda traces: analysis.fit_lorentzians(
+        traces, model=model, init=init, seed=args.seed))
     reports = []
     summary = []  # one row per trace
-    all_converged = True
-    for path in paths:
+    for path, res in zip(paths, fits):
         label = os.path.splitext(os.path.basename(path))[0]
-        trace = dataio.ingest_csv(path)
-        res = analysis.fit_lorentzians(trace, model=model, init=init, seed=args.seed)
-        all_converged &= res.converged
         reports.append({"label": label, "report": dataio.validate_fit_report(res.as_report())})
         summary.append((label, args.model, abs(res.params.get("a_ple", float("nan"))),
                         res.params.get("delta", float("nan")), res.params["fwhm"],
@@ -212,7 +220,7 @@ def _cmd_fit_batch(args) -> int:
             [zip(*summary)], {"label": "%s", "model": "%s"},
         )
     print(f"wrote {args.out} ({len(reports)} fits)")
-    return 0 if all_converged else 2
+    return 0 if all(res.converged for res in fits) else 2
 
 
 def _cmd_fit(args) -> int:
@@ -253,9 +261,7 @@ def _cmd_fit_pl(args) -> int:
     if args.values:
         centers = dataio.read_values_csv(args.values)
     elif args.traces:
-        for path in args.traces:
-            trace = dataio.ingest_csv(path)
-            fits.append(analysis.fit_gaussian(trace))
+        fits = _fit_files(args.traces, analysis.fit_gaussian)
         centers = np.array([f.params["center"] for f in fits])
     else:
         raise ValueError("fit-pl needs --values or --traces")

@@ -49,6 +49,8 @@ __all__ = [
     "synth_dataset",
 ]
 
+MAX_GRID_POINTS = 10**7  # points of a parsed grid, at most (80 MB of float64)
+
 
 @dataclass(frozen=True)
 class MeasuredTrace:
@@ -85,7 +87,9 @@ def write_json(path, payload) -> None:
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Grid from 'min:max:step' (MHz), endpoints inclusive within step/2."""
+    """Grid from 'min:max:step' (MHz), endpoints inclusive within step/2, of
+    at most MAX_GRID_POINTS points; a larger grid is refused before anything
+    is allocated."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be 'min:max:step', got {spec!r}")
@@ -105,6 +109,9 @@ def parse_grid(spec: str) -> np.ndarray:
     n = int(round((hi - lo) / step))
     if abs(lo + n * step - hi) > 0.5 * step + 1e-12 * max(abs(hi), 1.0):
         n = int(math.floor((hi - lo) / step + 1e-12))
+    if n + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {spec!r} gives {n + 1:.10g} points, more than the "
+                         f"{MAX_GRID_POINTS} allowed")
     return lo + step * np.arange(n + 1)
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -727,3 +728,140 @@ def test_peak_scan_matches_the_loop(levels, shape, seed):
         for c in rng.uniform(0, y.size, 3):
             y += lorentz_peak(x, c, 4.0)
     assert _peaks_or_error(analysis._find_peaks, x, y) == _peaks_or_error(find_peaks_loop, x, y)
+
+
+# --- one core over a stack of independent fits ---
+
+def _outcome(fit):
+    try:
+        return fit().as_report()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def peak_trace_lists(draw):
+    """A peak model and 1-5 noisy traces of it on grids of two lengths, with
+    a stack size that splits the longer runs of one length."""
+    model = draw(st.sampled_from(("single", "triplet211", "gaussian")))
+    grids = (np.arange(-400.0, 900.0, 4.0), np.arange(-300.0, 700.0, 5.0))
+    traces = []
+    for _ in range(draw(st.integers(1, 5))):
+        grid = grids[draw(st.integers(0, 1))]
+        center = draw(st.floats(-150.0, 150.0))
+        width = draw(st.floats(15.0, 60.0))
+        amplitude = draw(st.floats(0.5, 3.0))
+        if model == "triplet211":
+            signal = make_triplet(grid, center, -draw(st.floats(200.0, 500.0)),
+                                  draw(st.floats(60.0, 150.0)), width, amplitude)
+        elif model == "single":
+            signal = amplitude * lorentz_peak(grid, center, width)
+        else:
+            signal = amplitude * np.exp(-((grid - center) ** 2) / (2.0 * width**2))
+        rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+        noise = draw(st.sampled_from((0.0, 0.01, 0.05)))
+        traces.append(SpectrumTrace(grid, signal + rng.normal(0.0, noise * amplitude, grid.size)))
+    stack_points = draw(st.sampled_from((analysis.STACK_POINTS, 2 * grids[0].size)))
+    return model, traces, stack_points
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=peak_trace_lists())
+def test_a_list_fits_each_trace_as_it_fits_alone(case):
+    model, traces, stack_points = case
+    if model == "gaussian":
+        fit = fit_gaussian
+    else:
+        def fit(data):
+            return fit_lorentzians(data, model)
+    alone = [_outcome(lambda: fit(t)) for t in traces]
+    with mock.patch.object(analysis, "STACK_POINTS", stack_points):
+        if all(isinstance(a, dict) for a in alone):
+            assert [r.as_report() for r in fit(traces)] == alone
+        else:
+            with pytest.raises(analysis.TraceError) as info:
+                fit(traces)
+            assert str(info.value) == alone[info.value.index]
+
+
+PROBLEMS = (
+    lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]),  # linear: converges under the cap
+    lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),  # curved valley
+)
+
+
+def _stacked(problems, calls):
+    def residual(p, rows):
+        at = np.arange(len(problems))[rows].tolist()
+        calls.append(at)
+        return np.array([problems[i](q) for i, q in zip(at, p)])
+    return residual
+
+
+def _assert_rows_equal(stacked, alone):
+    for s, one in enumerate(alone):
+        for got, want in zip(stacked, one):
+            assert np.array_equal(got[s], want)
+
+
+def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
+    calls = []
+    starts = np.array([[0.0, 0.0], [-1.2, 1.0]])
+    out = _levenberg_marquardt(_stacked(PROBLEMS, calls), starts, max_iter=6)
+    alone = [_levenberg_marquardt(fn, p0, max_iter=6) for fn, p0 in zip(PROBLEMS, starts)]
+    assert out[4].tolist() == [alone[0][4], 6] and alone[0][4] < 6
+    assert out[3].tolist() == [True, False]
+    _assert_rows_equal(out, alone)
+    # The valley stops at the cap while the linear problem is still refusing
+    # steps; from then on only the linear problem is evaluated, until the
+    # covariance's Jacobian of both (one difference column per parameter).
+    assert calls[-2:] == [[0, 1], [0, 1]]
+    last_with_valley = max(i for i, at in enumerate(calls[:-2]) if 1 in at)
+    assert len(calls) - 2 - last_with_valley > 2
+
+
+def test_a_singular_slice_falls_back_on_its_own():
+    jtj = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 1.0], [1.0, 3.0]]])
+    diag = np.ones((3, 2))
+    g = np.array([[1.0, -2.0], [0.5, 0.5], [-3.0, 0.25]])
+    mu = np.array([1e-3, 0.0, 1e-2])
+    steps = analysis._solve_damped(jtj, diag, g, mu)
+    for s in (0, 2):
+        assert np.array_equal(steps[s], np.linalg.solve(jtj[s] + mu[s] * np.eye(2), -g[s]))
+    assert np.array_equal(steps[1], np.linalg.lstsq(jtj[1], -g[1], rcond=None)[0])
+
+
+def test_a_singular_covariance_slice_takes_the_pseudo_inverse_alone():
+    # the first problem never sees its second parameter, so its J^T J is singular
+    problems = (lambda p: np.array([p[0] - 1.0, p[0] + 1.0, 0.5 * p[0]]),
+                lambda p: np.array([p[0] - 2.0, p[1] + 1.0, p[0] * p[1]]))
+    starts = np.array([[0.3, 5.0], [0.5, 0.5]])
+    out = _levenberg_marquardt(_stacked(problems, []), starts)
+    alone = [_levenberg_marquardt(fn, p0) for fn, p0 in zip(problems, starts)]
+    _assert_rows_equal(out, alone)
+    assert out[1][0][1, 1] == 0.0 and out[1][0][0, 0] > 0.0
+    assert out[0][0][1] == 5.0  # the unseen parameter never moves
+
+
+def test_a_stack_with_a_non_finite_start_is_refused_naming_the_problem():
+    with pytest.raises(analysis.TraceError, match="cannot start") as info:
+        _levenberg_marquardt(lambda p, rows: np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]),
+                             np.zeros((3, 2)))
+    assert info.value.index == 1
+    # a start whose peak sits on a grid point of the second trace only
+    zero_width = {"f0": 0.0, "fwhm": 0.0, "amplitude": 1.0, "baseline": 0.0}
+    off_grid = np.arange(-50.5, 50.0, 1.0)
+    on_grid = np.arange(-50.0, 51.0, 1.0)
+    traces = [SpectrumTrace(g, 1.0 / (1.0 + g**2)) for g in (off_grid, on_grid)]
+    with pytest.raises(analysis.TraceError, match="cannot start") as info:
+        fit_lorentzians(traces, "single", init=zero_width)
+    assert info.value.index == 1
+
+
+def test_a_list_names_the_trace_that_cannot_be_seeded():
+    grid = np.arange(-100.0, 100.0, 2.0)
+    good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    with pytest.raises(analysis.TraceError, match="degenerate") as info:
+        fit_gaussian([good, good, SpectrumTrace(grid, np.ones(grid.size))])
+    assert info.value.index == 2
+    assert fit_lorentzians([], "single") == []

@@ -7,6 +7,11 @@ from g4vspec import dataio
 from g4vspec.cli import run_cli
 
 
+def lorentz(grid, center, fwhm):
+    hw2 = (0.5 * fwhm) ** 2
+    return hw2 / ((grid - center) ** 2 + hw2)
+
+
 def test_aple_prints_value_and_manifold_scalars(capsys):
     assert run_cli(["aple", "117Sn"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -249,6 +254,43 @@ def test_fit_pl_traces_mode(tmp_path):
     centers = sorted(f["params"]["center"] for f in doc["fits"])
     assert centers[0] == pytest.approx(-7.0, abs=1e-3)
     assert centers[1] == pytest.approx(6.0, abs=1e-3)
+
+
+def test_batch_fits_mixed_grid_lengths_as_each_file_alone(tmp_path):
+    paths = []
+    for k, step in enumerate((2.0, 2.5, 2.0, 4.0, 2.5)):
+        grid = np.arange(-300.0, 900.0, step)
+        sig = 0.05 + 1.5 * lorentz(grid, -20.0 + 7.0 * k, 30.0 + 3.0 * k)
+        paths.append(tmp_path / f"e{k}.csv")
+        dataio.write_spectrum_csv(paths[-1], type("T", (), {"freq_mhz": grid, "signal": sig})())
+    assert run_cli(["fit", "--batch", str(tmp_path / "e*.csv"), "--model", "single",
+                    "--out", str(tmp_path / "batch.json")]) == 0
+    batch = json.loads((tmp_path / "batch.json").read_text())
+    assert [entry["label"] for entry in batch] == [p.stem for p in paths]
+    for path, entry in zip(paths, batch):
+        alone = tmp_path / f"{path.stem}.json"
+        assert run_cli(["fit", "--trace", str(path), "--model", "single",
+                        "--out", str(alone)]) == 0
+        assert entry["report"] == json.loads(alone.read_text())
+
+
+@pytest.mark.parametrize("command", ["fit --batch", "fit-pl --traces"])
+def test_a_trace_fit_error_in_a_batch_names_its_file(tmp_path, capsys, command):
+    grid = np.arange(-100.0, 100.0, 2.0)
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    for path, sig in zip(paths, (lorentz(grid, 0.0, 20.0), np.ones(grid.size),
+                                 lorentz(grid, 5.0, 20.0))):
+        dataio.write_spectrum_csv(path, type("T", (), {"freq_mhz": grid, "signal": sig})())
+    out = tmp_path / "r.json"
+    if command == "fit --batch":
+        argv = ["fit", "--batch", str(tmp_path / "*.csv"), "--model", "triplet", "--out", str(out)]
+    else:
+        argv = ["fit-pl", "--traces", *map(str, paths), "--bandwidth", "3",
+                "--kde-out", str(out)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[1]}: trace is degenerate (constant signal), nothing to fit\n")
+    assert not out.exists()
 
 
 def test_synth_batch_stats_pipeline(tmp_path):
@@ -551,6 +593,8 @@ def _non_finite_case(tmp_path, case):
                                   "--out", str(out)],
         "simulate grid step nan": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:1:nan",
                                    "--out", str(out)],
+        "simulate grid too many points": ["simulate", "117Sn", "--fwhm", "30", "--grid",
+                                          "0:1e12:1", "--out", str(out)],
         "stats aple-exp nan": ["stats", "--aple-exp", "73Ge=nan", "--out", str(out)],
         "stats aple-exp inf": ["stats", "--aple-exp", "73Ge=inf", "--out", str(out)],
         "stats aple-exp text": ["stats", "--aple-exp", "73Ge=abc", "--out", str(out)],
@@ -580,6 +624,8 @@ def _non_finite_case(tmp_path, case):
     ("synth jitter-offset nan", "jitter_offset_mhz must be >= 0 and finite, got nan"),
     ("simulate grid max inf", "grid max must be finite, got inf"),
     ("simulate grid step nan", "grid step must be finite, got nan"),
+    ("simulate grid too many points", "grid spec '0:1e12:1' gives 1e+12 points, more than the "
+                                      "10000000 allowed"),
     ("stats aple-exp nan", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=nan'"),
     ("stats aple-exp inf", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=inf'"),
     ("stats aple-exp text", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=abc'"),

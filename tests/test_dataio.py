@@ -45,6 +45,22 @@ def test_parse_grid_errors():
         assert str(info.value) == message
 
 
+def test_parse_grid_refuses_more_points_than_the_cap_before_allocating(monkeypatch):
+    sizes = []
+    # every grid comes from one np.arange; recording its size allocates nothing
+    monkeypatch.setattr(np, "arange", lambda n: sizes.append(n) or np.zeros(1))
+    cap = dataio.MAX_GRID_POINTS
+    for spec, count in (("0:1e12:1", "1e+12"), (f"0:{cap}:1", str(cap + 1)),
+                        ("-5e299:5e299:1", "1e+300")):
+        with pytest.raises(ValueError) as info:
+            dataio.parse_grid(spec)
+        assert str(info.value) == (f"grid spec {spec!r} gives {count} points, more than the "
+                                   f"{cap} allowed")
+    assert sizes == []
+    dataio.parse_grid(f"0:{cap - 1}:1")
+    assert sizes == [cap]
+
+
 @settings(max_examples=200, deadline=None)
 @given(lo=st.floats(-1e4, 1e4), step=st.floats(1e-3, 1e3), steps=st.floats(0.0, 1e4))
 def test_parse_grid_starts_at_min_spaces_by_step_and_ends_within_half_a_step(lo, step, steps):

@@ -86,13 +86,17 @@ def test_kde_writer_bytes(tmp_path, monkeypatch):
 def test_batch_summary_writer_bytes(tmp_path, monkeypatch):
     odd = iter(ODD)
 
-    def fake_fit(trace, model="single", init=None, seed=None):
-        params = {"f_ch1": 0.0, "a_ple": next(odd), "delta": next(odd), "fwhm": next(odd),
-                  "amplitude": 1.0, "baseline": 0.0}
-        if model == "single":
-            params = {"f0": 0.0, "fwhm": params["fwhm"], "amplitude": 1.0, "baseline": 0.0}
-        return FitResult(model=model, params=params, std_errs={k: 0.0 for k in params},
-                         residual_rms=1.0 / 3.0, converged=True, n_iterations=1, seed=seed)
+    def fake_fit(traces, model="single", init=None, seed=None):
+        fits = []
+        for _ in traces:
+            params = {"f_ch1": 0.0, "a_ple": next(odd), "delta": next(odd), "fwhm": next(odd),
+                      "amplitude": 1.0, "baseline": 0.0}
+            if model == "single":
+                params = {"f0": 0.0, "fwhm": params["fwhm"], "amplitude": 1.0, "baseline": 0.0}
+            fits.append(FitResult(model=model, params=params, std_errs={k: 0.0 for k in params},
+                                  residual_rms=1.0 / 3.0, converged=True, n_iterations=1,
+                                  seed=seed))
+        return fits
 
     monkeypatch.setattr(analysis, "fit_lorentzians", fake_fit)
     for name in ("a", "b"):
