@@ -49,7 +49,6 @@ __all__ = [
     "isotope_shift_ratio",
     "chi2_independence",
     "ensemble_stats",
-    "gammq",
 ]
 
 MAX_ITERATIONS = 200
@@ -690,75 +689,32 @@ def isotope_shift_ratio(m_a, m_b, m_c, m_d) -> float:
     return (1.0 / math.sqrt(m_a) - 1.0 / math.sqrt(m_b)) / denom
 
 
-def _gamma_series(a, x):
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(10000):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf(a, x):
-    # Modified Lentz continued fraction for the upper incomplete gamma.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for n in range(1, 10000):
-        an = -n * (n - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gammq(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x); chi-squared survival
-    function is Q(k/2, x/2)."""
-    if a <= 0 or x < 0:
-        raise ValueError("gammq requires a > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
-
-
 def chi2_independence(table) -> dict:
     """Pearson chi-squared independence test of a 2x2 contingency table.
 
     table is ((with_a, without_a), (with_b, without_b)).  No continuity
-    correction; one degree of freedom; the p-value comes from the
-    implemented survival function.
+    correction; one degree of freedom, so p = Q(1/2, chi2/2) = erfc(sqrt(chi2/2))
+    (Abramowitz & Stegun 26.4).  Non-finite counts or chi2 are refused.
     """
-    counts = np.asarray(table, dtype=float)
+    try:
+        counts = np.asarray(table, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"contingency table {table!r} does not convert to floats") from None
     if counts.shape != (2, 2):
         raise ValueError(f"expected a 2x2 table, got shape {counts.shape}")
     if (counts < 0).any():
         raise ValueError("contingency counts must be non-negative")
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    total = counts.sum()
-    if (rows == 0).any() or (cols == 0).any():
-        raise ValueError("contingency table has a zero marginal")
-    expected = np.outer(rows, cols) / total
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return {"chi2": chi2, "p_value": gammq(0.5, chi2 / 2.0), "dof": 1}
+    with np.errstate(all="ignore"):
+        rows = counts.sum(axis=1)
+        cols = counts.sum(axis=0)
+        total = counts.sum()
+        if (rows == 0).any() or (cols == 0).any():
+            raise ValueError("contingency table has a zero marginal")
+        expected = np.outer(rows, cols) / total
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+    if not math.isfinite(chi2):
+        raise ValueError(f"contingency table {table!r} has no finite chi-squared")
+    return {"chi2": chi2, "p_value": math.erfc(math.sqrt(chi2 / 2.0)), "dof": 1}
 
 
 def ensemble_stats(values, bin_width: float) -> EnsembleStats:

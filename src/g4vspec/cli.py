@@ -208,7 +208,7 @@ def _cmd_fit_batch(args) -> int:
     summary = []  # one row per trace
     for path, res in zip(paths, fits):
         label = os.path.splitext(os.path.basename(path))[0]
-        reports.append({"label": label, "report": dataio.validate_fit_report(res.as_report())})
+        reports.append({"label": label, "report": res.as_report()})
         summary.append((label, args.model, abs(res.params.get("a_ple", float("nan"))),
                         res.params.get("delta", float("nan")), res.params["fwhm"],
                         res.residual_rms))
@@ -249,8 +249,7 @@ def _cmd_fit(args) -> int:
         else:
             raise ValueError("--model full needs --trace or --map")
         result = analysis.fit_full_model(data, free, emitter, init=init, seed=args.seed)
-    report = dataio.validate_fit_report(result.as_report())
-    dataio.write_json(args.out, report)
+    dataio.write_json(args.out, result.as_report())
     print(f"wrote {args.out} (converged={result.converged}, "
           f"rms={dataio.fmt(result.residual_rms)})")
     return 0 if result.converged else 2
@@ -278,7 +277,7 @@ def _cmd_fit_pl(args) -> int:
         }
         dataio.write_json(args.out, payload)
     print(f"wrote {args.kde_out} ({len(centers)} centers)")
-    return 0
+    return 0 if all(f.converged for f in fits) else 2
 
 
 def _cmd_stats(args) -> int:

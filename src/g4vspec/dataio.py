@@ -7,9 +7,10 @@ picks one column of a ragged CSV.  `_write_csv` writes every CSV, at 9
 significant digits with '.' decimal separator and LF line endings, so
 repeated runs diff clean.  `_MANIFOLD_KEYS` and `_TOP_KEYS` map
 emitter-file keys to `EmitterModel` fields both ways.  File writes are
-whole-file atomic (temp file + rename).  Emitter files and fit reports
-are checked against the packaged JSON schemas; each schema's validator
-is compiled once per process, on first use, so importing this module
+whole-file atomic (temp file + rename).  Emitter files are checked
+against their packaged JSON schema when read; fit reports are built to
+match theirs, and `validate_fit_report` checks reports from elsewhere.
+Each validator is compiled once, on first use, so importing this module
 does not import jsonschema.
 """
 import contextlib
@@ -18,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -448,6 +450,8 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
                         ("jitter_offset_mhz", jitter_offset_mhz)):
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+    if type(n_emitters) is bool or not isinstance(n_emitters, numbers.Integral) or n_emitters < 1:
+        raise ValueError(f"n_emitters must be an integer >= 1, got {n_emitters!r}")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     base_aple = a_ple(emitter) * a_ple_scale

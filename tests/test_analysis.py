@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g4vspec import analysis
@@ -14,7 +14,6 @@ from g4vspec.analysis import (
     fit_full_model,
     fit_gaussian,
     fit_lorentzians,
-    gammq,
     isotope_shift_ratio,
     kde,
 )
@@ -301,14 +300,68 @@ def test_chi2_zero_marginal_rejected():
         chi2_independence(((0, 0), (5, 5)))
 
 
-def test_gammq_against_mpmath_oracle():
+def _upper_gamma_half(mpmath, chi2):
+    """mpmath's regularized upper incomplete gamma Q(1/2, chi2/2), 60 digits."""
+    with mpmath.workdps(60):
+        return float(mpmath.gammainc(mpmath.mpf(0.5), mpmath.mpf(chi2) / 2, mpmath.inf,
+                                     regularized=True))
+
+
+def test_chi2_p_value_against_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 60
     for x in (1e-3, 0.1, 1.0, 3.84, 10.0, 50.0, 251.4, 700.0, 1300.0):
-        ours = gammq(0.5, x / 2.0)
-        ref = float(mpmath.gammainc(mpmath.mpf(0.5), mpmath.mpf(x) / 2, mpmath.inf,
-                                    regularized=True))
-        assert ours == pytest.approx(ref, rel=1e-10)
+        # every cell expects x and is off by x/2: chi2 = 4 (x/2)^2 / x = x
+        res = chi2_independence(((1.5 * x, 0.5 * x), (0.5 * x, 1.5 * x)))
+        assert res["chi2"] == pytest.approx(x, rel=1e-12)
+        assert res["p_value"] == pytest.approx(_upper_gamma_half(mpmath, res["chi2"]),
+                                               rel=1e-10)
+
+
+def test_chi2_zero_statistic_gives_p_exactly_one():
+    res = chi2_independence(((40, 60), (20, 30)))
+    assert res["chi2"] == 0.0 and res["p_value"] == 1.0
+
+
+def test_chi2_p_value_underflows_to_zero_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = chi2_independence(((1000, 0), (0, 1000)))
+    assert res["chi2"] == pytest.approx(2000.0, rel=1e-12)
+    assert res["p_value"] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+def test_chi2_p_value_is_a_probability_and_matches_mpmath(cells):
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, d = cells
+    assume(min(a + b, c + d, a + c, b + d) > 0)
+    res = chi2_independence(((a, b), (c, d)))
+    assert 0.0 <= res["p_value"] <= 1.0
+    if res["p_value"] > 1e-290:
+        assert res["p_value"] == pytest.approx(_upper_gamma_half(mpmath, res["chi2"]),
+                                               rel=1e-10)
+
+
+@pytest.mark.parametrize("table", [
+    ((math.nan, 1), (1, 1)),
+    ((math.inf, 1), (1, 1)),
+    ((1e200, 1), (1, 1)),
+    ((1e200, 1e200), (1e200, 1e200)),
+    ((3e199, 2e199), (1e199, 4e199)),
+    ((10**400, 1), (1, 1)),
+    (("x", 1), (1, 1)),
+])
+def test_chi2_refuses_a_table_without_a_finite_statistic(table):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            chi2_independence(table)
+    assert str(info.value).startswith(f"contingency table {table!r} ")
 
 
 def test_chi2_p_value_against_direct_integration():

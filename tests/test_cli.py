@@ -348,6 +348,80 @@ def test_fit_exit_code_2_on_non_convergence(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_fit_pl_exit_code_2_when_a_gaussian_fit_does_not_converge(tmp_path, monkeypatch):
+    from g4vspec import analysis as analysis_mod
+    from g4vspec.analysis import FitResult
+
+    def fake_fit(traces):
+        return [FitResult(model="gaussian", params={"center": float(k)},
+                          std_errs={"center": 0.0}, residual_rms=1.0,
+                          converged=k == 0, n_iterations=200 * k, seed=None)
+                for k in range(len(traces))]
+
+    monkeypatch.setattr(analysis_mod, "fit_gaussian", fake_fit)
+    grid = np.arange(-10.0, 10.0, 1.0)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        dataio.write_spectrum_csv(path, dataio.MeasuredTrace(grid, np.exp(-grid**2), ""))
+    kde_out, out = tmp_path / "kde.csv", tmp_path / "pl.json"
+    assert run_cli(["fit-pl", "--traces", *map(str, paths), "--bandwidth", "1",
+                    "--kde-out", str(kde_out), "--out", str(out)]) == 2
+    assert kde_out.read_text().startswith("value,density\n")
+    assert [f["converged"] for f in json.loads(out.read_text())["fits"]] == [True, False]
+
+
+def _reports_written_by(tmp_path, command):
+    """The exit code of one CLI command and every fit report it writes."""
+    grid = np.arange(-400.0, 900.0, 4.0)
+    trace = tmp_path / "trace.csv"
+    out = tmp_path / "out.json"
+    if command == "fit --trace full":
+        from g4vspec import spectrum
+        from g4vspec.hamiltonian import registry_lookup
+
+        table = spectrum.transitions(registry_lookup("117Sn").scaled_hyperfine(1.1))
+        dataio.write_spectrum_csv(trace, spectrum.synth_spectrum(table, 80.0, grid))
+    elif command == "fit-pl --traces":
+        for k in range(2):
+            sig = np.exp(-((grid - 30.0 * k) ** 2) / (2 * 20.0**2))
+            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+    else:
+        for k in range(2):
+            sig = 0.05 + sum(w * lorentz(grid, 8.0 * k + f, 35.0)
+                             for w, f in ((1.0, 0.0), (0.5, 410.0), (0.5, 490.0)))
+            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+        trace = tmp_path / "t0.csv"
+    argv = {
+        "fit --trace single": ["fit", "--trace", str(trace), "--model", "single"],
+        "fit --trace triplet": ["fit", "--trace", str(trace), "--model", "triplet"],
+        "fit --trace full": ["fit", "--trace", str(trace), "--model", "full",
+                             "--emitter", "117Sn"],
+        "fit --map full": ["fit", "--map", str(_small_map(tmp_path)), "--model", "full",
+                           "--emitter", "117Sn"],
+        "fit --batch": ["fit", "--batch", str(tmp_path / "t*.csv"), "--model", "triplet"],
+        "fit-pl --traces": ["fit-pl", "--traces", str(tmp_path / "t0.csv"),
+                            str(tmp_path / "t1.csv"), "--bandwidth", "3",
+                            "--kde-out", str(tmp_path / "kde.csv")],
+    }[command]
+    code = run_cli(argv + ["--out", str(out)])
+    doc = json.loads(out.read_text())
+    if command == "fit --batch":
+        return code, [entry["report"] for entry in doc]
+    if command == "fit-pl --traces":
+        return code, doc["fits"]
+    return code, [doc]
+
+
+@pytest.mark.parametrize("command", ["fit --trace single", "fit --trace triplet",
+                                     "fit --trace full", "fit --map full", "fit --batch",
+                                     "fit-pl --traces"])
+def test_every_fit_report_the_cli_writes_matches_the_schema(tmp_path, command):
+    code, reports = _reports_written_by(tmp_path, command)
+    assert code == 0 and reports
+    for report in reports:
+        assert dataio.validate_fit_report(report) is report
+
+
 def test_fit_full_model_on_map(tmp_path):
     from g4vspec.hamiltonian import registry_lookup
     from g4vspec.spectrum import sweep_field
@@ -541,6 +615,22 @@ def test_bad_init_is_an_error_line_not_a_traceback(tmp_path, capsys, model, init
     assert not out.exists()
 
 
+@pytest.mark.parametrize("digits, reason", [(200, "has no finite chi-squared"),
+                                             (400, "does not convert to floats")])
+def test_stats_counts_without_a_finite_chi2_are_refused(tmp_path, capsys, digits, reason):
+    import warnings
+
+    big = "9" * digits
+    out = tmp_path / "stats.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["stats", "--counts", f"{big},1,1,1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: contingency table (({big}, 1), (1, 1)) {reason}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", ["", "\n \n"])
 def test_fit_of_an_empty_map_names_the_file(tmp_path, capsys, body):
     map_path = tmp_path / "map.csv"
@@ -589,6 +679,8 @@ def _non_finite_case(tmp_path, case):
         "synth jitter-aple negative": synth + ["--fwhm", "30", "--jitter-aple", "-5"],
         "synth jitter-alpha inf": synth + ["--fwhm", "30", "--jitter-alpha", "inf"],
         "synth jitter-offset nan": synth + ["--fwhm", "30", "--jitter-offset", "nan"],
+        "synth n negative": synth + ["--fwhm", "30", "--n", "-3"],
+        "synth n zero": synth + ["--fwhm", "30", "--n", "0"],
         "simulate grid max inf": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:inf:1",
                                   "--out", str(out)],
         "simulate grid step nan": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:1:nan",
@@ -622,6 +714,8 @@ def _non_finite_case(tmp_path, case):
     ("synth jitter-aple negative", "jitter_aple_mhz must be >= 0 and finite, got -5.0"),
     ("synth jitter-alpha inf", "jitter_alpha_ghz must be >= 0 and finite, got inf"),
     ("synth jitter-offset nan", "jitter_offset_mhz must be >= 0 and finite, got nan"),
+    ("synth n negative", "n_emitters must be an integer >= 1, got -3"),
+    ("synth n zero", "n_emitters must be an integer >= 1, got 0"),
     ("simulate grid max inf", "grid max must be finite, got inf"),
     ("simulate grid step nan", "grid step must be finite, got nan"),
     ("simulate grid too many points", "grid spec '0:1e12:1' gives 1e+12 points, more than the "

@@ -453,7 +453,8 @@ def test_metaschema_checked_once_for_many_reports(monkeypatch):
     assert calls == ["Fit report"]
 
 
-def test_importing_the_cli_does_not_import_jsonschema():
+def _run_fresh_python(code):
+    """stdout of code run in a fresh interpreter that imports this g4vspec."""
     import os
     import subprocess
     import sys
@@ -464,11 +465,44 @@ def test_importing_the_cli_does_not_import_jsonschema():
     src = str(Path(g4vspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, g4vspec, g4vspec.cli; print('jsonschema' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    code = "import sys, g4vspec, g4vspec.cli; print('jsonschema' in sys.modules)"
+    assert _run_fresh_python(code).strip() == "False"
+
+
+def test_fits_do_not_import_jsonschema_but_an_emitter_file_does(tmp_path):
+    """Fit reports are written as built; only input (emitter files) is validated."""
+    grid = np.arange(-400.0, 900.0, 4.0)
+    for k in range(2):
+        sig = 0.05 + sum(w / (1.0 + ((grid - c) / 17.5) ** 2)
+                         for w, c in ((1.0, 10.0 * k), (0.5, 420.0), (0.5, 500.0)))
+        dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+    emitter = tmp_path / "e.json"
+    emitter.write_text('{"isotope": "117Sn", "strain_alpha_ghz": 55.0}')
+    runs = [
+        ["fit", "--trace", str(tmp_path / "t0.csv"), "--model", "triplet",
+         "--out", str(tmp_path / "fit.json")],
+        ["fit", "--batch", str(tmp_path / "t*.csv"), "--model", "triplet",
+         "--out", str(tmp_path / "batch.json")],
+        ["simulate", str(emitter), "--fwhm", "30", "--grid", "-100:100:1",
+         "--out", str(tmp_path / "sim.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from g4vspec.cli import run_cli\n"
+        "seen = []\n"
+        f"for argv in {runs!r}:\n"
+        "    assert run_cli(argv) == 0, argv\n"
+        "    seen.append('jsonschema' in sys.modules)\n"
+        "print(*seen)\n"
+    )
+    assert _run_fresh_python(code).splitlines()[-1] == "False False True"
 
 
 # --- synthetic datasets ---
@@ -525,6 +559,17 @@ def test_synth_dataset_refuses_a_bad_jitter_before_writing(tmp_path, name, value
             **{name: value},
         )
     assert str(info.value) == f"{name} must be >= 0 and finite, got {value}"
+    assert not (tmp_path / "d").exists() and not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("n", [0, -3, True, 2.0, "2"])
+def test_synth_dataset_refuses_a_count_below_one_before_writing(tmp_path, n):
+    with pytest.raises(ValueError) as info:
+        dataio.synth_dataset(
+            registry_lookup("117Sn"), tmp_path / "d", n_emitters=n, seed=0, noise_sigma=0.0,
+            fwhm_mhz=30.0, grid=np.arange(-600.0, 600.0, 2.0), truth_path=tmp_path / "t.json",
+        )
+    assert str(info.value) == f"n_emitters must be an integer >= 1, got {n!r}"
     assert not (tmp_path / "d").exists() and not (tmp_path / "t.json").exists()
 
 
