@@ -13,10 +13,10 @@ reported sign.  The closed-form peak models (single Lorentzian, 2:1:1
 triplet, Gaussian) sit in one table with their Jacobians, broadcast over a
 stack of traces, are seeded by one peak search per trace and fitted by one
 `_fit_peaks`, which fits the traces of a list that share a grid length as
-one stack.  The full-model fit is one problem; it has no closed-form
-Jacobian and gets a forward-difference one with 1e-6 relative steps.
-Damping is multiplied by 10 on a rejected step and divided by 10 on
-acceptance.  A fit stops when the relative cost change falls below 1e-10,
+one stack.  The full-model fit is one problem with an analytic Jacobian,
+taken from the eigensystems its residual has already solved (see
+`spectrum._line_slopes`).  Damping is multiplied by 10 on a rejected step
+and divided by 10 on acceptance.  A fit stops when the relative cost change falls below 1e-10,
 when an accepted step is shorter than machine epsilon times |p| (without
 that, a noise-free trace can keep shrinking a residual of 1e-150 until the
 cap), or after 200 iterations.  Only improving steps are ever accepted, a
@@ -30,13 +30,13 @@ by the residual variance at the optimum.
 """
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .hamiltonian import EmitterModel, a_ple
-from .spectrum import SpectrumTrace, _reference_line, _solve_transitions
+from .hamiltonian import EmitterModel, a_ple, term_hyperfine, term_strain
+from .spectrum import SpectrumTrace, _line_slopes, _reference_line, _solve_transitions
 
 __all__ = [
     "FitResult",
@@ -74,6 +74,9 @@ class FitResult:
     converged: bool
     n_iterations: int
     seed: int | None = None
+    # cond(J^T J) of the Jacobian at the optimum, where a fitter reports it
+    # (full-model fits); not part of the report.
+    cond_jtj: float | None = None
 
     def as_report(self) -> dict:
         return {
@@ -412,6 +415,18 @@ def _get_xy(trace):
     return x, y
 
 
+def _median(v):
+    """np.median of a 1-D array, bit for bit, from one partition: NaN if v
+    holds one, else the middle value, or the mean of the two middle values
+    for even n, each summed onto +0.0 as np.mean sums."""
+    n = v.size
+    k = n // 2
+    part = np.partition(v, (k - 1, k, -1) if n % 2 == 0 else (k, -1))
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(0.0 + part[k] if n % 2 else (0.0 + part[k - 1] + part[k]) / 2.0)
+
+
 def _find_peaks(x, y):
     """Local maxima above baseline + 3x the MAD noise estimate, tallest
     first; ties broken toward lower frequency.  ValueError if there is none.
@@ -420,8 +435,8 @@ def _find_peaks(x, y):
     close to an already-accepted taller peak are dropped, so single noise
     spikes on a peak flank do not seed spurious components.
     """
-    baseline = float(np.median(y))
-    noise = 1.4826 * float(np.median(np.abs(y - baseline)))
+    baseline = _median(y)
+    noise = 1.4826 * _median(np.abs(y - baseline))
     threshold = baseline + 3.0 * noise
     width = max(3, min(9, len(y) // 50) | 1)
     kernel = np.full(width, 1.0 / width)
@@ -551,6 +566,27 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None):
 FULL_MODEL_FREE = ("a_ple_scale", "strain_alpha", "fwhm", "amplitude", "freq_offset")
 
 
+def _lorentz_slopes(fwhm):
+    """`kernels._line_sum` profiles of the derivatives of the unit-area
+    Lorentzian of FWHM fwhm (that of `kernels.lorentzian_sum`) along the
+    line centre and along fwhm."""
+    hw = 0.5 * fwhm
+    pref = hw / np.pi
+    hw2 = hw * hw
+
+    def d_center(c, w, g):
+        u = g - c
+        inv = 1.0 / (u * u + hw2)
+        return (2.0 * pref) * w * u * inv * inv
+
+    def d_fwhm(c, w, g):
+        u2 = (g - c) ** 2
+        inv = 1.0 / (u2 + hw2)
+        return (0.5 / np.pi) * w * (u2 - hw2) * inv * inv
+
+    return d_center, d_fwhm
+
+
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
                    seed: int | None = None) -> FitResult:
     """Least-squares fit of the Hamiltonian-model spectrum to data.
@@ -563,10 +599,21 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     single factor (a spectrum near the C line constrains only that
     combination).  The derived a_ple_mhz is included in the report.
 
-    A fit keeps two dicts while it runs: the row tables of each
+    A fit keeps two dicts while it runs: the solved rows of each
     (a_ple_scale, strain_alpha), all rows solved as one stack per manifold,
     and the coupling-free reference lines of each strain_alpha, the only
     fitted parameter they depend on.
+
+    The Jacobian is analytic and solves nothing.  The fwhm, amplitude and
+    freq_offset columns are Lorentzian sums over the current row tables.
+    The a_ple_scale and strain_alpha columns take the eigensystems that the
+    residual at the same point solved: line shifts by Hellmann-Feynman,
+    intensity changes by first-order eigenvector derivatives, and the
+    reference line's strain slope from its bare solve.  Degenerate levels
+    (the J^2-pinned clusters of every B = 0 row) take degenerate
+    perturbation theory: each cluster counts as if rotated into the
+    eigenbasis of the perturbation projected onto it.  The result's
+    cond_jtj is cond(J^T J) at the optimum; the report leaves it out.
     """
     traces = list(data) if isinstance(data, (list, tuple)) else [data]
     if not traces:
@@ -601,33 +648,88 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         defaults.update(init)
 
     y_all = np.concatenate([np.asarray(t.signal, dtype=float) for t in traces])
+    grids = [np.asarray(t.freq_mhz, dtype=float) for t in traces]
 
-    # Only a_ple_scale and strain_alpha change the line tables; the other
-    # parameters (and the Jacobian columns that step them) reuse them.
-    row_tables = {}
+    # What a_ple_scale and strain_alpha, the parameters that change the line
+    # tables, add to the (gnd, exc) Hamiltonians per unit.
+    i = emitter.nuclear_spin
+    d_strain = term_strain(1.0, 0.0, i) if "strain_alpha" in free else None
+    dh = {"a_ple_scale": (term_hyperfine(emitter.gnd, i), term_hyperfine(emitter.exc, i)),
+          "strain_alpha": (d_strain, d_strain)}
+    # The rows solved at each (a_ple_scale, strain_alpha), tables with their
+    # eigensystems, stay only while a Jacobian may still be taken there: at
+    # the key of the last Jacobian and at the last key a residual solved,
+    # which the core may accept next.  Reference lines, and their strain
+    # slope when strain_alpha is free, stay for each strain_alpha.
+    solved = {}
     ref_lines = {}
+    jac_key = jac_last = None
 
-    def tables_at(scale, alpha):
-        key = (float(scale), float(alpha))
-        if key not in row_tables:
-            if key[1] not in ref_lines:
-                ref_lines[key[1]] = _reference_line(emitter, fields, alpha, None)
-            solved = _solve_transitions(emitter.scaled_hyperfine(scale), fields, alpha, None,
-                                        ref_lines[key[1]])
-            row_tables[key] = [table for table, _, _ in solved]
-        return row_tables[key]
-
-    def model_signal(values):
+    def params(values):
         p = dict(defaults)
         p.update(zip(free, values))
+        return p
+
+    def rows_at(p):
+        key = (float(p["a_ple_scale"]), float(p["strain_alpha"]))
+        if key not in solved:
+            alpha = key[1]
+            if alpha not in ref_lines:
+                ref_lines[alpha] = _reference_line(emitter, fields, alpha, None, d_strain)
+            for old in [k for k in solved if k != jac_key]:
+                del solved[old]
+            solved[key] = _solve_transitions(emitter.scaled_hyperfine(key[0]), fields, alpha,
+                                             None, ref_lines[alpha][0])
+        return key, solved[key]
+
+    def model_signal(values):
+        p = params(values)
         out = []
-        for t, table in zip(traces, tables_at(p["a_ple_scale"], p["strain_alpha"])):
-            grid = np.asarray(t.freq_mhz, dtype=float)
+        for grid, (table, _, _) in zip(grids, rows_at(p)[1]):
             sig = kernels.lorentzian_sum(
                 table.freq_mhz + p["freq_offset"], table.intensity, abs(p["fwhm"]), grid
             )
             out.append(p["amplitude"] * sig)
         return np.concatenate(out)
+
+    def jacobian(values):
+        # Every column from the rows the residual at these values solved.
+        nonlocal jac_key, jac_last
+        p = params(values)
+        jac_key, rows = rows_at(p)
+        amplitude, fwhm = p["amplitude"], abs(p["fwhm"])
+        d_center, d_fwhm = _lorentz_slopes(fwhm)
+        d_ref = {"a_ple_scale": 0.0, "strain_alpha": ref_lines[jac_key[1]][1]}
+        moved = [name for name in free if name in dh]
+        slopes = {}
+        if moved:
+            slopes = dict(zip(moved, _line_slopes(rows, [dh[n] + (d_ref[n],) for n in moved])))
+        j = np.empty((y_all.size, len(free)))
+        start = 0
+        for k, (grid, (table, _, _)) in enumerate(zip(grids, rows)):
+            centers = table.freq_mhz + p["freq_offset"]
+            block = j[start:start + grid.size]
+            start += grid.size
+
+            def peaks(weights):
+                return kernels.lorentzian_sum(centers, weights, fwhm, grid)
+
+            def peak_slopes(weights, profile):
+                return kernels._line_sum(centers, weights, grid, profile)
+
+            for col, name in enumerate(free):
+                if name == "amplitude":
+                    block[:, col] = peaks(table.intensity)
+                elif name == "fwhm":
+                    block[:, col] = (amplitude * _sign(p["fwhm"])
+                                     * peak_slopes(table.intensity, d_fwhm))
+                elif name == "freq_offset":
+                    block[:, col] = amplitude * peak_slopes(table.intensity, d_center)
+                else:
+                    d_inten, shift = slopes[name][k]
+                    block[:, col] = amplitude * (peaks(d_inten) + peak_slopes(shift, d_center))
+        jac_last = j
+        return j
 
     if "amplitude" in free and (init is None or "amplitude" not in init):
         # Deterministic scale seed: match the peak of the unit model.
@@ -637,7 +739,9 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
             defaults["amplitude"] = float(y_all.max()) / top
 
     p0 = np.array([defaults[n] for n in free], dtype=float)
-    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed)
+    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed, jac=jacobian)
+    # The core takes its last Jacobian at the optimum, for the covariance.
+    res = replace(res, cond_jtj=float(np.linalg.cond(jac_last.T @ jac_last)))
     scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])
     res.params["a_ple_mhz"] = scale * a_ple(emitter)
     if "a_ple_scale" in res.std_errs:

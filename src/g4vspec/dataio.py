@@ -321,17 +321,29 @@ def _write_csv(path, columns, blocks, formats=None) -> None:
     """One `write_text` of the header `columns` and each block's rows.
 
     A block holds one sequence per column, cut to the shortest, with
-    `itertools.repeat(x)` for a value shared by its rows.  It is formatted
-    by one `%` call, at 9 significant digits unless `formats` maps the
-    column name to another format."""
+    `itertools.repeat(x)` for a value shared by its rows.  Cells are
+    formatted at 9 significant digits unless `formats` maps the column name
+    to another format: a shared value once per block, a sequence that the
+    block before held in the same column (the shared grid of a map) not
+    again, and any other column by one `%` call."""
     formats = formats or {}
-    row = ",".join(formats.get(name, "%.9g") for name in columns) + "\n"
+    specs = [formats.get(name, "%.9g") for name in columns]
     parts = [",".join(columns) + "\n"]
+    before = [(None, None)] * len(columns)  # (sequence, its cells) per column
     for block in blocks:
-        cells = tuple(itertools.chain.from_iterable(
-            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
-        ))
-        parts.append(row * (len(cells) // len(columns)) % cells)
+        cells = []
+        for k, (spec, col) in enumerate(zip(specs, block)):
+            if isinstance(col, itertools.repeat):
+                cells.append(itertools.repeat(spec % next(col)))
+            elif col is before[k][0]:
+                cells.append(before[k][1])
+            else:
+                values = col.tolist() if isinstance(col, np.ndarray) else list(col)
+                cells.append(((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1])
+                before[k] = (col, cells[-1])
+        rows = "\n".join(map(",".join, zip(*cells)))
+        if rows:
+            parts.append(rows + "\n")
     write_text(path, "".join(parts))
 
 

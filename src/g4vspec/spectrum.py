@@ -16,7 +16,9 @@ field axis (`sweep_field`, the rows of a field-map fit) solve each
 manifold and the coupling-free reference once for all points; a caller
 that already holds the reference lines (a fit, whose reference depends
 only on the strain) passes them in.  Every number is bit-identical to a
-one-point solve.
+one-point solve.  `_line_slopes` gives the first-order change of a
+solved stack's lines along a change of the Hamiltonian without solving
+again.
 """
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import EmitterModel, a_parallel, a_perp, build_hamiltonian, jsq_operator
-from .spinops import EigenSystem, eigh
+from .spinops import CLUSTER_TOL, EigenSystem, eigh
 
 __all__ = [
     "TransitionTable",
@@ -123,14 +125,27 @@ def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     return eigh(h, degeneracy_operator=jsq_operator(emitter.nuclear_spin))
 
 
-def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz) -> np.ndarray:
+def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, dh=None):
     """Unperturbed C line at each of the n fields b: mean lower-branch
-    energies of the stripped system."""
+    energies of the stripped system, and the slope of the line along a
+    change dh (d, d) of both manifolds' Hamiltonians (None without dh).
+
+    The slope is the mean of diag(V^H dh V) over each lower branch
+    (Hellmann-Feynman), a trace over the branch and so the same in any
+    basis of its degenerate clusters."""
     bare = emitter.without_couplings()
     bare_g = solve_manifold(bare, "gnd", b, alpha_ghz, beta_ghz)
     bare_e = solve_manifold(bare, "exc", b, alpha_ghz, beta_ghz)
     n_low = lower_branch_size(emitter)
-    return bare_e.values[:, :n_low].mean(axis=1) - bare_g.values[:, :n_low].mean(axis=1)
+    line = bare_e.values[:, :n_low].mean(axis=1) - bare_g.values[:, :n_low].mean(axis=1)
+    if dh is None:
+        return line, None
+
+    def mean_slope(es):
+        v = es.vectors[..., :n_low]
+        return np.einsum("kij,kij->k", v.conj(), dh @ v).real / n_low
+
+    return line, mean_slope(bare_e) - mean_slope(bare_g)
 
 
 def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
@@ -197,7 +212,7 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
     es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
     if e_ref is None:
-        e_ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)
+        e_ref, _ = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)
 
     n_low = lower_branch_size(emitter)
     jop = jsq_operator(emitter.nuclear_spin)
@@ -230,6 +245,66 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
         )
         solved.append((table, g, e))
     return solved
+
+
+def _line_slopes(solved, perturbations):
+    """First-order change of the lines of tables that `_solve_transitions`
+    solved together, along each perturbation (dh_gnd, dh_exc, d_ref): the
+    manifolds' Hamiltonians change by dh_gnd and dh_exc (d, d), and the n
+    reference lines by d_ref, an (n,) array or a number.
+
+    For each perturbation, one (d_intensity, shift_weight) pair per table,
+    aligned with its lines: a spectrum sum_l I_l L(f_l) changes by
+    sum_l d_intensity_l L(f_l) + shift_weight_l L'(f_l), where the shift
+    weight is I_l df_l.  Line shifts follow Hellmann-Feynman, dE =
+    diag(V^H dh V); intensities |O|^2, O = V_exc^H V_gnd, follow the
+    first-order eigenvector derivatives dV = V C with C_mn = (V^H dh V)_mn /
+    (E_n - E_m) between states of different degenerate clusters, so that
+    dO = C_exc^H O + O C_gnd and dI = 2 Re(conj(O) dO) (Nelson 1976).
+    Degenerate clusters (the J^2-pinned ones at B = 0) take degenerate
+    perturbation theory without a rotation: the cluster's block of
+    V^H dh V stands in for diag(dE), which gives the cluster's lines the
+    summed shift weight and intensity change they would have in the
+    eigenbasis of the projected dh.  Only a table's kept lines get
+    weights, so a line sum over them costs what the table's own does.
+    """
+    tables = [table for table, _, _ in solved]
+    n_low = solved[0][1].values.size // 2
+
+    def manifold(k):
+        # The rows' values (n, d) and vectors (n, d, d) of one manifold, and
+        # whether state m and lower-branch state n share a cluster (n, d,
+        # n_low); a cluster starts after each gap above tol, as in `eigh`.
+        values = np.stack([row[k].values for row in solved])
+        cluster = np.cumsum(np.diff(values, axis=-1, prepend=-np.inf) > CLUSTER_TOL, axis=-1)
+        return (values, np.stack([row[k].vectors for row in solved]),
+                cluster[:, :, None] == cluster[:, None, :n_low])
+
+    gnd, exc = manifold(1), manifold(2)
+    overlap = np.swapaxes(exc[1].conj(), -1, -2) @ gnd[1]  # O[k, exc, gnd]
+    low = overlap[:, :n_low, :n_low]
+
+    def mixing(values, vectors, same, dh):
+        # (V^H dh V)[m, n] for every m and each lower-branch n: C off the
+        # clusters, the in-cluster block on them.
+        a = np.swapaxes(vectors.conj(), -1, -2) @ (dh @ vectors[:, :, :n_low])
+        gap = values[:, None, :n_low] - values[:, :, None]
+        c = np.where(same, 0.0, a / np.where(same, 1.0, gap))
+        return c, np.where(same[:, :n_low], a[:, :n_low], 0.0)
+
+    out = []
+    for dh_gnd, dh_exc, d_ref in perturbations:
+        c_g, block_g = mixing(*gnd, dh_gnd)
+        c_e, block_e = mixing(*exc, dh_exc)
+        d_low = (np.swapaxes(c_e.conj(), -1, -2) @ overlap[:, :, :n_low]
+                 + overlap[:, :n_low, :] @ c_g)
+        d_inten = (2.0 / n_low) * (low.conj() * d_low).real
+        shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
+        d_ref = np.broadcast_to(d_ref, len(tables))
+        out.append([(d_inten[k, t.exc_index, t.gnd_index],
+                     shift[k, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
+                    for k, t in enumerate(tables)])
+    return out
 
 
 def merge_lines(table: TransitionTable, tol: float = MERGE_TOL_MHZ):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -468,6 +469,61 @@ def _record_solves(monkeypatch):
     return calls
 
 
+def _full_model_problem(monkeypatch, data, base, init):
+    """The residual, analytic Jacobian and start that fit_full_model, with
+    every parameter of FULL_MODEL_FREE free, hands the LM core."""
+    seen = {}
+    real = analysis._levenberg_marquardt
+
+    def spy(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
+        seen.update(residual=residual_fn, jac=jac, p0=np.array(p0))
+        return real(residual_fn, p0, max_iter, jac=jac)
+
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", spy)
+    fit_full_model(data, analysis.FULL_MODEL_FREE, base, init=init)
+    assert seen["jac"] is not None
+    return seen
+
+
+def _ge_map_with_zero_field_row():
+    base = registry_lookup("73Ge")
+    gen = dataclasses.replace(base.scaled_hyperfine(1.2), strain_alpha_ghz=30.0)
+    theta = math.radians(33.0)
+    traces = sweep_field(gen, (math.sin(theta), 0.0, math.cos(theta)), [0.0, 0.05, 0.1], 40.0,
+                         np.arange(-200.0, 200.0, 4.0))
+    return base, traces, {"a_ple_scale": 1.0, "strain_alpha": 20.0, "fwhm": 50.0,
+                          "freq_offset": 3.0}
+
+
+def _sn_map_with_strain():
+    base, traces = _small_sn_map()
+    return base, traces, {"a_ple_scale": 1.1, "strain_alpha": 45.0, "fwhm": 120.0,
+                          "freq_offset": -5.0}
+
+
+@pytest.mark.parametrize("make_map", [_ge_map_with_zero_field_row, _sn_map_with_strain],
+                         ids=["73Ge-33deg", "117Sn-strain"])
+def test_full_model_jacobian_matches_central_differences(monkeypatch, make_map):
+    """Each analytic column, on each map row, against central differences
+    with steps of 1e-4 relative; the B = 0 row, whose levels form degenerate
+    clusters, included."""
+    base, traces, init = make_map()
+    problem = _full_model_problem(monkeypatch, traces, base, init)
+    p, residual = problem["p0"], problem["residual"]
+    j = problem["jac"](p)
+    rows = np.cumsum([0] + [t.freq_mhz.size for t in traces])
+    for col, name in enumerate(analysis.FULL_MODEL_FREE):
+        h = 1e-4 * max(abs(p[col]), 1.0)
+        up, down = p.copy(), p.copy()
+        up[col] += h
+        down[col] -= h
+        central = (residual(up) - residual(down)) / (2.0 * h)
+        for a, b in zip(rows[:-1], rows[1:]):
+            scale = np.abs(central[a:b]).max()
+            assert scale > 0.0, name
+            assert np.abs(j[a:b, col] - central[a:b]).max() <= 1e-6 * scale, (name, a)
+
+
 def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
     base, traces = _small_sn_map()
     rows = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.02))
@@ -781,6 +837,15 @@ def test_peak_scan_matches_the_loop(levels, shape, seed):
         for c in rng.uniform(0, y.size, 3):
             y += lorentz_peak(x, c, 4.0)
     assert _peaks_or_error(analysis._find_peaks, x, y) == _peaks_or_error(find_peaks_loop, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from((0.0, -0.0, math.nan))),
+                       min_size=1, max_size=40))
+def test_median_is_np_median_bit_for_bit(values):
+    v = np.array(values)
+    got, want = analysis._median(v.copy()), np.median(v)
+    assert (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == want.tobytes()
 
 
 # --- one core over a stack of independent fits ---

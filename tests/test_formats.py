@@ -51,6 +51,23 @@ def test_map_writer_bytes(tmp_path):
     assert path.read_text() == reference_csv("b_tesla,freq_mhz,intensity", rows)
 
 
+def test_map_writer_bytes_with_shared_grids(tmp_path):
+    """Rows that share one grid array (formatted once per map), rows whose
+    equal grids are distinct arrays, a grid that differs from the shared one
+    only by the sign of a zero, and the shared grid again after them."""
+    grid = np.array(ODD)
+    unsigned = np.where(grid == 0.0, 0.0, grid)
+    grids = [grid, grid, grid.copy(), unsigned, grid, INT_FREQS, INT_FREQS]
+    traces = [SpectrumTrace(g, np.array(ODD) * (k - 2), {"b_mag_tesla": 0.005 * k})
+              for k, g in enumerate(grids)]
+    path = tmp_path / "m.csv"
+    dataio.write_map_csv(path, traces)
+    rows = [(fmt(t.meta["b_mag_tesla"]), fmt(f), fmt(s))
+            for t in traces for f, s in zip(t.freq_mhz, t.signal)]
+    assert path.read_text() == reference_csv("b_tesla,freq_mhz,intensity", rows)
+    assert "\n0.005,-0,0\n" in path.read_text() and "\n0.015,0,-0\n" in path.read_text()
+
+
 def test_levels_writer_bytes(tmp_path):
     class Sweep:
         axis = np.array(ODD)

@@ -1,7 +1,8 @@
 """Golden regression: line tables and one field-map fit recorded before the
 operator-caching refactor, and the peak-fit reports recorded before the
 fitters shared one scaffold (tests/data/record_golden_tables.py), must come
-out the same from the current code."""
+out the same from the current code.  The field-map fit was re-recorded when
+its Jacobian became analytic."""
 import importlib.util
 import json
 from pathlib import Path
@@ -59,19 +60,65 @@ def test_field_map_fit_computes_each_table_once(monkeypatch):
     want = GOLDEN["fit"]
     base, data = _recorder().fit_data(want)
     seen = []
+    in_jacobian = []
     real = spectrum.solve_manifold
+    real_core = analysis._levenberg_marquardt
 
     def counted(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
         fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
-        seen.append((emitter, manifold, fields, float(alpha_ghz)))
+        seen.append((emitter, manifold, fields, float(alpha_ghz), bool(in_jacobian)))
         return real(emitter, manifold, b, alpha_ghz, beta_ghz)
 
+    def core(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
+        assert jac is not None  # the full model's Jacobian is analytic
+
+        def flagged(p):
+            in_jacobian.append(True)
+            try:
+                return jac(p)
+            finally:
+                in_jacobian.pop()
+
+        return real_core(residual_fn, p0, max_iter, jac=flagged)
+
     monkeypatch.setattr(spectrum, "solve_manifold", counted)
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", core)
     res = analysis.fit_full_model(data, tuple(want["free"]), base, init=dict(want["init"]))
     assert seen and len(set(seen)) == len(seen)
     assert len({c[2] for c in seen}) == 1  # every solve is the stack of all map rows
+    assert not any(c[4] for c in seen)  # no Jacobian solves anything
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]
+
+
+def test_field_map_fit_reports_the_condition_of_its_normal_matrix(monkeypatch):
+    """cond(J^T J) at the optimum matches a central-difference Jacobian
+    there, and stays out of the report."""
+    from g4vspec import analysis
+
+    want = GOLDEN["fit"]
+    base, data = _recorder().fit_data(want)
+    seen = {}
+    real_core = analysis._levenberg_marquardt
+
+    def core(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
+        seen["residual"] = residual_fn
+        return real_core(residual_fn, p0, max_iter, jac=jac)
+
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", core)
+    res = analysis.fit_full_model(data, tuple(want["free"]), base, init=dict(want["init"]))
+    p = np.array([res.params[name] for name in want["free"]])
+    j = np.empty((sum(t.signal.size for t in data), p.size))
+    for col in range(p.size):
+        h = 1e-4 * max(abs(p[col]), 1.0)
+        up, down = p.copy(), p.copy()
+        up[col] += h
+        down[col] -= h
+        j[:, col] = (seen["residual"](up) - seen["residual"](down)) / (2.0 * h)
+    assert res.cond_jtj == pytest.approx(np.linalg.cond(j.T @ j), rel=1e-6)
+    assert res.cond_jtj > 1.0
+    assert "cond_jtj" not in json.dumps(res.as_report())
+    assert res.as_report() == GOLDEN["peak_fits"]["field_map_fit"]
 
 
 def test_peak_fits_match_golden():

@@ -91,7 +91,7 @@ def test_stacked_tables_equal_one_point_tables(label):
     e = registry_lookup(label, strain_alpha_ghz=25.0)
     fields = [(0.0, 0.0, 0.0), (0.02, 0.0, 0.05), (0.3, 0.1, 0.9)]
     solved = _solve_transitions(e, fields, 40.0, 2.0)
-    with_ref = _solve_transitions(e, fields, 40.0, 2.0, _reference_line(e, fields, 40.0, 2.0))
+    with_ref = _solve_transitions(e, fields, 40.0, 2.0, _reference_line(e, fields, 40.0, 2.0)[0])
     for b, (table, es_g, es_e), (again, _, _) in zip(fields, solved, with_ref):
         one = transitions(e, b, alpha_ghz=40.0, beta_ghz=2.0)
         for t in (table, again):
