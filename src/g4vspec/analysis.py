@@ -664,6 +664,9 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     solved = {}
     ref_lines = {}
     jac_key = jac_last = None
+    # The last residual's unit-amplitude rows and their (table key, fwhm,
+    # freq_offset): the amplitude column of a Jacobian taken there.
+    unit_rows = (None, None)
 
     def params(values):
         p = dict(defaults)
@@ -683,14 +686,14 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         return key, solved[key]
 
     def model_signal(values):
+        nonlocal unit_rows
         p = params(values)
-        out = []
-        for grid, (table, _, _) in zip(grids, rows_at(p)[1]):
-            sig = kernels.lorentzian_sum(
-                table.freq_mhz + p["freq_offset"], table.intensity, abs(p["fwhm"]), grid
-            )
-            out.append(p["amplitude"] * sig)
-        return np.concatenate(out)
+        key, rows = rows_at(p)
+        fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
+        unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
+                for grid, (table, _, _) in zip(grids, rows)]
+        unit_rows = ((key, fwhm, offset), unit)
+        return np.concatenate([p["amplitude"] * sig for sig in unit])
 
     def jacobian(values):
         # Every column from the rows the residual at these values solved.
@@ -698,6 +701,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         p = params(values)
         jac_key, rows = rows_at(p)
         amplitude, fwhm = p["amplitude"], abs(p["fwhm"])
+        unit = unit_rows[1] if unit_rows[0] == (jac_key, fwhm, p["freq_offset"]) else None
         d_center, d_fwhm = _lorentz_slopes(fwhm)
         d_ref = {"a_ple_scale": 0.0, "strain_alpha": ref_lines[jac_key[1]][1]}
         moved = [name for name in free if name in dh]
@@ -719,7 +723,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
 
             for col, name in enumerate(free):
                 if name == "amplitude":
-                    block[:, col] = peaks(table.intensity)
+                    block[:, col] = peaks(table.intensity) if unit is None else unit[k]
                 elif name == "fwhm":
                     block[:, col] = (amplitude * _sign(p["fwhm"])
                                      * peak_slopes(table.intensity, d_fwhm))

@@ -524,6 +524,37 @@ def test_full_model_jacobian_matches_central_differences(monkeypatch, make_map):
             assert np.abs(j[a:b, col] - central[a:b]).max() <= 1e-6 * scale, (name, a)
 
 
+def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(monkeypatch):
+    """At the values of the last residual the amplitude column is that
+    residual's unit-amplitude model, not synthesized again; after a residual
+    at another fwhm it is synthesized anew, with the same bits."""
+    base, traces, init = _ge_map_with_zero_field_row()
+    problem = _full_model_problem(monkeypatch, traces, base, init)
+    p, residual, jac = problem["p0"], problem["residual"], problem["jac"]
+    names = analysis.FULL_MODEL_FREE
+    real = analysis.kernels.lorentzian_sum
+    sums = []
+
+    def counted(*args):
+        sums.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(analysis.kernels, "lorentzian_sum", counted)
+    residual(p)
+    sums.clear()
+    reused = jac(p)
+    # one peak sum per row for each Hamiltonian column, none for amplitude
+    assert len(sums) == 2 * len(traces)
+    elsewhere = p.copy()
+    elsewhere[names.index("fwhm")] *= 1.5
+    elsewhere[names.index("amplitude")] *= 2.0
+    residual(elsewhere)
+    sums.clear()
+    fresh = jac(p)
+    assert len(sums) == 3 * len(traces)
+    assert reused.tobytes() == fresh.tobytes()
+
+
 def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
     base, traces = _small_sn_map()
     rows = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.02))
