@@ -609,7 +609,9 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     The a_ple_scale and strain_alpha columns take the eigensystems that the
     residual at the same point solved: line shifts by Hellmann-Feynman,
     intensity changes by first-order eigenvector derivatives, and the
-    reference line's strain slope from its bare solve.  Degenerate levels
+    reference line's strain slope from its spin-neutral solve.  The
+    amplitude column at the values of the last residual is that residual's
+    unit-amplitude model.  Degenerate levels
     (the J^2-pinned clusters of every B = 0 row) take degenerate
     perturbation theory: each cluster counts as if rotated into the
     eigenbasis of the perturbation projected onto it.  The result's
@@ -653,14 +655,14 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     # What a_ple_scale and strain_alpha, the parameters that change the line
     # tables, add to the (gnd, exc) Hamiltonians per unit.
     i = emitter.nuclear_spin
-    d_strain = term_strain(1.0, 0.0, i) if "strain_alpha" in free else None
+    d_strain = term_strain(1.0, 0.0, i)
     dh = {"a_ple_scale": (term_hyperfine(emitter.gnd, i), term_hyperfine(emitter.exc, i)),
           "strain_alpha": (d_strain, d_strain)}
     # The rows solved at each (a_ple_scale, strain_alpha), tables with their
     # eigensystems, stay only while a Jacobian may still be taken there: at
     # the key of the last Jacobian and at the last key a residual solved,
-    # which the core may accept next.  Reference lines, and their strain
-    # slope when strain_alpha is free, stay for each strain_alpha.
+    # which the core may accept next.  Reference lines and their strain
+    # slopes stay for each strain_alpha.
     solved = {}
     ref_lines = {}
     jac_key = jac_last = None
@@ -678,7 +680,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         if key not in solved:
             alpha = key[1]
             if alpha not in ref_lines:
-                ref_lines[alpha] = _reference_line(emitter, fields, alpha, None, d_strain)
+                ref_lines[alpha] = _reference_line(emitter, fields, alpha, None)
             for old in [k for k in solved if k != jac_key]:
                 del solved[old]
             solved[key] = _solve_transitions(emitter.scaled_hyperfine(key[0]), fields, alpha,

@@ -8,7 +8,8 @@ lower spin-orbit branches (the C line and its hyperfine structure) are
 kept, with equal populations over the lower-branch ground states.
 Frequencies are detunings from the unperturbed C line, defined as the
 same lower-branch transition computed with all hyperfine, quadrupole and
-nuclear-SOC couplings zeroed.
+nuclear-SOC couplings zeroed; it is taken from the spin-neutral (I = 0,
+4x4) copy of that system, whose C line it equals exactly.
 
 `solve_manifold` is the one solver: it takes one point or a stack of n
 fields and/or strains and runs one `eigh` for the stack.  Tables along a
@@ -20,12 +21,13 @@ one-point solve.  `_line_slopes` gives the first-order change of a
 solved stack's lines along a change of the Hamiltonian without solving
 again.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .hamiltonian import EmitterModel, a_parallel, a_perp, build_hamiltonian, jsq_operator
+from .hamiltonian import (EmitterModel, a_parallel, a_perp, build_hamiltonian, jsq_operator,
+                          term_strain)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh
 
 __all__ = [
@@ -125,27 +127,28 @@ def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     return eigh(h, degeneracy_operator=jsq_operator(emitter.nuclear_spin))
 
 
-def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, dh=None):
-    """Unperturbed C line at each of the n fields b: mean lower-branch
-    energies of the stripped system, and the slope of the line along a
-    change dh (d, d) of both manifolds' Hamiltonians (None without dh).
+def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
+    """Unperturbed C line at each of the n fields b, and its slope along
+    strain alpha (MHz per GHz).
 
-    The slope is the mean of diag(V^H dh V) over each lower branch
-    (Hellmann-Feynman), a trace over the branch and so the same in any
-    basis of its degenerate clusters."""
-    bare = emitter.without_couplings()
-    bare_g = solve_manifold(bare, "gnd", b, alpha_ghz, beta_ghz)
-    bare_e = solve_manifold(bare, "exc", b, alpha_ghz, beta_ghz)
-    n_low = lower_branch_size(emitter)
-    line = bare_e.values[:, :n_low].mean(axis=1) - bare_g.values[:, :n_low].mean(axis=1)
-    if dh is None:
-        return line, None
+    The line is the difference of the mean energies of the lowest two
+    levels of the spin-neutral (I = 0, 4x4) copy of the coupling-free
+    emitter.  It equals the lower-branch mean of the coupling-free system
+    of any I: that spectrum is each electronic level plus m_I g_I mu_N |B|,
+    and the m_I shifts sum to zero over a branch.  The slope is the mean of
+    diag(V^H dH/dalpha V) over the same two levels (Hellmann-Feynman), a
+    trace and so the same in any basis of a degenerate pair."""
+    neutral = replace(emitter.without_couplings(), nuclear_spin=0.0)
+    d_strain = term_strain(1.0, 0.0, 0.0)
 
-    def mean_slope(es):
-        v = es.vectors[..., :n_low]
-        return np.einsum("kij,kij->k", v.conj(), dh @ v).real / n_low
+    def mean_and_slope(manifold):
+        es = solve_manifold(neutral, manifold, b, alpha_ghz, beta_ghz)
+        v = es.vectors[..., :2]
+        slope = np.einsum("kij,kij->k", v.conj(), d_strain @ v).real
+        return es.values[:, :2].mean(axis=1), 0.5 * slope
 
-    return line, mean_slope(bare_e) - mean_slope(bare_g)
+    (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slope("gnd"), mean_and_slope("exc")
+    return e_exc - e_gnd, s_exc - s_gnd
 
 
 def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
@@ -212,7 +215,7 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
     es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
     if e_ref is None:
-        e_ref, _ = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)
+        e_ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)[0]
 
     n_low = lower_branch_size(emitter)
     jop = jsq_operator(emitter.nuclear_spin)

@@ -10,6 +10,8 @@ of seeded noisy 119Sn traces, of Gaussian fits of seeded noisy Gaussian
 traces, and the field-map fit's standard errors.
 ``tests/test_golden_tables.py`` recomputes them and compares.  Re-record
 only on purpose: the file pins the numbers that refactors must keep.
+Before it writes, the script prints, for each section, the largest
+absolute and relative change against the file it replaces.
 """
 import dataclasses
 import json
@@ -136,6 +138,60 @@ def tables():
     return out
 
 
+_MISSING = object()
+
+
+def _leaves(doc, path=()):
+    """(path, value) for every number, string, bool and None in doc."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (str(key),))
+    else:
+        yield path, doc
+
+
+def _section(path):
+    # Each top-level entry is a section, except that the peak-fit reports
+    # and the field-map fit's report are two sections of their own.
+    if path[0] == "peak_fits" and len(path) > 2 and path[1] in ("fits", "field_map_fit"):
+        return ".".join(path[:2])
+    return path[0]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def changes(old, new):
+    """One line per section: the largest absolute and relative change of a
+    number from old to new, where each is, and how many other leaves (not
+    numbers, or in one document only) changed."""
+    old_leaves, new_leaves = dict(_leaves(old)), dict(_leaves(new))
+    sections = {}
+    for path in list(new_leaves) + [p for p in old_leaves if p not in new_leaves]:
+        sections.setdefault(_section(path), []).append(path)
+    lines = []
+    for name, paths in sections.items():
+        largest = {"|change|": (0.0, None), "relative": (0.0, None)}
+        other = []
+        for path in paths:
+            a, b = old_leaves.get(path, _MISSING), new_leaves.get(path, _MISSING)
+            if _is_number(a) and _is_number(b):
+                diff = abs(b - a)
+                rel = diff / abs(a) if a else (math.inf if diff else 0.0)
+                for kind, value in (("|change|", diff), ("relative", rel)):
+                    if value > largest[kind][0]:
+                        largest[kind] = (value, ".".join(path))
+            elif a != b:
+                other.append(".".join(path))
+        parts = [f"max {kind} {value:.3g}" + (f" at {where}" if where else "")
+                 for kind, (value, where) in largest.items()]
+        if other:
+            parts.append(f"{len(other)} other leaves changed, the first at {other[0]}")
+        lines.append(f"{name}: " + "; ".join(parts))
+    return lines
+
+
 def main():
     res = run_fit(FIT)
     doc = {
@@ -145,6 +201,10 @@ def main():
         "peak_fits": dict(PEAK_FITS, fits=peak_fit_reports(PEAK_FITS),
                           field_map_fit=res.as_report()),
     }
+    if OUT.exists():
+        print(f"changes against the {OUT.name} this replaces:")
+        for line in changes(json.loads(OUT.read_text(encoding="utf-8")), doc):
+            print("  " + line)
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

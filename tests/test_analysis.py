@@ -453,7 +453,8 @@ def _small_sn_map():
 
 
 def _record_solves(monkeypatch):
-    """Every solve_manifold call as (is_bare, manifold, fields, alpha, beta)."""
+    """Every solve_manifold call as (is_bare, manifold, fields, alpha, beta,
+    matrix size)."""
     import g4vspec.spectrum as spectrum_mod
 
     calls = []
@@ -462,7 +463,7 @@ def _record_solves(monkeypatch):
     def counting(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
         fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
         calls.append((emitter == emitter.without_couplings(), manifold, fields,
-                      alpha_ghz, beta_ghz))
+                      alpha_ghz, beta_ghz, emitter.dim))
         return real(emitter, manifold, b, alpha_ghz, beta_ghz)
 
     monkeypatch.setattr(spectrum_mod, "solve_manifold", counting)
@@ -566,10 +567,19 @@ def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
     tables = [c[1:] for c in calls if not c[0]]
     alphas = {c[2] for c in tables}
     assert len(alphas) > 1
-    # one stacked bare solve per manifold and distinct strain_alpha, covering all rows
-    assert sorted(bare) == sorted((m, rows, a, None) for a in alphas for m in ("gnd", "exc"))
-    assert all(c[1] == rows for c in tables)  # each table solve is one stack of all rows
-    assert len(tables) > len(bare)  # more (a_ple_scale, strain_alpha) tables than references
+    # one stacked bare solve per manifold and distinct strain_alpha, covering
+    # all rows, each of the spin-neutral 4x4 emitter
+    assert sorted(bare) == sorted((m, rows, a, None, 4) for a in alphas for m in ("gnd", "exc"))
+    assert all(c[1] == rows and c[4] == 8 for c in tables)  # one stack of all rows, 8x8
+
+    # With strain_alpha fixed, every a_ple_scale the fit visits shares one
+    # reference pair; it must visit at least two, its start (1.0) and more,
+    # because the map was made at 1.2.
+    calls.clear()
+    res = fit_full_model(traces, ("a_ple_scale", "fwhm"), base, init={"fwhm": 120.0})
+    assert res.converged and res.params["a_ple_scale"] == pytest.approx(1.2, rel=1e-3)
+    assert [c[1:] for c in calls if c[0]] == [(m, rows, 55.0, None, 4) for m in ("gnd", "exc")]
+    assert sum(not c[0] for c in calls) >= 2 * 2  # two manifolds at two a_ple_scale or more
 
 
 def test_full_model_fits_in_a_row_share_no_memo(monkeypatch):

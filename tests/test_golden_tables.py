@@ -2,7 +2,8 @@
 operator-caching refactor, and the peak-fit reports recorded before the
 fitters shared one scaffold (tests/data/record_golden_tables.py), must come
 out the same from the current code.  The field-map fit was re-recorded when
-its Jacobian became analytic."""
+its Jacobian became analytic, and the tables and that fit when the
+coupling-free C line came to be taken from the spin-neutral (4x4) emitter."""
 import importlib.util
 import json
 from pathlib import Path
@@ -119,6 +120,26 @@ def test_field_map_fit_reports_the_condition_of_its_normal_matrix(monkeypatch):
     assert res.cond_jtj > 1.0
     assert "cond_jtj" not in json.dumps(res.as_report())
     assert res.as_report() == GOLDEN["peak_fits"]["field_map_fit"]
+
+
+def test_recorder_reports_the_largest_change_of_each_section():
+    changes = _recorder().changes
+    assert changes(GOLDEN, GOLDEN) == [
+        f"{name}: max |change| 0; max relative 0"
+        for name in ("tables", "fit", "peak_fits", "peak_fits.fits", "peak_fits.field_map_fit")]
+    moved = json.loads(json.dumps(GOLDEN))
+    moved["tables"][3]["freq_mhz"][1] += 0.5
+    moved["fit"]["n_iterations"] += 1
+    moved["peak_fits"]["fits"][0]["converged"] = not moved["peak_fits"]["fits"][0]["converged"]
+    del moved["peak_fits"]["field_map_fit"]["seed"]
+    old = GOLDEN["tables"][3]["freq_mhz"][1]
+    lines = changes(GOLDEN, moved)
+    assert lines[0] == (f"tables: max |change| 0.5 at tables.3.freq_mhz.1; "
+                        f"max relative {0.5 / abs(old):.3g} at tables.3.freq_mhz.1")
+    assert lines[1].startswith("fit: max |change| 1 at fit.n_iterations;")
+    assert lines[3].endswith("; 1 other leaves changed, the first at peak_fits.fits.0.converged")
+    assert lines[4].endswith(
+        "; 1 other leaves changed, the first at peak_fits.field_map_fit.seed")
 
 
 def test_peak_fits_match_golden():

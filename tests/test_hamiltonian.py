@@ -14,6 +14,7 @@ from g4vspec.hamiltonian import (
     build_hamiltonian,
     jsq_operator,
     jt_shifted_params,
+    registry_labels,
     registry_lookup,
     term_hyperfine,
     term_ioc,
@@ -359,6 +360,99 @@ def test_random_emitters_build_hermitian(rng):
         b = tuple(rng.uniform(-0.3, 0.3, size=3))
         for manifold in ("gnd", "exc"):
             assert is_hermitian(build_hamiltonian(e, manifold, b), tol=1e-12)
+
+
+# --- matrix-element oracle ---
+
+def matrix_element_hamiltonian(emitter, manifold, b, alpha_ghz, beta_ghz):
+    """The Hamiltonian written out element by element over the product basis
+    |o, m_S, m_I> (o = +1 for e+, then -1; m = +j ... -j), from the
+    eigenvalues of sz_orb and sz_spin, the ladder elements
+    <m'|J+-|m> = sqrt(j(j+1) - m m') and <o'|sy_orb|o> = -i o' for o' != o;
+    no operator matrix or Kronecker product is used."""
+    p = emitter.manifold(manifold)
+    i = emitter.nuclear_spin
+    bx, by, bz = b
+    mu_e = emitter.g_electron * MU_B_MHZ_PER_T
+    mu_n = emitter.g_nuclear * MU_N_MHZ_PER_T
+    a_par, a_prp = a_parallel(p), a_perp(p)
+    m_i = [i - k for k in range(emitter.nuclear_dim)]
+    basis = [(o, s, m) for o in (1, -1) for s in (0.5, -0.5) for m in m_i]
+
+    def ladder(j, m, m2):
+        return np.sqrt(j * (j + 1.0) - m * m2)
+
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    for row, (o2, s2, m2) in enumerate(basis):
+        for col, (o, s, m) in enumerate(basis):
+            flips = (o2 != o, s2 != s, m2 != m)
+            v = 0.0
+            if flips == (False, False, False):
+                v += 0.5 * p.lambda_soc_ghz * 1000.0 * o * 2.0 * s
+                v += mu_e * bz * s + p.q_orb * MU_B_MHZ_PER_T * bz * o + mu_n * bz * m
+                v += a_par * s * m
+                v += p.quad_q_mhz * (m * m - i * (i + 1.0) / 3.0)
+                v += 0.5 * p.ioc_upsilon_mhz * o * m
+            elif flips == (True, False, False):  # -alpha sx_orb - beta sy_orb
+                v = -alpha_ghz * 1000.0 - beta_ghz * 1000.0 * (-1j * o2)
+            elif flips == (False, True, False):  # (g mu_B / 2)(Bx sx + By sy), S+- = 1
+                v = mu_e * 0.5 * (bx - 1j * by) if s2 > s else mu_e * 0.5 * (bx + 1j * by)
+            elif flips == (False, False, True) and abs(m2 - m) == 1.0:
+                # g_I mu_N (Bx Ix + By Iy) = g_I mu_N (B- I+ + B+ I-) / 2
+                plus = m2 > m
+                v = mu_n * 0.5 * (bx - 1j * by if plus else bx + 1j * by) * ladder(i, m, m2)
+            elif flips == (False, True, True) and s2 - s == m - m2:
+                # A_perp (Sx Ix + Sy Iy) = A_perp (S+ I- + S- I+) / 2
+                v = 0.5 * a_prp * ladder(i, m, m2)
+            h[row, col] = v
+    return h
+
+
+def _assert_matches_oracle(emitter, manifold, b, alpha, beta):
+    got = build_hamiltonian(emitter, manifold, b, alpha, beta)
+    want = matrix_element_hamiltonian(emitter, manifold, b, alpha, beta)
+    # The same sums in another order: a few roundings of the largest element.
+    tol = 8.0 * np.finfo(float).eps * np.abs(want).max()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol, (emitter.isotope, manifold)
+
+
+ORACLE_POINTS = (((0.0, 0.0, 0.0), 0.0, 0.0), ((0.03, -0.12, 0.21), 40.0, 7.0),
+                 ((0.3, 0.1, -0.05), 0.0, 15.0))
+
+
+@pytest.mark.parametrize("spin_neutral", [False, True], ids=["own-I", "I=0"])
+@pytest.mark.parametrize("label", registry_labels())
+def test_registry_hamiltonians_match_the_matrix_element_oracle(label, spin_neutral):
+    emitter = registry_lookup(label)
+    if spin_neutral:  # the copy the coupling-free C line is taken from
+        emitter = dataclasses.replace(emitter.without_couplings(), nuclear_spin=0.0)
+    for manifold in ("gnd", "exc"):
+        for b, alpha, beta in ORACLE_POINTS:
+            _assert_matches_oracle(emitter, manifold, b, alpha, beta)
+
+
+def test_random_hamiltonians_match_the_matrix_element_oracle():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for spin in (0.0, 0.5, 1.0, 1.5, 2.5, 3.5, 4.5):
+        for _ in range(4):
+            def params():
+                return ManifoldParams(
+                    lambda_soc_ghz=float(rng.uniform(10.0, 3000.0)),
+                    q_orb=float(rng.uniform(-0.5, 0.5)),
+                    a_fc_mhz=float(rng.uniform(-1500.0, 1500.0)),
+                    a_dd_mhz=float(rng.uniform(-300.0, 300.0)),
+                    quad_q_mhz=float(rng.uniform(-20.0, 20.0)) if spin > 0.5 else 0.0,
+                    ioc_upsilon_mhz=float(rng.uniform(-50.0, 50.0)))
+
+            emitter = EmitterModel(isotope="rand", nuclear_spin=spin,
+                                   g_nuclear=float(rng.uniform(-2.5, 2.5)),
+                                   gnd=params(), exc=params(),
+                                   g_electron=float(rng.uniform(1.9, 2.1)))
+            b = tuple(float(c) for c in rng.uniform(-0.5, 0.5, 3))
+            alpha, beta = (float(x) for x in rng.uniform(-100.0, 100.0, 2))
+            for manifold in ("gnd", "exc"):
+                _assert_matches_oracle(emitter, manifold, b, alpha, beta)
 
 
 # --- operator cache ---

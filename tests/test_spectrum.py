@@ -5,12 +5,16 @@ from g4vspec.hamiltonian import (
     EmitterModel,
     ManifoldParams,
     a_ple,
+    build_hamiltonian,
     registry_labels,
     registry_lookup,
+    term_strain,
 )
 from g4vspec.spectrum import (
     TransitionTable,
+    _reference_line,
     dipole_operator,
+    lower_branch_size,
     merge_lines,
     solve_manifold,
     sweep_field,
@@ -363,6 +367,44 @@ def test_rotating_the_field_about_z_at_zero_strain_leaves_the_lines_unchanged(la
 def test_zero_hyperfine_puts_every_line_on_the_bare_c_line(label):
     table = transitions(registry_lookup(label).scaled_hyperfine(0.0))
     assert len(table) > 0 and np.all(table.freq_mhz == 0.0)
+
+
+@pytest.mark.parametrize("label", registry_labels())
+def test_spin_neutral_reference_line_equals_the_full_coupling_free_branch_mean(label):
+    """The C line and its strain slope from the I = 0 (4x4) emitter against
+    the lower-branch means of the coupling-free emitter at its own I (up to
+    40x40), at seeded random fields (0-0.3 T, any direction) and strains.
+    The bound is the rounding of both eigensolves: dim eps |H| per level,
+    and per slope dim eps |dH/dalpha| (1 + |H| / branch gap)."""
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, label))))
+    emitter = registry_lookup(label)
+    n = 32
+    direction = rng.normal(size=(n, 3))
+    b = direction / np.linalg.norm(direction, axis=1)[:, None] * rng.uniform(0.0, 0.3, (n, 1))
+    alpha, beta = rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 20.0, n)
+    line, slope = _reference_line(emitter, b, alpha, beta)
+
+    bare = emitter.without_couplings()
+    n_low = lower_branch_size(emitter)
+    d_strain = term_strain(1.0, 0.0, emitter.nuclear_spin)
+    eps = np.finfo(float).eps
+    want_line = want_slope = line_bound = slope_bound = 0.0
+    for sign, manifold in ((-1.0, "gnd"), (1.0, "exc")):
+        es = solve_manifold(bare, manifold, b, alpha, beta)
+        v = es.vectors[..., :n_low]
+        want_line = want_line + sign * es.values[:, :n_low].mean(axis=1)
+        want_slope = want_slope + sign * np.einsum(
+            "kij,kij->k", v.conj(), d_strain @ v).real / n_low
+        norm = np.linalg.norm(build_hamiltonian(bare, manifold, b, alpha, beta), 2, axis=(1, 2))
+        gap = es.values[:, n_low] - es.values[:, n_low - 1]
+        dims = emitter.dim + 4  # the full solve and the spin-neutral one
+        line_bound = line_bound + dims * eps * norm
+        slope_bound = slope_bound + dims * eps * np.linalg.norm(d_strain, 2) * (1.0 + norm / gap)
+    assert np.all(np.abs(line - want_line) <= line_bound)
+    assert np.all(np.abs(slope - want_slope) <= slope_bound)
+    if emitter.nuclear_spin == 0.0:  # the same 4x4 system, solved the same way
+        assert line.tobytes() == want_line.tobytes()
+        assert slope.tobytes() == want_slope.tobytes()
 
 
 def test_a_ple_consistency_at_zero_field():
