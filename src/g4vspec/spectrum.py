@@ -8,8 +8,8 @@ lower spin-orbit branches (the C line and its hyperfine structure) are
 kept, with equal populations over the lower-branch ground states.
 Frequencies are detunings from the unperturbed C line, defined as the
 same lower-branch transition computed with all hyperfine, quadrupole and
-nuclear-SOC couplings zeroed; it is taken from the spin-neutral (I = 0,
-4x4) copy of that system, whose C line it equals exactly.
+nuclear-SOC couplings zeroed.  It is taken from the spin-neutral (I = 0,
+4x4) copy of that system, which has exactly the same C line.
 
 `solve_manifold` is the one solver: it takes one point or a stack of n
 fields and/or strains and runs one `eigh` for the stack.  Tables along a
