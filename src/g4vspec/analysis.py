@@ -54,7 +54,6 @@ __all__ = [
 MAX_ITERATIONS = 200
 COST_TOL = 1e-10
 STEP_TOL = float(np.finfo(float).eps)
-JACOBIAN_STEP = 1e-6
 STACK_POINTS = 1 << 14  # grid points of the traces in one stacked peak fit, at most
 KDE_GRID_POINTS = 512
 # Reported sign of each parameter that the models use only through |.|.
@@ -148,11 +147,11 @@ def _solve_damped(jtj, diag, g, mu):
     return _per_slice(np.linalg.solve, _lstsq, a, -g[..., None])[..., 0]
 
 
-def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
+def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, *, jac):
     """Minimize sum(residual^2) of one problem or of k independent ones.
 
     With p0 of shape (n,), residual_fn(p) returns the (m,) residual and
-    jac(p), when given, its (m, n) Jacobian; the result is (p, cov, rms,
+    jac(p) its (m, n) Jacobian; the result is (p, cov, rms,
     converged, iters).  With p0 of shape (k, n), residual_fn(P, rows) and
     jac(P, rows) get the parameters of the problems at positions rows
     (anything that indexes a first axis) and return (k', m) and (k', m, n);
@@ -160,8 +159,7 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
     come back stacked.  Each problem keeps its own damping, acceptance,
     convergence and iteration count, and every product is taken per slice,
     so a problem's result does not depend on the stack it is solved in.
-    Without jac each Jacobian takes one forward-difference residual call
-    per parameter.  A start whose residual is not finite is refused with a
+    A start whose residual is not finite is refused with a
     TraceError naming the first such problem.
     """
     p = np.array(p0, dtype=float)
@@ -169,7 +167,7 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
     if single:  # one problem is a stack of one
         p, fn, fn_jac = p[None], residual_fn, jac
         residual_fn = lambda q, rows: fn(q[0])[None]
-        jac = None if fn_jac is None else (lambda q, rows: fn_jac(q[0])[None])
+        jac = lambda q, rows: fn_jac(q[0])[None]
     k, n_par = p.shape
     everything = slice(None)
     with np.errstate(all="ignore"):  # a non-finite start is refused just below
@@ -180,20 +178,9 @@ def _levenberg_marquardt(residual_fn, p0, max_iter=MAX_ITERATIONS, jac=None):
                                                  "initial parameters is not finite")
     m = r.shape[1]
 
-    def jacobian(p, r, rows):
-        if jac is not None:
-            return jac(p, rows)
-        j = np.empty(r.shape + (n_par,))
-        for c in range(n_par):
-            step = JACOBIAN_STEP * np.maximum(np.abs(p[:, c]), 1.0)
-            q = p.copy()
-            q[:, c] += step
-            j[..., c] = (residual_fn(q, rows) - r) / step[:, None]
-        return j
-
     def normal_equations(p, r, rows):
         # J^T r and J^T J at p; the Jacobian itself is not kept.
-        j = jacobian(p, r, rows)
+        j = jac(p, rows)
         jt = j.transpose(0, 2, 1)
         return (jt @ r[:, :, None])[..., 0], jt @ j
 
@@ -271,7 +258,7 @@ def _report(model, names, seed, p, cov, rms, converged, iters) -> FitResult:
                      converged=bool(converged), n_iterations=int(iters), seed=seed)
 
 
-def _fit(model, names, residual, p0, seed, jac=None):
+def _fit(model, names, residual, p0, seed, jac):
     """Minimize residual from p0, one problem (n,) or a stack (k, n), and
     report the named parameters, their 1-sigma errors and the reported sign
     of each |.| parameter: one FitResult, or a list of k."""
@@ -321,7 +308,7 @@ def _lorentz_terms(f, centers, fwhm):
 
 
 def _sign(v):
-    # d|v|/dv, taken as +1 at 0 like the forward-difference step
+    # d|v|/dv, taken as +1 at 0, the side a forward step from 0 sees
     return np.where(v >= 0, 1.0, -1.0)
 
 

@@ -418,26 +418,30 @@ def test_ensemble_validation():
 
 # --- optimizer corner cases ---
 
-def test_lm_flags_non_convergence_at_iteration_cap():
-    def residual(p):
-        # narrow curved valley; one iteration is never enough from here
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+def _valley(p):
+    # Rosenbrock's narrow curved valley, minimum at (1, 1)
+    return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
+
+def _valley_jac(p):
+    return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+
+def test_lm_flags_non_convergence_at_iteration_cap():
+    # one iteration is never enough from here
     p, cov, rms, converged, iters = _levenberg_marquardt(
-        residual, np.array([-1.2, 1.0]), max_iter=1
+        _valley, np.array([-1.2, 1.0]), max_iter=1, jac=_valley_jac
     )
     assert not converged
     assert iters == 1
     # best-so-far is still an improvement over the start
-    start = residual(np.array([-1.2, 1.0]))
+    start = _valley(np.array([-1.2, 1.0]))
     assert rms <= math.sqrt(float(start @ start) / start.size)
 
 
 def test_lm_solves_curved_valley():
-    def residual(p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
-
-    p, cov, rms, converged, iters = _levenberg_marquardt(residual, np.array([-1.2, 1.0]))
+    p, cov, rms, converged, iters = _levenberg_marquardt(_valley, np.array([-1.2, 1.0]),
+                                                         jac=_valley_jac)
     assert converged
     assert np.allclose(p, [1.0, 1.0], atol=1e-6)
 
@@ -694,12 +698,16 @@ def peak_params(draw):
     return model, np.array(p)
 
 
+# Relative step of the forward differences the closed forms are checked against.
+DIFFERENCE_STEP = 1e-6
+
+
 def forward_difference(fn, p, f):
-    """The Jacobian the LM core takes when it is given none."""
+    """Forward-difference Jacobian of fn at p, one step per parameter."""
     r = fn(p, f)
     j = np.empty((f.size, p.size))
     for k in range(p.size):
-        step = analysis.JACOBIAN_STEP * max(abs(p[k]), 1.0)
+        step = DIFFERENCE_STEP * max(abs(p[k]), 1.0)
         q = p.copy()
         q[k] += step
         j[:, k] = (fn(q, f) - r) / step
@@ -715,7 +723,7 @@ def test_peak_jacobians_match_forward_differences(case):
     analytic = jac(p, JAC_GRID)
     numeric = forward_difference(fn, p, JAC_GRID)
     assert analytic.shape == numeric.shape
-    step = analysis.JACOBIAN_STEP * np.maximum(np.abs(p), 1.0)
+    step = DIFFERENCE_STEP * np.maximum(np.abs(p), 1.0)
     # Forward-difference error: truncation h/2 |f''| with |f''| <= 16 |A| / w^2
     # (8/w^2 per unit Lorentzian, total weight 2 in the 2:1:1 sum), rounding
     # of the model (|f| <= 2|A| + |B|) over h, and the rounding of the step.
@@ -747,18 +755,6 @@ def test_closed_form_fit_calls_its_model_once_per_trial(monkeypatch, model):
     assert res.converged and trials[0] >= res.n_iterations
     # the start, then one call per damped trial step: no difference columns
     assert model_calls[0] == 1 + trials[0]
-
-
-def test_a_residual_without_jacobian_gets_difference_columns(monkeypatch):
-    calls, trials = [0], [0]
-    monkeypatch.setattr(analysis, "_solve_damped", _count_calls(analysis._solve_damped, trials))
-    grid = np.arange(-300.0, 300.5, 2.0)
-    y = 0.2 + 3.0 * lorentz_peak(grid, 12.0, 40.0)
-    residual = _count_calls(lambda p: analysis._model_single(p, grid) - y, calls)
-    _levenberg_marquardt(residual, np.array([10.0, 30.0, 2.5, 0.1]))
-    columns = calls[0] - 1 - trials[0]
-    # one call per parameter for every Jacobian, the start's and the covariance's at least
-    assert columns >= 2 * 4 and columns % 4 == 0
 
 
 # --- LM recovers the truth on noise-free peak traces ---
@@ -943,18 +939,24 @@ def test_a_list_fits_each_trace_as_it_fits_alone(case):
             assert str(info.value) == alone[info.value.index]
 
 
+# (residual, Jacobian) of toy problems
 PROBLEMS = (
-    lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]),  # linear: converges under the cap
-    lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),  # curved valley
+    (lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]),  # linear: converges under the cap
+     lambda p: np.array([[1.0, 0.0], [0.0, 2.0]])),
+    (_valley, _valley_jac),
 )
 
 
 def _stacked(problems, calls):
-    def residual(p, rows):
-        at = np.arange(len(problems))[rows].tolist()
-        calls.append(at)
-        return np.array([problems[i](q) for i, q in zip(at, p)])
-    return residual
+    """The residual and Jacobian of a stack of problems; each call is
+    recorded in calls as ("residual" or "jac", positions)."""
+    def stacked(kind, k):
+        def fn(p, rows):
+            at = np.arange(len(problems))[rows].tolist()
+            calls.append((kind, at))
+            return np.array([problems[i][k](q) for i, q in zip(at, p)])
+        return fn
+    return stacked("residual", 0), stacked("jac", 1)
 
 
 def _assert_rows_equal(stacked, alone):
@@ -966,17 +968,19 @@ def _assert_rows_equal(stacked, alone):
 def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
     calls = []
     starts = np.array([[0.0, 0.0], [-1.2, 1.0]])
-    out = _levenberg_marquardt(_stacked(PROBLEMS, calls), starts, max_iter=6)
-    alone = [_levenberg_marquardt(fn, p0, max_iter=6) for fn, p0 in zip(PROBLEMS, starts)]
+    residual, jac = _stacked(PROBLEMS, calls)
+    out = _levenberg_marquardt(residual, starts, max_iter=6, jac=jac)
+    alone = [_levenberg_marquardt(fn, p0, max_iter=6, jac=fn_jac)
+             for (fn, fn_jac), p0 in zip(PROBLEMS, starts)]
     assert out[4].tolist() == [alone[0][4], 6] and alone[0][4] < 6
     assert out[3].tolist() == [True, False]
     _assert_rows_equal(out, alone)
     # The valley stops at the cap while the linear problem is still refusing
     # steps; from then on only the linear problem is evaluated, until the
-    # covariance's Jacobian of both (one difference column per parameter).
-    assert calls[-2:] == [[0, 1], [0, 1]]
-    last_with_valley = max(i for i, at in enumerate(calls[:-2]) if 1 in at)
-    assert len(calls) - 2 - last_with_valley > 2
+    # covariance's Jacobian of both.
+    assert calls[-1] == ("jac", [0, 1])
+    last_with_valley = max(i for i, (_, at) in enumerate(calls[:-1]) if 1 in at)
+    assert len(calls) - 1 - last_with_valley > 2
 
 
 def test_a_singular_slice_falls_back_on_its_own():
@@ -992,11 +996,14 @@ def test_a_singular_slice_falls_back_on_its_own():
 
 def test_a_singular_covariance_slice_takes_the_pseudo_inverse_alone():
     # the first problem never sees its second parameter, so its J^T J is singular
-    problems = (lambda p: np.array([p[0] - 1.0, p[0] + 1.0, 0.5 * p[0]]),
-                lambda p: np.array([p[0] - 2.0, p[1] + 1.0, p[0] * p[1]]))
+    problems = ((lambda p: np.array([p[0] - 1.0, p[0] + 1.0, 0.5 * p[0]]),
+                 lambda p: np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]])),
+                (lambda p: np.array([p[0] - 2.0, p[1] + 1.0, p[0] * p[1]]),
+                 lambda p: np.array([[1.0, 0.0], [0.0, 1.0], [p[1], p[0]]])))
     starts = np.array([[0.3, 5.0], [0.5, 0.5]])
-    out = _levenberg_marquardt(_stacked(problems, []), starts)
-    alone = [_levenberg_marquardt(fn, p0) for fn, p0 in zip(problems, starts)]
+    residual, jac = _stacked(problems, [])
+    out = _levenberg_marquardt(residual, starts, jac=jac)
+    alone = [_levenberg_marquardt(fn, p0, jac=fn_jac) for (fn, fn_jac), p0 in zip(problems, starts)]
     _assert_rows_equal(out, alone)
     assert out[1][0][1, 1] == 0.0 and out[1][0][0, 0] > 0.0
     assert out[0][0][1] == 5.0  # the unseen parameter never moves
@@ -1005,7 +1012,7 @@ def test_a_singular_covariance_slice_takes_the_pseudo_inverse_alone():
 def test_a_stack_with_a_non_finite_start_is_refused_naming_the_problem():
     with pytest.raises(analysis.TraceError, match="cannot start") as info:
         _levenberg_marquardt(lambda p, rows: np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]),
-                             np.zeros((3, 2)))
+                             np.zeros((3, 2)), jac=lambda p, rows: np.eye(2)[None].repeat(3, 0))
     assert info.value.index == 1
     # a start whose peak sits on a grid point of the second trace only
     zero_width = {"f0": 0.0, "fwhm": 0.0, "amplitude": 1.0, "baseline": 0.0}
