@@ -119,7 +119,9 @@ def parse_grid(spec: str) -> np.ndarray:
 
 def parse_field(spec: str):
     """Field vector in Tesla from 'bz' or 'bx,by,bz'."""
-    parts = [p for p in spec.split(",") if p != ""]
+    parts = spec.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"field spec {spec!r} has an empty component")
     try:
         vals = [float(p) for p in parts]
     except ValueError as exc:

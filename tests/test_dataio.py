@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from importlib import resources
 
@@ -79,6 +80,12 @@ def test_parse_field():
         dataio.parse_field("1,2")
     with pytest.raises(ValueError):
         dataio.parse_field("x")
+
+
+@pytest.mark.parametrize("spec", ["0.1,,0.2,0.3", ",0.1", "0.1,", "0.1,0, ", "", ",,"])
+def test_parse_field_refuses_an_empty_component(spec):
+    with pytest.raises(ValueError, match=re.escape(f"field spec {spec!r} has an empty component")):
+        dataio.parse_field(spec)
 
 
 def test_parse_direction_returns_the_unit_vector():
