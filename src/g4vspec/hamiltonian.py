@@ -23,6 +23,13 @@ array, so callers may modify their results freely.
 An (n, 3) field and/or n strains give an (n, d, d) stack whose slices
 equal their one-point builds bit for bit: each term is the same
 elementwise expression, broadcast over a leading axis.
+
+Dtype rule: the public builders return complex128.  In the product basis
+every operator is real except sy_orb, S_y and I_y, which enter only
+through beta and B_y.  A point with B_y = 0 and beta = 0 is therefore a
+real symmetric matrix, and the solver builds it with `_build_real`: the
+same terms in the same order from float64 copies of the real operators,
+which equal the real part of build_hamiltonian bit for bit.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -223,19 +230,83 @@ def _operators(i) -> _Operators:
     return ops
 
 
+# The operators of _Operators with an imaginary matrix, the others being real.
+_IMAGINARY = ("strain_y", "s_y", "i_y")
+
+
+@lru_cache(maxsize=None)
+def _real_operators(i) -> _Operators:
+    """Float64 copies of the real operators of _operators(i), read-only;
+    the imaginary ones, which only beta and B_y multiply, are None."""
+    ops = {name: None if name in _IMAGINARY else np.ascontiguousarray(m.real)
+           for name, m in vars(_operators(i)).items()}
+    for m in ops.values():
+        if m is not None:
+            m.flags.writeable = False
+    return _Operators(**ops)
+
+
+# Each term from an operator set: _operators(i), or _real_operators(i),
+# without whose imaginary operators the beta and B_y parts drop out.
+
+def _soc(params, ops):
+    return 0.5 * params.lambda_soc_ghz * GHZ * ops.soc
+
+
+def _strain(alpha_ghz, beta_ghz, ops):
+    alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
+    beta_ghz = _per_point("strain beta_ghz", beta_ghz)
+    if ops.strain_y is None:
+        return -alpha_ghz * GHZ * ops.strain_x
+    return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
+
+
+def _zeeman(emitter, manifold, b, ops):
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != 3:
+        raise ValueError(f"magnetic field needs 3 components per point, got shape {b.shape}")
+    bx, by, bz = (_per_point("magnetic field component", c) for c in b.T)
+    params = emitter.manifold(manifold)
+    real = ops.s_y is None
+
+    ge_mub = emitter.g_electron * MU_B_MHZ_PER_T
+    if real:
+        h = 0.5 * ge_mub * (bx * ops.s_x + bz * ops.s_z)
+    else:
+        h = 0.5 * ge_mub * (bx * ops.s_x + by * ops.s_y + bz * ops.s_z)
+    h += params.q_orb * MU_B_MHZ_PER_T * bz * ops.l_z
+    gi_mun = emitter.g_nuclear * MU_N_MHZ_PER_T
+    if real:
+        h += gi_mun * (bx * ops.i_x + bz * ops.i_z)
+    else:
+        h += gi_mun * (bx * ops.i_x + by * ops.i_y + bz * ops.i_z)
+    return h
+
+
+def _hyperfine(params, ops):
+    h = a_perp(params) * ops.hf_perp
+    h += a_parallel(params) * ops.hf_par
+    return h
+
+
+def _quadrupole(params, ops):
+    return params.quad_q_mhz * ops.quad
+
+
+def _ioc(params, ops):
+    return 0.5 * params.ioc_upsilon_mhz * ops.ioc
+
+
 def term_soc(params: ManifoldParams, i) -> np.ndarray:
     """Spin-orbit term (lambda/2) sz_orb sz_spin, MHz."""
-    return 0.5 * params.lambda_soc_ghz * GHZ * _operators(i).soc
+    return _soc(params, _operators(i))
 
 
 def term_strain(alpha_ghz, beta_ghz, i) -> np.ndarray:
     """Transverse-strain term -alpha sx_orb - beta sy_orb, inputs GHz.
 
     Each of alpha and beta is one value or a stack of n."""
-    alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
-    beta_ghz = _per_point("strain beta_ghz", beta_ghz)
-    ops = _operators(i)
-    return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
+    return _strain(alpha_ghz, beta_ghz, _operators(i))
 
 
 def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
@@ -243,37 +314,35 @@ def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
 
     b is the magnetic field vector in Tesla, or an (n, 3) stack of them.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[-1] != 3:
-        raise ValueError(f"magnetic field needs 3 components per point, got shape {b.shape}")
-    bx, by, bz = (_per_point("magnetic field component", c) for c in b.T)
-    params = emitter.manifold(manifold)
-    ops = _operators(emitter.nuclear_spin)
-
-    ge_mub = emitter.g_electron * MU_B_MHZ_PER_T
-    h = 0.5 * ge_mub * (bx * ops.s_x + by * ops.s_y + bz * ops.s_z)
-    h += params.q_orb * MU_B_MHZ_PER_T * bz * ops.l_z
-    gi_mun = emitter.g_nuclear * MU_N_MHZ_PER_T
-    h += gi_mun * (bx * ops.i_x + by * ops.i_y + bz * ops.i_z)
-    return h
+    return _zeeman(emitter, manifold, b, _operators(emitter.nuclear_spin))
 
 
 def term_hyperfine(params: ManifoldParams, i) -> np.ndarray:
     """A_perp (Sx Ix + Sy Iy) + A_par Sz Iz on spin (x) nucleus, MHz."""
-    ops = _operators(i)
-    h = a_perp(params) * ops.hf_perp
-    h += a_parallel(params) * ops.hf_par
-    return h
+    return _hyperfine(params, _operators(i))
 
 
 def term_quadrupole(params: ManifoldParams, i) -> np.ndarray:
     """Axial quadrupole term Q (Iz^2 - I(I+1)/3), traceless, zero for I <= 1/2."""
-    return params.quad_q_mhz * _operators(i).quad
+    return _quadrupole(params, _operators(i))
 
 
 def term_ioc(params: ManifoldParams, i) -> np.ndarray:
     """Nuclear spin-orbit term (upsilon/2) sz_orb Iz, MHz."""
-    return 0.5 * params.ioc_upsilon_mhz * _operators(i).ioc
+    return _ioc(params, _operators(i))
+
+
+def _build(emitter, manifold, b, alpha_ghz, beta_ghz, ops):
+    params = emitter.manifold(manifold)
+    alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
+    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
+    h = _soc(params, ops)
+    h = h + _strain(alpha, beta, ops)
+    h = h + _zeeman(emitter, manifold, b, ops)
+    h = h + _hyperfine(params, ops)
+    h = h + _quadrupole(params, ops)
+    h = h + _ioc(params, ops)
+    return h
 
 
 def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
@@ -283,18 +352,16 @@ def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
 
     Strain defaults to the emitter's shared alpha/beta and can be
     overridden per call.  An (n, 3) field and/or n strains give (n, d, d).
+    The result is complex128.
     """
-    params = emitter.manifold(manifold)
-    i = emitter.nuclear_spin
-    alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
-    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    h = term_soc(params, i)
-    h = h + term_strain(alpha, beta, i)
-    h = h + term_zeeman(emitter, manifold, b)
-    h = h + term_hyperfine(params, i)
-    h = h + term_quadrupole(params, i)
-    h = h + term_ioc(params, i)
-    return h
+    return _build(emitter, manifold, b, alpha_ghz, beta_ghz, _operators(emitter.nuclear_spin))
+
+
+def _build_real(emitter: EmitterModel, manifold: str, b, alpha_ghz) -> np.ndarray:
+    """build_hamiltonian at points with B_y = 0 and beta = 0, in float64.
+
+    The caller guarantees both zeros: B_y and beta are not read."""
+    return _build(emitter, manifold, b, alpha_ghz, 0.0, _real_operators(emitter.nuclear_spin))
 
 
 def a_parallel(params: ManifoldParams) -> float:

@@ -12,22 +12,31 @@ nuclear-SOC couplings zeroed.  It is taken from the spin-neutral (I = 0,
 4x4) copy of that system, which has exactly the same C line.
 
 `solve_manifold` is the one solver: it takes one point or a stack of n
-fields and/or strains and runs one `eigh` for the stack.  Tables along a
-field axis (`sweep_field`, the rows of a field-map fit) solve each
-manifold and the coupling-free reference once for all points; a caller
-that already holds the reference lines (a fit, whose reference depends
-only on the strain) passes them in.  Every number is bit-identical to a
-one-point solve.  `_line_slopes` gives the first-order change of a
-solved stack's lines along a change of the Hamiltonian without solving
-again.
+fields and/or strains and runs one `eigh` per kind of point in the stack.
+Tables along a field axis (`sweep_field`, the rows of a field-map fit)
+solve each manifold and the coupling-free reference once for all points
+of a kind; a caller that already holds the reference lines (a fit, whose
+reference depends only on the strain) passes them in.  Every number is
+bit-identical to a one-point solve.  `_line_slopes` gives the first-order
+change of a solved stack's lines along a change of the Hamiltonian
+without solving again.
+
+Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
+Hamiltonian is real in the product basis (see `hamiltonian`).  Real
+points are built and diagonalized in float64, and the tables, J^2 labels,
+reference lines and line slopes of real points are computed in float64
+from there; every other point is solved in complex128.  A stack with
+both kinds solves each kind as one stack.  `solve_manifold` itself
+returns complex128 for every point, the real ones cast exactly; the
+table path takes their float64 vectors back out of that cast.
 """
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, a_parallel, a_perp, build_hamiltonian, jsq_operator,
-                          term_strain)
+from .hamiltonian import (EmitterModel, _build_real, _real_operators, a_parallel, a_perp,
+                          build_hamiltonian, jsq_operator, term_strain)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh
 
 __all__ = [
@@ -117,14 +126,75 @@ def dipole_operator(i) -> np.ndarray:
     return np.eye(4 * dim_n, dtype=complex)
 
 
+def _real_points(b, beta):
+    """Whether the point of field b (3,) and strain beta, or each point of
+    a stack ((n, 3) fields and/or n betas), is real: B_y = 0 and beta = 0.
+    A malformed field counts as complex; its build refuses it."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != 3:
+        return np.bool_(False)
+    return (b[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
+
+
+def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
+    """The real and the complex points of one point or a stack, real
+    first: (rows, real, b, alpha, beta) for each kind that occurs, with the
+    per-point inputs cut to the points at rows.  Points all of one kind
+    are passed on whole, with rows a full slice."""
+    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
+    real = _real_points(b, beta)
+    if real.all() or not real.any():
+        return [(slice(None), bool(real.all()), b, alpha_ghz, beta_ghz)]
+    b = np.asarray(b, dtype=float)
+
+    def cut(x, rows):
+        return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)[rows]
+
+    return [(rows, kind, b[rows] if b.ndim == 2 else b, cut(alpha_ghz, rows), cut(beta, rows))
+            for kind, rows in ((True, np.flatnonzero(real)), (False, np.flatnonzero(~real)))]
+
+
+def _jsq(i, real: bool) -> np.ndarray:
+    """J^2 in the dtype of one kind of point."""
+    return _real_operators(i).jsq if real else jsq_operator(i)
+
+
+def _solve(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz, real: bool):
+    """solve_manifold of points all of one kind, in that kind's dtype."""
+    if real:
+        h = _build_real(emitter, manifold, b, alpha_ghz)
+    else:
+        h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
+    return eigh(h, degeneracy_operator=_jsq(emitter.nuclear_spin, real))
+
+
 def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
                    alpha_ghz=None, beta_ghz=None) -> EigenSystem:
     """Diagonalize one manifold with the degenerate-subspace basis pinned
     by the total angular momentum J^2 (reproducible <J^2> labels).
 
-    An (n, 3) field and/or n strains are solved as one stack in one `eigh`."""
-    h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
-    return eigh(h, degeneracy_operator=jsq_operator(emitter.nuclear_spin))
+    An (n, 3) field and/or n strains are solved as one stack per kind of
+    point, in one `eigh` each: real points (B_y = 0 and beta = 0) in
+    float64, the others in complex128.  The result is complex128, the
+    real points cast exactly."""
+    kinds = _kinds(emitter, b, alpha_ghz, beta_ghz)
+    if len(kinds) == 1:
+        [(_, real, *inputs)] = kinds
+        es = _solve(emitter, manifold, *inputs, real)
+        return EigenSystem(es.values, es.vectors.astype(complex, copy=False))
+    n = sum(len(rows) for rows, *_ in kinds)
+    values = np.empty((n, emitter.dim))
+    vectors = np.empty((n, emitter.dim, emitter.dim), dtype=complex)
+    for rows, real, *inputs in kinds:
+        es = _solve(emitter, manifold, *inputs, real)
+        values[rows], vectors[rows] = es.values, es.vectors
+    return EigenSystem(values, vectors)
+
+
+def _native(es: EigenSystem, real: bool) -> EigenSystem:
+    """A solve_manifold result of points of one kind in that kind's dtype:
+    the float64 vectors of real points out of their exact complex cast."""
+    return EigenSystem(es.values, np.ascontiguousarray(es.vectors.real)) if real else es
 
 
 def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
@@ -137,18 +207,24 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
     of any I: that spectrum is each electronic level plus m_I g_I mu_N |B|,
     and the m_I shifts sum to zero over a branch.  The slope is the mean of
     diag(V^H dH/dalpha V) over the same two levels (Hellmann-Feynman), a
-    trace and so the same in any basis of a degenerate pair."""
+    trace and so the same in any basis of a degenerate pair.  Each kind of
+    point is solved as one stack, in its own dtype."""
     neutral = replace(emitter.without_couplings(), nuclear_spin=0.0)
     d_strain = term_strain(1.0, 0.0, 0.0)
+    n = len(b)
+    line, slope = np.empty(n), np.empty(n)
+    for rows, real, *inputs in _kinds(emitter, b, alpha_ghz, beta_ghz):
+        dh = np.ascontiguousarray(d_strain.real) if real else d_strain
 
-    def mean_and_slope(manifold):
-        es = solve_manifold(neutral, manifold, b, alpha_ghz, beta_ghz)
-        v = es.vectors[..., :2]
-        slope = np.einsum("kij,kij->k", v.conj(), d_strain @ v).real
-        return es.values[:, :2].mean(axis=1), 0.5 * slope
+        def mean_and_slope(manifold):
+            es = _native(solve_manifold(neutral, manifold, *inputs), real)
+            v = es.vectors[..., :2]
+            slope = np.einsum("kij,kij->k", v.conj(), dh @ v).real
+            return es.values[:, :2].mean(axis=1), 0.5 * slope
 
-    (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slope("gnd"), mean_and_slope("exc")
-    return e_exc - e_gnd, s_exc - s_gnd
+        (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slope("gnd"), mean_and_slope("exc")
+        line[rows], slope[rows] = e_exc - e_gnd, s_exc - s_gnd
+    return line, slope
 
 
 def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
@@ -158,14 +234,14 @@ def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
                abs(p.ioc_upsilon_mhz) * (i + 1.0), 1e-12)
 
 
-def _check_branch_gaps(emitter: EmitterModel, es_g: EigenSystem, es_e: EigenSystem) -> None:
-    """ValueError unless, at every point of the two (n, d) stacks, each
-    manifold's spin-orbit branch gap is at least 10x its hyperfine scale.
-    The first failing point is named, its gnd manifold before its exc."""
+def _check_branch_gaps(emitter: EmitterModel, values_g, values_e) -> None:
+    """ValueError unless, at every point of the two (n, d) stacks of
+    eigenvalues, each manifold's spin-orbit branch gap is at least 10x its
+    hyperfine scale.  The first failing point is named, its gnd manifold
+    before its exc."""
     n_low = lower_branch_size(emitter)
     manifolds = ("gnd", "exc")
-    gaps = np.stack([es.values[:, n_low] - es.values[:, n_low - 1] for es in (es_g, es_e)],
-                    axis=-1)
+    gaps = np.stack([v[:, n_low] - v[:, n_low - 1] for v in (values_g, values_e)], axis=-1)
     scales = np.array([_hyperfine_scale(emitter, m) for m in manifolds])
     bad = np.argwhere(gaps < 10.0 * scales)
     if bad.size:
@@ -208,45 +284,55 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
 def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_ref=None):
     """One (table, es_gnd, es_exc) per field of the (n, 3) stack b_stack.
 
-    Each manifold is solved once for the whole stack, and so is the
-    coupling-free reference unless its n lines are given as e_ref; the
-    branch gaps and the intensity matrices are also taken once per stack.
+    Each manifold is solved once per kind of point (see the dtype rule),
+    and so is the coupling-free reference unless its n lines are given as
+    e_ref; a real point's eigensystems and table are float64.  The branch
+    gaps are checked once for the stack, and the J^2 labels and intensity
+    matrices taken once per kind.
     """
-    es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
-    es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
-    if e_ref is None:
-        e_ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)[0]
+    b_stack = np.asarray(b_stack, dtype=float)
+    n = len(b_stack)
+    kinds = []
+    for rows, real, *inputs in _kinds(emitter, b_stack, alpha_ghz, beta_ghz):
+        es_g = _native(solve_manifold(emitter, "gnd", *inputs), real)
+        es_e = _native(solve_manifold(emitter, "exc", *inputs), real)
+        ref = _reference_line(emitter, *inputs)[0] if e_ref is None else np.asarray(e_ref)[rows]
+        kinds.append((np.arange(n)[rows], real, es_g, es_e, ref))
 
     n_low = lower_branch_size(emitter)
-    jop = jsq_operator(emitter.nuclear_spin)
-    jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
-    jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
     alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
     beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
-    _check_branch_gaps(emitter, es_g, es_e)
-    intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
-    solved = []
-    for k, b in enumerate(b_stack):
-        g = EigenSystem(es_g.values[k], es_g.vectors[k])
-        e = EigenSystem(es_e.values[k], es_e.vectors[k])
-        inten = intens[k]
-        freq = e.values[:n_low, None] - g.values[None, :n_low] - e_ref[k]
+    values_g, values_e = np.empty((n, emitter.dim)), np.empty((n, emitter.dim))
+    for rows, _, es_g, es_e, _ in kinds:
+        values_g[rows], values_e[rows] = es_g.values, es_e.values
+    _check_branch_gaps(emitter, values_g, values_e)
+    solved = [None] * n
+    for rows, real, es_g, es_e, ref in kinds:
+        jop = _jsq(emitter.nuclear_spin, real)
+        jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
+        jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
+        intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
+        for j, k in enumerate(rows.tolist()):
+            g = EigenSystem(es_g.values[j], es_g.vectors[j])
+            e = EigenSystem(es_e.values[j], es_e.vectors[j])
+            inten = intens[j]
+            freq = e.values[:n_low, None] - g.values[None, :n_low] - ref[j]
 
-        keep = inten > INTENSITY_FLOOR * inten.max()
-        e_idx, g_idx = np.nonzero(keep)
-        order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
-        e_idx, g_idx = e_idx[order], g_idx[order]
-        table = TransitionTable(
-            freq_mhz=freq[e_idx, g_idx],
-            intensity=inten[e_idx, g_idx],
-            gnd_index=g_idx,
-            exc_index=e_idx,
-            jsq_gnd=jsq_g[k, g_idx],
-            jsq_exc=jsq_e[k, e_idx],
-            meta={"emitter": emitter.isotope, "b_tesla": tuple(float(c) for c in b),
-                  "alpha_ghz": alpha, "beta_ghz": beta},
-        )
-        solved.append((table, g, e))
+            keep = inten > INTENSITY_FLOOR * inten.max()
+            e_idx, g_idx = np.nonzero(keep)
+            order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
+            e_idx, g_idx = e_idx[order], g_idx[order]
+            table = TransitionTable(
+                freq_mhz=freq[e_idx, g_idx],
+                intensity=inten[e_idx, g_idx],
+                gnd_index=g_idx,
+                exc_index=e_idx,
+                jsq_gnd=jsq_g[j, g_idx],
+                jsq_exc=jsq_e[j, e_idx],
+                meta={"emitter": emitter.isotope, "b_tesla": tuple(b_stack[k].tolist()),
+                      "alpha_ghz": alpha, "beta_ghz": beta},
+            )
+            solved[k] = (table, g, e)
     return solved
 
 
@@ -270,7 +356,29 @@ def _line_slopes(solved, perturbations):
     summed shift weight and intensity change they would have in the
     eigenbasis of the projected dh.  Only a table's kept lines get
     weights, so a line sum over them costs what the table's own does.
+
+    Tables of real points (float64 eigenvectors) and the others are taken
+    as one stack each, the real ones with the real part of each dh, which
+    must be real there: hyperfine and strain alpha are.
     """
+    kinds = {}
+    for k, (_, g, _) in enumerate(solved):
+        kinds.setdefault(g.vectors.dtype, []).append(k)
+    out = [[None] * len(solved) for _ in perturbations]
+    for dtype, rows in kinds.items():
+        real = dtype == np.float64
+        cut = [(np.ascontiguousarray(dh_g.real) if real else dh_g,
+                np.ascontiguousarray(dh_e.real) if real else dh_e,
+                np.broadcast_to(d_ref, len(solved))[rows]) for dh_g, dh_e, d_ref in perturbations]
+        for slot, slopes in zip(out, _kind_slopes([solved[k] for k in rows], cut)):
+            for k, pair in zip(rows, slopes):
+                slot[k] = pair
+    return out
+
+
+def _kind_slopes(solved, perturbations):
+    """_line_slopes of tables whose eigensystems share one dtype, with the
+    perturbations' d_ref given per table."""
     tables = [table for table, _, _ in solved]
     n_low = solved[0][1].values.size // 2
 
@@ -303,7 +411,6 @@ def _line_slopes(solved, perturbations):
                  + overlap[:, :n_low, :] @ c_g)
         d_inten = (2.0 / n_low) * (low.conj() * d_low).real
         shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
-        d_ref = np.broadcast_to(d_ref, len(tables))
         out.append([(d_inten[k, t.exc_index, t.gnd_index],
                      shift[k, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
                     for k, t in enumerate(tables)])
@@ -352,11 +459,11 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)
-    jop = jsq_operator(emitter.nuclear_spin)
-    es = solve_manifold(emitter, manifold, alpha_ghz=alphas)
+    real = emitter.strain_beta_ghz == 0.0  # at B = 0 every point is real, or none
+    es = _native(solve_manifold(emitter, manifold, alpha_ghz=alphas), real)
     low = es.values[:, :n_low]
     return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
-                      jsq=_jsq_labels(es, jop)[:, :n_low],
+                      jsq=_jsq_labels(es, _jsq(emitter.nuclear_spin, real))[:, :n_low],
                       meta={"emitter": emitter.isotope, "manifold": manifold, "axis": "alpha_ghz"})
 
 

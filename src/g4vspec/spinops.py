@@ -149,14 +149,19 @@ def eigh(h, degeneracy_operator=None) -> EigenSystem:
     This pins an otherwise arbitrary degenerate-subspace basis, so labels
     such as <J^2> are reproducible.  A stack is pinned by one batched solve
     per cluster size, and every slice equals its one-matrix result.
+
+    Real input, with a real degeneracy operator or none, is solved in
+    float64 (real symmetric) and gives float64 vectors; anything else is
+    solved in complex128.
     """
-    h = np.asarray(h, dtype=complex)
+    real = not (np.iscomplexobj(h) or np.iscomplexobj(degeneracy_operator))
+    h = np.asarray(h, dtype=float if real else complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("eigh expects a square matrix or a stack of them")
     require_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     if degeneracy_operator is not None and values.size:
-        dop = np.asarray(degeneracy_operator, dtype=complex)
+        dop = np.asarray(degeneracy_operator, dtype=h.dtype)
         d = values.shape[-1]
         vectors = vectors.copy()
         flat = vectors.reshape(-1, d, d)  # a view: the rotations below write into vectors
