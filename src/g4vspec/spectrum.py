@@ -126,31 +126,25 @@ def dipole_operator(i) -> np.ndarray:
     return np.eye(4 * dim_n, dtype=complex)
 
 
-def _real_points(b, beta):
-    """Whether the point of field b (3,) and strain beta, or each point of
-    a stack ((n, 3) fields and/or n betas), is real: B_y = 0 and beta = 0.
-    A malformed field counts as complex; its build refuses it."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[-1] != 3:
-        return np.bool_(False)
-    return (b[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
-
-
 def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
-    """The real and the complex points of one point or a stack, real
-    first: (rows, real, b, alpha, beta) for each kind that occurs, with the
-    per-point inputs cut to the points at rows.  Points all of one kind
-    are passed on whole, with rows a full slice."""
+    """The real points (B_y = 0 and beta = 0) and the complex ones of one
+    point or a stack, real first: (rows, real, b, alpha, beta) for each
+    kind that occurs, with the per-point inputs cut to the points at rows.
+    Points all of one kind are passed on whole, with rows a full slice.
+    A malformed field counts as complex, and its build refuses it."""
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    real = _real_points(b, beta)
+    fields = np.asarray(b, dtype=float)
+    real = np.bool_(False)
+    if fields.ndim in (1, 2) and fields.shape[-1] == 3:
+        real = (fields[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
     if real.all() or not real.any():
         return [(slice(None), bool(real.all()), b, alpha_ghz, beta_ghz)]
-    b = np.asarray(b, dtype=float)
 
     def cut(x, rows):
         return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)[rows]
 
-    return [(rows, kind, b[rows] if b.ndim == 2 else b, cut(alpha_ghz, rows), cut(beta, rows))
+    return [(rows, kind, fields[rows] if fields.ndim == 2 else fields, cut(alpha_ghz, rows),
+             cut(beta, rows))
             for kind, rows in ((True, np.flatnonzero(real)), (False, np.flatnonzero(~real)))]
 
 

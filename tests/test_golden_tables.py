@@ -3,7 +3,9 @@ operator-caching refactor, and the peak-fit reports recorded before the
 fitters shared one scaffold (tests/data/record_golden_tables.py), must come
 out the same from the current code.  The field-map fit was re-recorded when
 its Jacobian became analytic, and the tables and that fit when the
-coupling-free C line came to be taken from the spin-neutral (4x4) emitter."""
+coupling-free C line came to be taken from the spin-neutral (4x4) emitter,
+and again when real points (B_y = 0, beta = 0) came to be solved in
+float64; the tables of complex points were left unchanged by that one."""
 import importlib.util
 import json
 from pathlib import Path
@@ -44,6 +46,10 @@ def test_merged_table_matches_golden(case):
     assert freq.shape == (len(case["freq_mhz"]),)
     assert np.abs(freq - case["freq_mhz"]).max() <= FREQ_TOL_MHZ
     assert np.abs(inten - case["intensity"]).max() <= INTENSITY_TOL
+    if case["b_tesla"][1] != 0.0 or case["beta_ghz"] != 0.0:
+        # A complex point (B_y or beta not 0) has kept, bit for bit, the
+        # complex128 arithmetic of the code that recorded its table.
+        assert freq.tolist() == case["freq_mhz"] and inten.tolist() == case["intensity"]
 
 
 def test_field_map_fit_matches_golden():

@@ -1,11 +1,9 @@
 """Real points: with B_y = 0 and beta = 0 every term of the Hamiltonian is
 real, and such points are built, solved and turned into tables in
-float64.  The complex128 path is the oracle for them, and every other
-point keeps that path bit for bit."""
+float64.  The complex128 path is the oracle for them.  Every other point
+keeps that path bit for bit: test_golden_tables pins their tables."""
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,20 +194,6 @@ def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
     with pytest.raises(ValueError) as alone:
         transitions(e, fields[0], beta_ghz=0.0)
     assert str(mixed.value) == str(alone.value)
-
-
-def test_complex_points_keep_their_golden_tables_exactly():
-    """Points with B_y != 0 or beta != 0 still take the complex128 path of
-    the code that recorded their golden tables, bit for bit."""
-    golden = json.loads((Path(__file__).resolve().parent / "data" / "golden_tables.json")
-                        .read_text(encoding="utf-8"))
-    cases = [c for c in golden["tables"] if c["b_tesla"][1] != 0.0 or c["beta_ghz"] != 0.0]
-    assert len(cases) == len(registry_labels())
-    for case in cases:
-        table = transitions(registry_lookup(case["isotope"]), tuple(case["b_tesla"]),
-                            alpha_ghz=case["alpha_ghz"], beta_ghz=case["beta_ghz"])
-        freq, inten = merge_lines(table)
-        assert freq.tolist() == case["freq_mhz"] and inten.tolist() == case["intensity"]
 
 
 def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(monkeypatch):
