@@ -142,6 +142,25 @@ def test_eigh_degenerate_rotation_labels():
     assert np.abs(es.reconstruct() - h).max() < 1e-12
 
 
+def test_eigh_keeps_real_input_in_float64(rng):
+    a = rng.normal(size=(3, 6, 6))
+    h = a + np.swapaxes(a, -1, -2)
+    h[0] = np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])  # clusters for the pinning
+    label_op = np.diag(np.arange(5.0, -1.0, -1.0))
+    for dop in (None, label_op):
+        es = eigh(h, degeneracy_operator=dop)
+        assert es.values.dtype == es.vectors.dtype == np.float64
+        assert np.abs(es.reconstruct() - h).max() < 1e-12
+        cast = eigh(h.astype(complex), degeneracy_operator=dop)
+        assert cast.vectors.dtype == np.complex128
+        assert np.abs(cast.values - es.values).max() < 1e-12
+    # a complex degeneracy operator makes the solve complex
+    assert eigh(h, degeneracy_operator=label_op.astype(complex)).vectors.dtype == np.complex128
+    pinned = eigh(h[0], degeneracy_operator=label_op)
+    labels = np.diag(pinned.vectors.T @ label_op @ pinned.vectors)
+    assert np.allclose(labels, [4.0, 5.0, 1.0, 2.0, 3.0, 0.0])
+
+
 def test_eigh_deterministic():
     rng = np.random.Generator(np.random.PCG64(7))
     h = random_hermitian(rng, 16)
