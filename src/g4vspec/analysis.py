@@ -550,7 +550,17 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None):
 # ---------------------------------------------------------------------------
 # full-model fits
 
-FULL_MODEL_FREE = ("a_ple_scale", "strain_alpha", "fwhm", "amplitude", "freq_offset")
+# The fit parameters that change the line tables: each one's value on the
+# base emitter, the emitter set to a value, and what one unit of it adds to
+# an emitter's (gnd, exc) Hamiltonians.
+_TABLE_PARAMS = {
+    "a_ple_scale": (lambda e: 1.0, EmitterModel.scaled_hyperfine,
+                    lambda e: (term_hyperfine(e.gnd, e.nuclear_spin),
+                               term_hyperfine(e.exc, e.nuclear_spin))),
+    "strain_alpha": (lambda e: e.strain_alpha_ghz, lambda e, v: replace(e, strain_alpha_ghz=v),
+                     lambda e: (term_strain(1.0, 0.0, e.nuclear_spin),) * 2),
+}
+FULL_MODEL_FREE = (*_TABLE_PARAMS, "fwhm", "amplitude", "freq_offset")
 
 
 def _lorentz_slopes(fwhm):
@@ -586,17 +596,17 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     single factor (a spectrum near the C line constrains only that
     combination).  The derived a_ple_mhz is included in the report.
 
-    A fit keeps two dicts while it runs: the solved rows of each
-    (a_ple_scale, strain_alpha), all rows solved as one stack per manifold,
-    and the coupling-free reference lines of each strain_alpha, the only
-    fitted parameter they depend on.
+    a_ple_scale and strain_alpha change the line tables; `_TABLE_PARAMS`
+    says how.  A fit keeps two dicts while it runs: the solved rows at each
+    tuple of their values, all rows solved as one stack per manifold, and
+    the reference lines of each coupling-free emitter those values give.
 
     The Jacobian is analytic and solves nothing.  The fwhm, amplitude and
     freq_offset columns are Lorentzian sums over the current row tables.
     The a_ple_scale and strain_alpha columns take the eigensystems that the
     residual at the same point solved: line shifts by Hellmann-Feynman,
     intensity changes by first-order eigenvector derivatives, and the
-    reference line's strain slope from its spin-neutral solve.  The
+    reference line's slopes from its spin-neutral solve.  The
     amplitude column at the values of the last residual is that residual's
     unit-amplitude model.  Degenerate levels
     (the J^2-pinned clusters of every B = 0 row) take degenerate
@@ -626,30 +636,20 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         else:
             fields.append((0.0, 0.0, 0.0))
 
-    defaults = {
-        "a_ple_scale": 1.0,
-        "strain_alpha": emitter.strain_alpha_ghz,
-        "fwhm": 50.0,
-        "amplitude": 1.0,
-        "freq_offset": 0.0,
-    }
+    defaults = {name: value(emitter) for name, (value, _, _) in _TABLE_PARAMS.items()}
+    defaults.update(fwhm=50.0, amplitude=1.0, freq_offset=0.0)
     if init:
         defaults.update(init)
 
     y_all = np.concatenate([np.asarray(t.signal, dtype=float) for t in traces])
     grids = [np.asarray(t.freq_mhz, dtype=float) for t in traces]
 
-    # What a_ple_scale and strain_alpha, the parameters that change the line
-    # tables, add to the (gnd, exc) Hamiltonians per unit.
-    i = emitter.nuclear_spin
-    d_strain = term_strain(1.0, 0.0, i)
-    dh = {"a_ple_scale": (term_hyperfine(emitter.gnd, i), term_hyperfine(emitter.exc, i)),
-          "strain_alpha": (d_strain, d_strain)}
-    # The rows solved at each (a_ple_scale, strain_alpha), tables with their
-    # eigensystems, stay only while a Jacobian may still be taken there: at
-    # the key of the last Jacobian and at the last key a residual solved,
-    # which the core may accept next.  Reference lines and their strain
-    # slopes stay for each strain_alpha.
+    moved = [name for name in free if name in _TABLE_PARAMS]
+    # The rows solved at each tuple of table values, tables with their
+    # eigensystems and the reference slopes along moved, stay only while a
+    # Jacobian may still be taken there: at the key of the last Jacobian and
+    # at the last key a residual solved, which the core may accept next.
+    # Reference lines and their slopes stay for each coupling-free emitter.
     solved = {}
     ref_lines = {}
     jac_key = jac_last = None
@@ -663,21 +663,25 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         return p
 
     def rows_at(p):
-        key = (float(p["a_ple_scale"]), float(p["strain_alpha"]))
+        key = tuple(float(p[name]) for name in _TABLE_PARAMS)
         if key not in solved:
-            alpha = key[1]
-            if alpha not in ref_lines:
-                ref_lines[alpha] = _reference_line(emitter, fields, alpha, None)
+            at = emitter
+            for v, (_, set_to, _) in zip(key, _TABLE_PARAMS.values()):
+                at = set_to(at, v)
+            bare = at.without_couplings()
+            if bare not in ref_lines:
+                ref_lines[bare] = _reference_line(bare, fields, None, None,
+                                                  [_TABLE_PARAMS[n][2] for n in moved])
             for old in [k for k in solved if k != jac_key]:
                 del solved[old]
-            solved[key] = _solve_transitions(emitter.scaled_hyperfine(key[0]), fields, alpha,
-                                             None, ref_lines[alpha][0])
+            line, ref_slopes = ref_lines[bare]
+            solved[key] = (_solve_transitions(at, fields, None, None, line), ref_slopes)
         return key, solved[key]
 
     def model_signal(values):
         nonlocal unit_rows
         p = params(values)
-        key, rows = rows_at(p)
+        key, (rows, _) = rows_at(p)
         fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
         unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
                 for grid, (table, _, _) in zip(grids, rows)]
@@ -688,15 +692,13 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         # Every column from the rows the residual at these values solved.
         nonlocal jac_key, jac_last
         p = params(values)
-        jac_key, rows = rows_at(p)
+        jac_key, (rows, ref_slopes) = rows_at(p)
         amplitude, fwhm = p["amplitude"], abs(p["fwhm"])
         unit = unit_rows[1] if unit_rows[0] == (jac_key, fwhm, p["freq_offset"]) else None
         d_center, d_fwhm = _lorentz_slopes(fwhm)
-        d_ref = {"a_ple_scale": 0.0, "strain_alpha": ref_lines[jac_key[1]][1]}
-        moved = [name for name in free if name in dh]
-        slopes = {}
-        if moved:
-            slopes = dict(zip(moved, _line_slopes(rows, [dh[n] + (d_ref[n],) for n in moved])))
+        perturbations = [_TABLE_PARAMS[n][2](emitter) + (d_ref,)
+                         for n, d_ref in zip(moved, ref_slopes)]
+        slopes = dict(zip(moved, _line_slopes(rows, perturbations))) if moved else {}
         j = np.empty((y_all.size, len(free)))
         start = 0
         for k, (grid, (table, _, _)) in enumerate(zip(grids, rows)):

@@ -85,8 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--emitter", default=None, help="required for --model full")
     p.add_argument("--direction", default="0,0,1", help="field direction for --map")
     p.add_argument("--free", default="a_ple_scale,fwhm,amplitude",
-                   help="full model: comma list from "
-                        "a_ple_scale,strain_alpha,fwhm,amplitude,freq_offset")
+                   help="full model: comma list from " + ",".join(analysis.FULL_MODEL_FREE))
     p.add_argument("--init", default=None, help="JSON dict of initial guesses")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--summary-out", default=None, help="batch summary CSV path")

@@ -15,8 +15,8 @@ nuclear-SOC couplings zeroed.  It is taken from the spin-neutral (I = 0,
 fields and/or strains and runs one `eigh` per kind of point in the stack.
 Tables along a field axis (`sweep_field`, the rows of a field-map fit)
 solve each manifold and the coupling-free reference once for all points
-of a kind; a caller that already holds the reference lines (a fit, whose
-reference depends only on the strain) passes them in.  Every number is
+of a kind; a caller that already holds the reference lines (a fit, which
+keeps them per coupling-free emitter) passes them in.  Every number is
 bit-identical to a one-point solve.  `_line_slopes` gives the first-order
 change of a solved stack's lines along a change of the Hamiltonian
 without solving again.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import (EmitterModel, _build_real, _real_operators, a_parallel, a_perp,
-                          build_hamiltonian, jsq_operator, term_strain)
+                          build_hamiltonian, jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh
 
 __all__ = [
@@ -191,34 +191,39 @@ def _native(es: EigenSystem, real: bool) -> EigenSystem:
     return EigenSystem(es.values, np.ascontiguousarray(es.vectors.real)) if real else es
 
 
-def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
-    """Unperturbed C line at each of the n fields b, and its slope along
-    strain alpha (MHz per GHz).
+def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations=()):
+    """Unperturbed C line at each of the n fields b, and a list of its
+    slopes, one along each of perturbations: functions that give what one
+    unit of a parameter adds to an emitter's (gnd, exc) Hamiltonians.
 
     The line is the difference of the mean energies of the lowest two
     levels of the spin-neutral (I = 0, 4x4) copy of the coupling-free
     emitter.  It equals the lower-branch mean of the coupling-free system
     of any I: that spectrum is each electronic level plus m_I g_I mu_N |B|,
-    and the m_I shifts sum to zero over a branch.  The slope is the mean of
-    diag(V^H dH/dalpha V) over the same two levels (Hellmann-Feynman), a
-    trace and so the same in any basis of a degenerate pair.  Each kind of
-    point is solved as one stack, in its own dtype."""
+    and the m_I shifts sum to zero over a branch.  A slope is the mean of
+    diag(V^H dH V) over the same two levels (Hellmann-Feynman), with each
+    dH evaluated on that copy, a trace and so the same in any basis of a
+    degenerate pair.  Each kind of point is solved as one stack, in its own
+    dtype."""
     neutral = replace(emitter.without_couplings(), nuclear_spin=0.0)
-    d_strain = term_strain(1.0, 0.0, 0.0)
+    dhs = [f(neutral) for f in perturbations]
     n = len(b)
-    line, slope = np.empty(n), np.empty(n)
+    line, slopes = np.empty(n), [np.empty(n) for _ in dhs]
     for rows, real, *inputs in _kinds(emitter, b, alpha_ghz, beta_ghz):
-        dh = np.ascontiguousarray(d_strain.real) if real else d_strain
 
-        def mean_and_slope(manifold):
+        def mean_and_slopes(manifold, m):
             es = _native(solve_manifold(neutral, manifold, *inputs), real)
             v = es.vectors[..., :2]
-            slope = np.einsum("kij,kij->k", v.conj(), dh @ v).real
-            return es.values[:, :2].mean(axis=1), 0.5 * slope
+            return es.values[:, :2].mean(axis=1), [
+                0.5 * np.einsum("kij,kij->k", v.conj(),
+                                (np.ascontiguousarray(dh[m].real) if real else dh[m]) @ v).real
+                for dh in dhs]
 
-        (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slope("gnd"), mean_and_slope("exc")
-        line[rows], slope[rows] = e_exc - e_gnd, s_exc - s_gnd
-    return line, slope
+        (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slopes("gnd", 0), mean_and_slopes("exc", 1)
+        line[rows] = e_exc - e_gnd
+        for slope, g, e in zip(slopes, s_gnd, s_exc):
+            slope[rows] = e - g
+    return line, slopes
 
 
 def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:

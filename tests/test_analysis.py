@@ -457,8 +457,8 @@ def _small_sn_map():
 
 
 def _record_solves(monkeypatch):
-    """Every solve_manifold call as (is_bare, manifold, fields, alpha, beta,
-    matrix size)."""
+    """Every solve_manifold call as (is_bare, manifold, fields, effective
+    strain alpha, beta, matrix size)."""
     import g4vspec.spectrum as spectrum_mod
 
     calls = []
@@ -466,8 +466,9 @@ def _record_solves(monkeypatch):
 
     def counting(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
         fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
+        alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
         calls.append((emitter == emitter.without_couplings(), manifold, fields,
-                      alpha_ghz, beta_ghz, emitter.dim))
+                      alpha, beta_ghz, emitter.dim))
         return real(emitter, manifold, b, alpha_ghz, beta_ghz)
 
     monkeypatch.setattr(spectrum_mod, "solve_manifold", counting)

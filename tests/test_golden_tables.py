@@ -73,7 +73,8 @@ def test_field_map_fit_computes_each_table_once(monkeypatch):
 
     def counted(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
         fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
-        seen.append((emitter, manifold, fields, float(alpha_ghz), bool(in_jacobian)))
+        alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
+        seen.append((emitter, manifold, fields, float(alpha), bool(in_jacobian)))
         return real(emitter, manifold, b, alpha_ghz, beta_ghz)
 
     def core(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from g4vspec.analysis import _TABLE_PARAMS
 from g4vspec.hamiltonian import (
     EmitterModel,
     ManifoldParams,
@@ -382,7 +383,8 @@ def test_spin_neutral_reference_line_equals_the_full_coupling_free_branch_mean(l
     direction = rng.normal(size=(n, 3))
     b = direction / np.linalg.norm(direction, axis=1)[:, None] * rng.uniform(0.0, 0.3, (n, 1))
     alpha, beta = rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 20.0, n)
-    line, slope = _reference_line(emitter, b, alpha, beta)
+    line, (slope,) = _reference_line(emitter, b, alpha, beta,
+                                     [_TABLE_PARAMS["strain_alpha"][2]])
 
     bare = emitter.without_couplings()
     n_low = lower_branch_size(emitter)
