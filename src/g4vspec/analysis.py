@@ -644,7 +644,8 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     y_all = np.concatenate([np.asarray(t.signal, dtype=float) for t in traces])
     grids = [np.asarray(t.freq_mhz, dtype=float) for t in traces]
 
-    moved = [name for name in free if name in _TABLE_PARAMS]
+    # What one unit of each free table parameter adds to the Hamiltonians.
+    moved = {name: _TABLE_PARAMS[name][2](emitter) for name in free if name in _TABLE_PARAMS}
     # The rows solved at each tuple of table values, tables with their
     # eigensystems and the reference slopes along moved, stay only while a
     # Jacobian may still be taken there: at the key of the last Jacobian and
@@ -696,8 +697,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         amplitude, fwhm = p["amplitude"], abs(p["fwhm"])
         unit = unit_rows[1] if unit_rows[0] == (jac_key, fwhm, p["freq_offset"]) else None
         d_center, d_fwhm = _lorentz_slopes(fwhm)
-        perturbations = [_TABLE_PARAMS[n][2](emitter) + (d_ref,)
-                         for n, d_ref in zip(moved, ref_slopes)]
+        perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
         slopes = dict(zip(moved, _line_slopes(rows, perturbations))) if moved else {}
         j = np.empty((y_all.size, len(free)))
         start = 0
