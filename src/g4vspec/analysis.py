@@ -56,6 +56,7 @@ COST_TOL = 1e-10
 STEP_TOL = float(np.finfo(float).eps)
 STACK_POINTS = 1 << 14  # grid points of the traces in one stacked peak fit, at most
 KDE_GRID_POINTS = 512
+MAX_BINS = 10**7  # bins of an ensemble histogram, at most (as dataio.MAX_GRID_POINTS)
 # Reported sign of each parameter that the models use only through |.|.
 _REPORTED_SIGNS = {"fwhm": +1, "sigma": +1, "delta": +1, "a_ple": -1}
 
@@ -394,9 +395,19 @@ def _check_init(init, names, complete):
             raise ValueError(f"init {name!r} must be a finite number, got {value!r}")
 
 
-def _get_xy(trace):
+def _xy(trace, index):
+    """A trace's grid and signal as float arrays; a TraceError naming the
+    trace's position unless they have one length."""
     x = np.asarray(trace.freq_mhz, dtype=float)
     y = np.asarray(trace.signal, dtype=float)
+    if x.shape != y.shape:
+        raise TraceError(index, f"trace {index}: freq_mhz has {x.size} values but signal has "
+                                f"{y.size}")
+    return x, y
+
+
+def _get_xy(trace, index):
+    x, y = _xy(trace, index)
     if np.ptp(y) == 0.0:
         raise ValueError("trace is degenerate (constant signal), nothing to fit")
     return x, y
@@ -497,7 +508,7 @@ def _fit_peaks(data, model, init, seed):
     xs, ys, starts = [], [], []
     for i, trace in enumerate(traces):
         try:
-            x, y = _get_xy(trace)
+            x, y = _get_xy(trace, i)
             start = _seed_peaks(x, y) if init is None else init
         except ValueError as exc:
             raise TraceError(i, str(exc)) from None
@@ -618,20 +629,29 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     if not traces:
         raise ValueError("fit_full_model needs at least one trace")
     free = tuple(free)
-    for name in free:
+    for k, name in enumerate(free):
         if name not in FULL_MODEL_FREE:
             raise ValueError(f"unknown free parameter {name!r}; choose from {FULL_MODEL_FREE}")
+        if name in free[:k]:
+            raise ValueError(f"free parameter {name!r} is given twice")
     if not free:
         raise ValueError("at least one free parameter is required")
     _check_init(init, FULL_MODEL_FREE, complete=False)
 
-    fields = []
-    for t in traces:
+    fields, grids, signals = [], [], []
+    for i, t in enumerate(traces):
+        grid, y = _xy(t, i)
+        grids.append(grid)
+        signals.append(y)
         meta = getattr(t, "meta", {}) or {}
         if "b_tesla" in meta and "b_mag_tesla" not in meta:
             fields.append(tuple(meta["b_tesla"]))
         elif "b_mag_tesla" in meta:
             d = np.asarray(meta.get("b_direction", (0.0, 0.0, 1.0)), dtype=float)
+            norm = float(np.linalg.norm(d))
+            if d.shape != (3,) or abs(norm - 1.0) > 1e-6:
+                raise TraceError(i, f"trace {i}: b_direction must be a unit vector of 3 "
+                                    f"components, got {tuple(d.tolist())}")
             fields.append(tuple(meta["b_mag_tesla"] * d))
         else:
             fields.append((0.0, 0.0, 0.0))
@@ -641,8 +661,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     if init:
         defaults.update(init)
 
-    y_all = np.concatenate([np.asarray(t.signal, dtype=float) for t in traces])
-    grids = [np.asarray(t.freq_mhz, dtype=float) for t in traces]
+    y_all = np.concatenate(signals)
 
     # What one unit of each free table parameter adds to the Hamiltonians.
     moved = {name: _TABLE_PARAMS[name][2](emitter) for name in free if name in _TABLE_PARAMS}
@@ -780,8 +799,8 @@ def isotope_shift_ratio(m_a, m_b, m_c, m_d) -> float:
     (1/sqrt(m_c) - 1/sqrt(m_d)).
     """
     for m in (m_a, m_b, m_c, m_d):
-        if m <= 0:
-            raise ValueError(f"atomic masses must be positive, got {m}")
+        if not 0 < m < math.inf:
+            raise ValueError(f"atomic masses must be positive and finite, got {m}")
     denom = 1.0 / math.sqrt(m_c) - 1.0 / math.sqrt(m_d)
     if denom == 0.0:
         raise ValueError("reference isotope pair has zero mass difference")
@@ -816,16 +835,34 @@ def chi2_independence(table) -> dict:
     return {"chi2": chi2, "p_value": math.erfc(math.sqrt(chi2 / 2.0)), "dof": 1}
 
 
+def _mean_sem(values):
+    """n, mean and standard error of the mean of a non-empty 1-D array;
+    ValueError if the mean or the error is not finite."""
+    n = values.size
+    with np.errstate(all="ignore"):  # overflow near the float range is refused below
+        mean = float(values.mean())
+        sem = 0.0 if n == 1 else float(values.std(ddof=1) / math.sqrt(n))
+    for name, v in (("mean", mean), ("standard error of the mean", sem)):
+        if not math.isfinite(v):
+            raise ValueError(f"the {name} of the values is not finite ({v}); the values must "
+                             "stay well inside the float range")
+    return n, mean, sem
+
+
 def ensemble_stats(values, bin_width: float) -> EnsembleStats:
-    """Mean, standard error of the mean, and a zero-anchored histogram."""
+    """Mean, standard error of the mean, and a zero-anchored histogram of
+    at most MAX_BINS bins."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("ensemble_stats needs at least one value")
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
-    n = values.size
-    mean = float(values.mean())
-    sem = 0.0 if n == 1 else float(values.std(ddof=1) / math.sqrt(n))
+    n, mean, sem = _mean_sem(values)
+    with np.errstate(all="ignore"):  # a count that is not finite is refused just below
+        bins = np.ceil(values.max() / bin_width) - np.floor(values.min() / bin_width)
+    if not bins <= MAX_BINS:
+        raise ValueError(f"bin_width {bin_width} gives more than the {MAX_BINS} histogram "
+                         "bins allowed over the values")
     lo = math.floor(values.min() / bin_width) * bin_width
     hi = math.ceil(values.max() / bin_width) * bin_width
     if hi <= lo:

@@ -264,14 +264,15 @@ def _cmd_fit_pl(args) -> int:
     else:
         raise ValueError("fit-pl needs --values or --traces")
     density = analysis.kde(centers, args.bandwidth)
+    if args.out:  # refused before anything is written
+        n, mean, sem = analysis._mean_sem(centers)
     dataio._write_csv(args.kde_out, ("value", "density"), [(density.freq_mhz, density.signal)])
     if args.out:
-        stats = analysis.ensemble_stats(centers, bin_width=max(args.bandwidth, 1e-9))
         payload = {
             "schema_version": "1",
-            "n": stats.n,
-            "mean": stats.mean,
-            "std_err_of_mean": stats.std_err_of_mean,
+            "n": n,
+            "mean": mean,
+            "std_err_of_mean": sem,
             "fits": [f.as_report() for f in fits],
         }
         dataio.write_json(args.out, payload)

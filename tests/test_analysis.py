@@ -18,8 +18,8 @@ from g4vspec.analysis import (
     isotope_shift_ratio,
     kde,
 )
-from g4vspec.hamiltonian import a_ple, registry_lookup
-from g4vspec.spectrum import SpectrumTrace, sweep_field
+from g4vspec.hamiltonian import a_ple, build_hamiltonian, registry_lookup
+from g4vspec.spectrum import SpectrumTrace, _reference_line, sweep_field
 
 
 def lorentz_peak(f, center, fwhm):
@@ -265,6 +265,15 @@ def test_isotope_shift_errors():
         isotope_shift_ratio(-1, 118, 117, 119)
 
 
+@pytest.mark.parametrize("masses", [(math.nan, 1, 2, 3), (117, math.inf, 117, 119),
+                                    (117, 118, -math.inf, 119), (117, 118, 117, math.nan)])
+def test_isotope_shift_refuses_non_finite_masses(masses):
+    bad = next(m for m in masses if not math.isfinite(m))
+    with pytest.raises(ValueError, match=f"^atomic masses must be positive and finite, "
+                                         f"got {bad}$"):
+        isotope_shift_ratio(*masses)
+
+
 # --- chi-squared ---
 
 def test_chi2_independent_table_is_zero():
@@ -416,6 +425,31 @@ def test_ensemble_validation():
         ensemble_stats([1.0], bin_width=0.0)
 
 
+@pytest.mark.parametrize("values, bin_width", [([10.0, 20.0, 35.0], 1e-12),
+                                               ([10.0, 20.0, 35.0], 1e-300),
+                                               ([1.0, 2.0], 5e-324)])
+def test_ensemble_refuses_too_many_bins_before_allocating(values, bin_width):
+    with pytest.raises(ValueError) as info:
+        ensemble_stats(values, bin_width=bin_width)
+    assert str(info.value) == (f"bin_width {bin_width} gives more than the 10000000 "
+                               "histogram bins allowed over the values")
+
+
+def test_ensemble_bin_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_BINS", 3)
+    assert ensemble_stats([0.5, 2.5], bin_width=1.0).counts.tolist() == [1, 0, 1]
+    with pytest.raises(ValueError, match="gives more than the 3 histogram bins"):
+        ensemble_stats([0.5, 3.5], bin_width=1.0)
+
+
+@pytest.mark.parametrize("values, name", [([1e308, 1e308], "mean"),
+                                          ([0.0, 1e300], "standard error of the mean"),
+                                          ([-1e300, 1e300], "standard error of the mean")])
+def test_ensemble_refuses_non_finite_statistics(values, name):
+    with pytest.raises(ValueError, match=f"^the {name} of the values is not finite "):
+        ensemble_stats(values, bin_width=1e299)
+
+
 # --- optimizer corner cases ---
 
 def _valley(p):
@@ -528,6 +562,32 @@ def test_full_model_jacobian_matches_central_differences(monkeypatch, make_map):
             scale = np.abs(central[a:b]).max()
             assert scale > 0.0, name
             assert np.abs(j[a:b, col] - central[a:b]).max() <= 1e-6 * scale, (name, a)
+
+
+@pytest.mark.parametrize("label", ["73Ge", "117Sn"])
+def test_table_params_match_central_differences(label):
+    """For every _TABLE_PARAMS entry, on a stack of real and complex points
+    (B = 0 included): its dH against the central difference of
+    build_hamiltonian between the emitter set to v +- h, for both
+    manifolds, and the reference slope `_reference_line` gives along it
+    against the central difference of the reference line."""
+    base = dataclasses.replace(registry_lookup(label), strain_alpha_ghz=30.0,
+                               strain_beta_ghz=0.0)
+    fields = np.array([(0.0, 0.0, 0.0), (0.05, 0.0, 0.08), (0.03, 0.04, 0.1)])
+    for name, (value, set_to, dh) in analysis._TABLE_PARAMS.items():
+        v = value(base)
+        h = 1e-4 * max(abs(v), 1.0)
+        up, down = set_to(base, v + h), set_to(base, v - h)
+        for manifold, d in zip(("gnd", "exc"), dh(base)):
+            central = (build_hamiltonian(up, manifold, fields)
+                       - build_hamiltonian(down, manifold, fields)) / (2.0 * h)
+            scale = np.abs(d).max()
+            assert scale > 0.0, (name, manifold)
+            assert np.abs(central - d).max() <= 1e-6 * scale, (name, manifold)
+        _, (slope,) = _reference_line(set_to(base, v), fields, None, None, [dh])
+        central = (_reference_line(up, fields, None, None)[0]
+                   - _reference_line(down, fields, None, None)[0]) / (2.0 * h)
+        assert np.abs(slope - central).max() <= 1e-6 * max(np.abs(central).max(), 1.0), name
 
 
 def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(monkeypatch):
@@ -646,6 +706,48 @@ def test_init_accepts_numpy_numbers():
     trace = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
     init = {"f0": np.float32(1.0), "fwhm": np.int64(15), "amplitude": 1, "baseline": 0.0}
     assert fit_lorentzians(trace, "single", init).params["fwhm"] == pytest.approx(20.0)
+
+
+def test_full_model_refuses_a_free_name_given_twice():
+    grid = np.arange(-100.0, 100.0, 2.0)
+    with pytest.raises(ValueError, match="^free parameter 'fwhm' is given twice$"):
+        fit_full_model(SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0)),
+                       ("fwhm", "amplitude", "fwhm"), registry_lookup("117Sn"))
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0), (0.0, 1.0),
+                                       (0.0, 0.6, 0.8 + 2e-6)])
+def test_full_model_refuses_a_field_direction_that_is_not_a_unit_vector(direction):
+    """A trace made at 0.05 T along z, given b_direction (0, 0, 2), fitted
+    a_ple_scale 1.112 instead of 1; given (0, 0, 0), it fitted at zero field."""
+    base = registry_lookup("117Sn", strain_alpha_ghz=55.0)
+    grid = np.arange(-700.0, 700.0, 10.0)
+    good, trace = sweep_field(base, (0.0, 0.0, 1.0), [0.0, 0.05], 30.0, grid)
+    trace.meta["b_direction"] = direction
+    with pytest.raises(ValueError, match=r"^trace 1: b_direction must be a unit vector of 3 "
+                                         r"components, got \("):
+        fit_full_model([good, trace], ("a_ple_scale", "fwhm"), base)
+
+
+def _mismatched(grid):
+    return SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0)[:-1])
+
+
+@pytest.mark.parametrize("fit", [
+    lambda traces: fit_lorentzians(traces, "single"),
+    lambda traces: fit_lorentzians(traces, "triplet211"),
+    fit_gaussian,
+    lambda traces: fit_full_model(traces, ("fwhm",), registry_lookup("117Sn")),
+], ids=["single", "triplet", "gaussian", "full"])
+def test_fits_name_a_trace_whose_grid_and_signal_lengths_differ(fit):
+    grid = np.arange(-100.0, 100.0, 2.0)
+    good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    with pytest.raises(analysis.TraceError) as info:
+        fit([good, _mismatched(grid)])
+    assert info.value.index == 1
+    assert str(info.value) == "trace 1: freq_mhz has 100 values but signal has 99"
+    with pytest.raises(ValueError, match="^trace 0: freq_mhz has 100 values but signal has 99$"):
+        fit(_mismatched(grid))
 
 
 @pytest.mark.parametrize("data", [[], ()])

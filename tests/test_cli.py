@@ -445,6 +445,30 @@ def test_fit_full_model_on_map(tmp_path):
     assert doc["params"]["fwhm"] == pytest.approx(150.0, rel=1e-3)
 
 
+def test_fit_full_model_refuses_a_free_name_given_twice(tmp_path, capsys):
+    out = tmp_path / "full.json"
+    assert run_cli(["fit", "--map", str(_small_map(tmp_path)), "--model", "full",
+                    "--emitter", "117Sn", "--free", "fwhm,fwhm,amplitude",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: free parameter 'fwhm' is given twice\n"
+    assert not out.exists()
+
+
+def test_fit_pl_report_takes_no_histogram_at_any_bandwidth(tmp_path):
+    """n, mean and standard error of the mean of the values; a bandwidth of
+    1e-9 would ask a histogram of that bin width for 2.5e10 bins."""
+    values = tmp_path / "v.csv"
+    dataio.write_values_csv(values, [10.0, 20.0, 35.0])
+    report = tmp_path / "r.json"
+    assert run_cli(["fit-pl", "--values", str(values), "--bandwidth", "1e-9",
+                    "--kde-out", str(tmp_path / "k.csv"), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    sample = np.array([10.0, 20.0, 35.0])
+    assert (doc["n"], doc["mean"], doc["std_err_of_mean"]) == (
+        3, float(sample.mean()), float(sample.std(ddof=1) / np.sqrt(3)))
+    assert doc["fits"] == []
+
+
 def test_fit_map_with_non_finite_value_names_file_and_line(tmp_path, capsys):
     map_path = tmp_path / "map.csv"
     map_path.write_text("b_tesla,freq_mhz,intensity\n0,-10,1.0\n0,0,nan\n0,10,1.0\n")
@@ -652,6 +676,8 @@ def _non_finite_case(tmp_path, case):
     dataio.write_values_csv(values, [1.0, 2.0, 4.0])
     huge = tmp_path / "huge.csv"
     dataio.write_values_csv(huge, [-1e300, 1e300])
+    wide = tmp_path / "wide.csv"
+    dataio.write_values_csv(wide, [-1e154, 1e154])
     trace = tmp_path / "t.csv"
     grid = np.arange(-50.0, 51.0, 1.0)
     dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
@@ -669,10 +695,16 @@ def _non_finite_case(tmp_path, case):
         "fit-pl bandwidth nan": fit_pl + [str(values), "--bandwidth", "nan"],
         "fit-pl bandwidth inf": fit_pl + [str(values), "--bandwidth", "inf"],
         "fit-pl density overflow": fit_pl + [str(huge), "--bandwidth", "1e299"],
+        "fit-pl sem overflow": fit_pl + [str(wide), "--bandwidth", "1e140", "--out",
+                                         str(tmp_path / "pl.json")],
         "simulate alpha nan": simulate + ["--fwhm", "30", "--alpha", "nan"],
         "simulate beta inf": simulate + ["--fwhm", "30", "--beta", "inf"],
         "stats bin-width nan": stats + ["nan"],
         "stats bin-width inf": stats + ["inf"],
+        "stats bin-width 1e-12": stats + ["1e-12"],
+        "stats bin-width 1e-300": stats + ["1e-300"],
+        "stats sem overflow": ["stats", "--values", str(huge), "--out", str(out),
+                               "--bin-width", "1e299"],
         "synth noise nan": synth + ["--fwhm", "30", "--noise", "nan"],
         "synth fwhm nan": synth + ["--fwhm", "nan"],
         "synth jitter-aple nan": synth + ["--fwhm", "30", "--jitter-aple", "nan"],
@@ -694,7 +726,7 @@ def _non_finite_case(tmp_path, case):
         "fit zero-width start": ["fit", "--trace", str(trace), "--model", "single",
                                  "--init", zero_width, "--out", str(out)],
     }[case]
-    return argv, [out, tmp_path / "traces"]
+    return argv, [out, tmp_path / "traces", tmp_path / "pl.json"]
 
 
 @pytest.mark.parametrize("case, message", [
@@ -704,10 +736,16 @@ def _non_finite_case(tmp_path, case):
     ("fit-pl bandwidth nan", "bandwidth must be positive and finite, got nan"),
     ("fit-pl bandwidth inf", "bandwidth must be positive and finite, got inf"),
     ("fit-pl density overflow", "kde density is not finite with bandwidth 1e+299"),
+    ("fit-pl sem overflow", "the standard error of the mean of the values is not finite (inf)"),
     ("simulate alpha nan", "strain alpha_ghz must be finite, got nan"),
     ("simulate beta inf", "strain beta_ghz must be finite, got inf"),
     ("stats bin-width nan", "bin_width must be positive and finite, got nan"),
     ("stats bin-width inf", "bin_width must be positive and finite, got inf"),
+    ("stats bin-width 1e-12", "bin_width 1e-12 gives more than the 10000000 histogram bins "
+                              "allowed over the values"),
+    ("stats bin-width 1e-300", "bin_width 1e-300 gives more than the 10000000 histogram "
+                               "bins allowed over the values"),
+    ("stats sem overflow", "the standard error of the mean of the values is not finite (inf)"),
     ("synth noise nan", "noise_sigma must be >= 0 and finite, got nan"),
     ("synth fwhm nan", "fwhm must be positive and finite, got nan"),
     ("synth jitter-aple nan", "jitter_aple_mhz must be >= 0 and finite, got nan"),
