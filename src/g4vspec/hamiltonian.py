@@ -32,6 +32,7 @@ same terms in the same order from float64 copies of the real operators,
 which equal the real part of build_hamiltonian bit for bit.
 """
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +73,7 @@ MANIFOLDS = ("gnd", "exc")
 
 
 def _finite(name, value):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
