@@ -56,7 +56,7 @@ COST_TOL = 1e-10
 STEP_TOL = float(np.finfo(float).eps)
 STACK_POINTS = 1 << 14  # grid points of the traces in one stacked peak fit, at most
 KDE_GRID_POINTS = 512
-MAX_BINS = 10**7  # bins of an ensemble histogram, at most (as dataio.MAX_GRID_POINTS)
+_MAX_BINS = 10**7  # bins of an ensemble histogram, at most (as dataio.MAX_GRID_POINTS)
 # Reported sign of each parameter that the models use only through |.|.
 _REPORTED_SIGNS = {"fwhm": +1, "sigma": +1, "delta": +1, "a_ple": -1}
 
@@ -851,7 +851,7 @@ def _mean_sem(values):
 
 def ensemble_stats(values, bin_width: float) -> EnsembleStats:
     """Mean, standard error of the mean, and a zero-anchored histogram of
-    at most MAX_BINS bins."""
+    at most 10**7 bins."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("ensemble_stats needs at least one value")
@@ -860,8 +860,8 @@ def ensemble_stats(values, bin_width: float) -> EnsembleStats:
     n, mean, sem = _mean_sem(values)
     with np.errstate(all="ignore"):  # a count that is not finite is refused just below
         bins = np.ceil(values.max() / bin_width) - np.floor(values.min() / bin_width)
-    if not bins <= MAX_BINS:
-        raise ValueError(f"bin_width {bin_width} gives more than the {MAX_BINS} histogram "
+    if not bins <= _MAX_BINS:
+        raise ValueError(f"bin_width {bin_width} gives more than the {_MAX_BINS} histogram "
                          "bins allowed over the values")
     lo = math.floor(values.min() / bin_width) * bin_width
     hi = math.ceil(values.max() / bin_width) * bin_width

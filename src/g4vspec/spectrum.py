@@ -201,9 +201,9 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations
     emitter.  It equals the lower-branch mean of the coupling-free system
     of any I: that spectrum is each electronic level plus m_I g_I mu_N |B|,
     and the m_I shifts sum to zero over a branch.  A slope is the mean of
-    diag(V^H dH V) over the same two levels (Hellmann-Feynman), with each
-    dH evaluated on that copy, a trace and so the same in any basis of a
-    degenerate pair.  Each kind of point is solved as one stack, in its own
+    diag(V^H dH V) over the same two levels (Hellmann-Feynman), a trace and
+    so the same in any basis of a degenerate pair, with dH evaluated on
+    that copy.  Each kind of point is solved as one stack, in its own
     dtype."""
     neutral = replace(emitter.without_couplings(), nuclear_spin=0.0)
     dhs = [f(neutral) for f in perturbations]

@@ -436,7 +436,7 @@ def test_ensemble_refuses_too_many_bins_before_allocating(values, bin_width):
 
 
 def test_ensemble_bin_limit_is_inclusive(monkeypatch):
-    monkeypatch.setattr(analysis, "MAX_BINS", 3)
+    monkeypatch.setattr(analysis, "_MAX_BINS", 3)
     assert ensemble_stats([0.5, 2.5], bin_width=1.0).counts.tolist() == [1, 0, 1]
     with pytest.raises(ValueError, match="gives more than the 3 histogram bins"):
         ensemble_stats([0.5, 3.5], bin_width=1.0)
