@@ -4,7 +4,9 @@
 
 The file holds, for every registry isotope at four fixed (B, alpha, beta)
 points, the ``merge_lines`` output of ``transitions``, plus the result of
-one small full-model field-map fit (its inputs are stored with it), and,
+one small full-model field-map fit in the x-z plane (its inputs are
+stored with it) and, under ``mixed_fit``, one off that plane whose stack
+holds real and complex points, and,
 under ``peak_fits``, the full reports of ``single`` and ``triplet211`` fits
 of seeded noisy 119Sn traces, of Gaussian fits of seeded noisy Gaussian
 traces, and the field-map fit's standard errors.
@@ -50,6 +52,16 @@ FIT = {
     "free": ["a_ple_scale", "strain_alpha", "fwhm", "amplitude"],
     "init": {"a_ple_scale": 1.0, "strain_alpha": 20.0, "fwhm": 50.0},
 }
+
+# The same kind of map with the field off the x-z plane: its B = 0 row is
+# a real point and the others are complex, so one stack holds both kinds.
+MIXED_FIT = dict(
+    FIT,
+    direction=[math.sin(math.radians(33.0)) * math.cos(math.radians(30.0)),
+               math.sin(math.radians(33.0)) * math.sin(math.radians(30.0)),
+               math.cos(math.radians(33.0))],
+    noise_seed=8,
+)
 
 
 # Seeded noisy traces for the closed-form peak fits: 119Sn at 55 GHz strain
@@ -192,14 +204,20 @@ def changes(old, new):
     return lines
 
 
+def fit_record(spec, res):
+    return dict(spec, params={k: float(v) for k, v in res.params.items()},
+                n_iterations=int(res.n_iterations), converged=bool(res.converged))
+
+
 def main():
     res = run_fit(FIT)
+    mixed = run_fit(MIXED_FIT)
     doc = {
         "tables": tables(),
-        "fit": dict(FIT, params={k: float(v) for k, v in res.params.items()},
-                    n_iterations=int(res.n_iterations), converged=bool(res.converged)),
+        "fit": fit_record(FIT, res),
         "peak_fits": dict(PEAK_FITS, fits=peak_fit_reports(PEAK_FITS),
                           field_map_fit=res.as_report()),
+        "mixed_fit": dict(fit_record(MIXED_FIT, mixed), report=mixed.as_report()),
     }
     if OUT.exists():
         print(f"changes against the {OUT.name} this replaces:")
@@ -209,7 +227,8 @@ def main():
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {OUT}: {len(doc['tables'])} tables, fit {doc['fit']['params']} "
-          f"in {res.n_iterations} iterations, {len(doc['peak_fits']['fits'])} peak fits")
+          f"in {res.n_iterations} iterations, mixed-kind fit {doc['mixed_fit']['params']} in "
+          f"{mixed.n_iterations} iterations, {len(doc['peak_fits']['fits'])} peak fits")
 
 
 if __name__ == "__main__":

@@ -541,12 +541,34 @@ def _sn_map_with_strain():
                           "freq_offset": -5.0}
 
 
-@pytest.mark.parametrize("make_map", [_ge_map_with_zero_field_row, _sn_map_with_strain],
-                         ids=["73Ge-33deg", "117Sn-strain"])
+def _ge_map_off_the_xz_plane():
+    # B_y != 0 on every row but the B = 0 one: a stack of both kinds of point.
+    base, _, init = _ge_map_with_zero_field_row()
+    gen = dataclasses.replace(base.scaled_hyperfine(1.2), strain_alpha_ghz=30.0)
+    theta, phi = math.radians(33.0), math.radians(30.0)
+    direction = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                 math.cos(theta))
+    traces = sweep_field(gen, direction, [0.0, 0.05, 0.1], 40.0, np.arange(-200.0, 200.0, 4.0))
+    return base, traces, init
+
+
+def _sn_map_with_beta_strain():
+    # beta != 0 makes every point complex, the B = 0 one included.
+    base = registry_lookup("117Sn", strain_alpha_ghz=55.0, strain_beta_ghz=20.0)
+    traces = sweep_field(base.scaled_hyperfine(1.2), (0.0, 0.0, 1.0), [0.0, 0.02], 150.0,
+                         np.arange(-700.0, 700.0, 10.0))
+    return base, traces, {"a_ple_scale": 1.1, "strain_alpha": 45.0, "fwhm": 120.0,
+                          "freq_offset": -5.0}
+
+
+@pytest.mark.parametrize("make_map", [_ge_map_with_zero_field_row, _sn_map_with_strain,
+                                      _ge_map_off_the_xz_plane, _sn_map_with_beta_strain],
+                         ids=["73Ge-33deg", "117Sn-strain", "73Ge-off-xz", "117Sn-beta"])
 def test_full_model_jacobian_matches_central_differences(monkeypatch, make_map):
     """Each analytic column, on each map row, against central differences
     with steps of 1e-4 relative; the B = 0 row, whose levels form degenerate
-    clusters, included."""
+    clusters, included.  The maps hold real points only, real and complex
+    points in one stack, and complex points only."""
     base, traces, init = make_map()
     problem = _full_model_problem(monkeypatch, traces, base, init)
     p, residual = problem["p0"], problem["residual"]

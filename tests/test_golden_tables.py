@@ -5,7 +5,10 @@ out the same from the current code.  The field-map fit was re-recorded when
 its Jacobian became analytic, and the tables and that fit when the
 coupling-free C line came to be taken from the spin-neutral (4x4) emitter,
 and again when real points (B_y = 0, beta = 0) came to be solved in
-float64; the tables of complex points were left unchanged by that one."""
+float64; the tables of complex points were left unchanged by that one.  The
+mixed-kind fit (a field off the x-z plane and a B = 0 row) was added, its
+existing sections unchanged, before a stack of each kind of point came to
+be kept whole from the solve to the line slopes."""
 import importlib.util
 import json
 from pathlib import Path
@@ -53,12 +56,15 @@ def test_merged_table_matches_golden(case):
 
 
 def test_field_map_fit_matches_golden():
-    want = GOLDEN["fit"]
-    res = _recorder().run_fit(want)
-    assert res.converged == want["converged"]
-    assert res.n_iterations == want["n_iterations"]
-    assert {k: float(v) for k, v in res.params.items()} == want["params"]
-    assert res.as_report() == GOLDEN["peak_fits"]["field_map_fit"]  # std_errs and rms too
+    """Both fits, the real-only one in the x-z plane and the one whose
+    stack mixes real and complex points, bit for bit."""
+    for want, report in ((GOLDEN["fit"], GOLDEN["peak_fits"]["field_map_fit"]),
+                         (GOLDEN["mixed_fit"], GOLDEN["mixed_fit"]["report"])):
+        res = _recorder().run_fit(want)
+        assert res.converged == want["converged"]
+        assert res.n_iterations == want["n_iterations"]
+        assert {k: float(v) for k, v in res.params.items()} == want["params"]
+        assert res.as_report() == report  # std_errs and rms too
 
 
 def test_field_map_fit_computes_each_table_once(monkeypatch):
@@ -133,7 +139,8 @@ def test_recorder_reports_the_largest_change_of_each_section():
     changes = _recorder().changes
     assert changes(GOLDEN, GOLDEN) == [
         f"{name}: max |change| 0; max relative 0"
-        for name in ("tables", "fit", "peak_fits", "peak_fits.fits", "peak_fits.field_map_fit")]
+        for name in ("tables", "fit", "peak_fits", "peak_fits.fits", "peak_fits.field_map_fit",
+                     "mixed_fit")]
     moved = json.loads(json.dumps(GOLDEN))
     moved["tables"][3]["freq_mhz"][1] += 0.5
     moved["fit"]["n_iterations"] += 1
