@@ -701,10 +701,10 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     def model_signal(values):
         nonlocal unit_rows
         p = params(values)
-        key, (rows, _) = rows_at(p)
+        key, ((tables, _), _) = rows_at(p)
         fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
         unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
-                for grid, (table, _, _) in zip(grids, rows)]
+                for grid, table in zip(grids, tables)]
         unit_rows = ((key, fwhm, offset), unit)
         return np.concatenate([p["amplitude"] * sig for sig in unit])
 
@@ -717,10 +717,10 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         unit = unit_rows[1] if unit_rows[0] == (jac_key, fwhm, p["freq_offset"]) else None
         d_center, d_fwhm = _lorentz_slopes(fwhm)
         perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
-        slopes = dict(zip(moved, _line_slopes(rows, perturbations))) if moved else {}
+        slopes = dict(zip(moved, _line_slopes(*rows, perturbations))) if moved else {}
         j = np.empty((y_all.size, len(free)))
         start = 0
-        for k, (grid, (table, _, _)) in enumerate(zip(grids, rows)):
+        for k, (grid, table) in enumerate(zip(grids, rows[0])):
             centers = table.freq_mhz + p["freq_offset"]
             block = j[start:start + grid.size]
             start += grid.size

@@ -131,12 +131,12 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     emitter = dataio.load_emitter(args.emitter)
     # One solve serves both the spectrum and the diagram.
-    [(table, es_g, es_e)] = _solve_transitions(emitter, [dataio.parse_field(args.b)],
-                                               args.alpha, args.beta)
+    solved = _solve_transitions(emitter, [dataio.parse_field(args.b)], args.alpha, args.beta)
+    [table], _ = solved
     trace = synth_spectrum(table, args.fwhm, dataio.parse_grid(args.grid))
     dataio.write_spectrum_csv(args.out, trace)
     if args.diagram_out:
-        dataio.write_json(args.diagram_out, _diagram(table, es_g, es_e))
+        dataio.write_json(args.diagram_out, _diagram(solved))
     print(f"wrote {args.out} ({len(trace.freq_mhz)} points, {len(table)} lines)")
     return 0
 

@@ -17,16 +17,19 @@ Tables along a field axis (`sweep_field`, the rows of a field-map fit)
 solve each manifold and the coupling-free reference once for all points
 of a kind; a caller that already holds the reference lines (a fit, which
 keeps them per coupling-free emitter) passes them in.  Every number is
-bit-identical to a one-point solve.  `_line_slopes` gives the first-order
-change of a solved stack's lines along a change of the Hamiltonian
-without solving again.
+bit-identical to a one-point solve.  `_solve_transitions` returns a
+stack's tables, one per point, and each kind's eigensystems as the one
+stack it was solved as; `_line_slopes` takes those stacks as they are and
+gives the first-order change of the lines along a change of the
+Hamiltonian without solving again.
 
 Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
 Hamiltonian is real in the product basis (see `hamiltonian`).  Real
 points are built and diagonalized in float64, and the tables, J^2 labels,
 reference lines and line slopes of real points are computed in float64
 from there; every other point is solved in complex128.  A stack with
-both kinds solves each kind as one stack.  `solve_manifold` itself
+both kinds solves each kind as one stack, and `_like` gives J^2 or a dH
+in the dtype of a kind's vectors.  `solve_manifold` itself
 returns complex128 for every point, the real ones cast exactly; the
 table path takes their float64 vectors back out of that cast.
 """
@@ -35,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_real, _real_operators, a_parallel, a_perp,
-                          build_hamiltonian, jsq_operator)
+from .hamiltonian import (EmitterModel, _build_real, a_parallel, a_perp, build_hamiltonian,
+                          jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh
 
 __all__ = [
@@ -148,9 +151,10 @@ def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
             for kind, rows in ((True, np.flatnonzero(real)), (False, np.flatnonzero(~real)))]
 
 
-def _jsq(i, real: bool) -> np.ndarray:
-    """J^2 in the dtype of one kind of point."""
-    return _real_operators(i).jsq if real else jsq_operator(i)
+def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The operator op (J^2, or a dH real wherever a is) in the dtype of the
+    array a: the float64 real part where a is float64, else op itself."""
+    return np.ascontiguousarray(op.real) if a.dtype == np.float64 else op
 
 
 def _solve(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz, real: bool):
@@ -159,7 +163,7 @@ def _solve(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz, real: b
         h = _build_real(emitter, manifold, b, alpha_ghz)
     else:
         h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
-    return eigh(h, degeneracy_operator=_jsq(emitter.nuclear_spin, real))
+    return eigh(h, degeneracy_operator=_like(jsq_operator(emitter.nuclear_spin), h))
 
 
 def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
@@ -215,9 +219,7 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations
             es = _native(solve_manifold(neutral, manifold, *inputs), real)
             v = es.vectors[..., :2]
             return es.values[:, :2].mean(axis=1), [
-                0.5 * np.einsum("kij,kij->k", v.conj(),
-                                (np.ascontiguousarray(dh[m].real) if real else dh[m]) @ v).real
-                for dh in dhs]
+                0.5 * np.einsum("kij,kij->k", v.conj(), _like(dh[m], v) @ v).real for dh in dhs]
 
         (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slopes("gnd", 0), mean_and_slopes("exc", 1)
         line[rows] = e_exc - e_gnd
@@ -281,47 +283,44 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
 
 
 def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_ref=None):
-    """One (table, es_gnd, es_exc) per field of the (n, 3) stack b_stack.
+    """(tables, kinds) of the fields of the (n, 3) stack b_stack: one table
+    per field, in stack order, and for each kind of point (see the dtype
+    rule) a (positions, es_gnd, es_exc) record, its points' positions in
+    the stack and both manifolds' eigensystems of them as one stack in
+    that kind's dtype.
 
-    Each manifold is solved once per kind of point (see the dtype rule),
-    and so is the coupling-free reference unless its n lines are given as
-    e_ref; a real point's eigensystems and table are float64.  The branch
-    gaps are checked once for the stack, and the J^2 labels and intensity
-    matrices taken once per kind.
+    Each manifold is solved once per kind, and so is the coupling-free
+    reference unless its n lines are given as e_ref.  The branch gaps are
+    checked once for the stack, and the J^2 labels, intensity matrices
+    and detunings taken once per kind.
     """
     b_stack = np.asarray(b_stack, dtype=float)
     n = len(b_stack)
-    kinds = []
+    n_low = lower_branch_size(emitter)
+    alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
+    beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
+    tables, kinds = [None] * n, []
+    values_g, values_e = np.empty((n, emitter.dim)), np.empty((n, emitter.dim))
     for rows, real, *inputs in _kinds(emitter, b_stack, alpha_ghz, beta_ghz):
         es_g = _native(solve_manifold(emitter, "gnd", *inputs), real)
         es_e = _native(solve_manifold(emitter, "exc", *inputs), real)
         ref = _reference_line(emitter, *inputs)[0] if e_ref is None else np.asarray(e_ref)[rows]
-        kinds.append((np.arange(n)[rows], real, es_g, es_e, ref))
+        positions = np.arange(n)[rows]
+        kinds.append((positions, es_g, es_e))
+        values_g[positions], values_e[positions] = es_g.values, es_e.values
 
-    n_low = lower_branch_size(emitter)
-    alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
-    beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
-    values_g, values_e = np.empty((n, emitter.dim)), np.empty((n, emitter.dim))
-    for rows, _, es_g, es_e, _ in kinds:
-        values_g[rows], values_e[rows] = es_g.values, es_e.values
-    _check_branch_gaps(emitter, values_g, values_e)
-    solved = [None] * n
-    for rows, real, es_g, es_e, ref in kinds:
-        jop = _jsq(emitter.nuclear_spin, real)
+        jop = _like(jsq_operator(emitter.nuclear_spin), es_g.vectors)
         jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
         jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
         intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
-        for j, k in enumerate(rows.tolist()):
-            g = EigenSystem(es_g.values[j], es_g.vectors[j])
-            e = EigenSystem(es_e.values[j], es_e.vectors[j])
-            inten = intens[j]
-            freq = e.values[:n_low, None] - g.values[None, :n_low] - ref[j]
-
+        freqs = es_e.values[:, :n_low, None] - es_g.values[:, None, :n_low] - ref[:, None, None]
+        for j, k in enumerate(positions.tolist()):
+            inten, freq = intens[j], freqs[j]
             keep = inten > INTENSITY_FLOOR * inten.max()
             e_idx, g_idx = np.nonzero(keep)
             order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
             e_idx, g_idx = e_idx[order], g_idx[order]
-            table = TransitionTable(
+            tables[k] = TransitionTable(
                 freq_mhz=freq[e_idx, g_idx],
                 intensity=inten[e_idx, g_idx],
                 gnd_index=g_idx,
@@ -331,15 +330,15 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
                 meta={"emitter": emitter.isotope, "b_tesla": tuple(b_stack[k].tolist()),
                       "alpha_ghz": alpha, "beta_ghz": beta},
             )
-            solved[k] = (table, g, e)
-    return solved
+    _check_branch_gaps(emitter, values_g, values_e)
+    return tables, kinds
 
 
-def _line_slopes(solved, perturbations):
-    """First-order change of the lines of tables that `_solve_transitions`
-    solved together, along each perturbation (dh_gnd, dh_exc, d_ref): the
-    manifolds' Hamiltonians change by dh_gnd and dh_exc (d, d), and the n
-    reference lines by d_ref, an (n,) array or a number.
+def _line_slopes(tables, kinds, perturbations):
+    """First-order change of the lines of a `_solve_transitions` result,
+    along each perturbation (dh_gnd, dh_exc, d_ref): the manifolds'
+    Hamiltonians change by dh_gnd and dh_exc (d, d), and the n reference
+    lines by d_ref, an (n,) array or a number.
 
     For each perturbation, one (d_intensity, shift_weight) pair per table,
     aligned with its lines: a spectrum sum_l I_l L(f_l) changes by
@@ -356,63 +355,44 @@ def _line_slopes(solved, perturbations):
     eigenbasis of the projected dh.  Only a table's kept lines get
     weights, so a line sum over them costs what the table's own does.
 
-    Tables of real points (float64 eigenvectors) and the others are taken
-    as one stack each, the real ones with the real part of each dh, which
+    Each kind of point is taken as the one stack it was solved as, the
+    real one (float64 eigenvectors) with the real part of each dh, which
     must be real there: hyperfine and strain alpha are.
     """
-    kinds = {}
-    for k, (_, g, _) in enumerate(solved):
-        kinds.setdefault(g.vectors.dtype, []).append(k)
-    out = [[None] * len(solved) for _ in perturbations]
-    for dtype, rows in kinds.items():
-        real = dtype == np.float64
-        cut = [(np.ascontiguousarray(dh_g.real) if real else dh_g,
-                np.ascontiguousarray(dh_e.real) if real else dh_e,
-                np.broadcast_to(d_ref, len(solved))[rows]) for dh_g, dh_e, d_ref in perturbations]
-        for slot, slopes in zip(out, _kind_slopes([solved[k] for k in rows], cut)):
-            for k, pair in zip(rows, slopes):
-                slot[k] = pair
-    return out
+    n_low = kinds[0][1].values.shape[-1] // 2
 
-
-def _kind_slopes(solved, perturbations):
-    """_line_slopes of tables whose eigensystems share one dtype, with the
-    perturbations' d_ref given per table."""
-    tables = [table for table, _, _ in solved]
-    n_low = solved[0][1].values.size // 2
-
-    def manifold(k):
-        # The rows' values (n, d) and vectors (n, d, d) of one manifold, and
+    def manifold(es):
+        # A kind's values (n, d) and vectors (n, d, d) of one manifold, and
         # whether state m and lower-branch state n share a cluster (n, d,
         # n_low); a cluster starts after each gap above tol, as in `eigh`.
-        values = np.stack([row[k].values for row in solved])
-        cluster = np.cumsum(np.diff(values, axis=-1, prepend=-np.inf) > CLUSTER_TOL, axis=-1)
-        return (values, np.stack([row[k].vectors for row in solved]),
-                cluster[:, :, None] == cluster[:, None, :n_low])
-
-    gnd, exc = manifold(1), manifold(2)
-    overlap = np.swapaxes(exc[1].conj(), -1, -2) @ gnd[1]  # O[k, exc, gnd]
-    low = overlap[:, :n_low, :n_low]
+        cluster = np.cumsum(np.diff(es.values, axis=-1, prepend=-np.inf) > CLUSTER_TOL, axis=-1)
+        return es.values, es.vectors, cluster[:, :, None] == cluster[:, None, :n_low]
 
     def mixing(values, vectors, same, dh):
         # (V^H dh V)[m, n] for every m and each lower-branch n: C off the
         # clusters, the in-cluster block on them.
-        a = np.swapaxes(vectors.conj(), -1, -2) @ (dh @ vectors[:, :, :n_low])
+        a = np.swapaxes(vectors.conj(), -1, -2) @ (_like(dh, vectors) @ vectors[:, :, :n_low])
         gap = values[:, None, :n_low] - values[:, :, None]
         c = np.where(same, 0.0, a / np.where(same, 1.0, gap))
         return c, np.where(same[:, :n_low], a[:, :n_low], 0.0)
 
-    out = []
-    for dh_gnd, dh_exc, d_ref in perturbations:
-        c_g, block_g = mixing(*gnd, dh_gnd)
-        c_e, block_e = mixing(*exc, dh_exc)
-        d_low = (np.swapaxes(c_e.conj(), -1, -2) @ overlap[:, :, :n_low]
-                 + overlap[:, :n_low, :] @ c_g)
-        d_inten = (2.0 / n_low) * (low.conj() * d_low).real
-        shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
-        out.append([(d_inten[k, t.exc_index, t.gnd_index],
-                     shift[k, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
-                    for k, t in enumerate(tables)])
+    out = [[None] * len(tables) for _ in perturbations]
+    for positions, es_g, es_e in kinds:
+        gnd, exc = manifold(es_g), manifold(es_e)
+        overlap = np.swapaxes(exc[1].conj(), -1, -2) @ gnd[1]  # O[k, exc, gnd]
+        low = overlap[:, :n_low, :n_low]
+        for slot, (dh_gnd, dh_exc, d_ref) in zip(out, perturbations):
+            c_g, block_g = mixing(*gnd, dh_gnd)
+            c_e, block_e = mixing(*exc, dh_exc)
+            d_low = (np.swapaxes(c_e.conj(), -1, -2) @ overlap[:, :, :n_low]
+                     + overlap[:, :n_low, :] @ c_g)
+            d_inten = (2.0 / n_low) * (low.conj() * d_low).real
+            shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
+            d_ref = np.broadcast_to(d_ref, len(tables))
+            for j, k in enumerate(positions.tolist()):
+                t = tables[k]
+                slot[k] = (d_inten[j, t.exc_index, t.gnd_index],
+                           shift[j, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
     return out
 
 
@@ -458,11 +438,12 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)
-    real = emitter.strain_beta_ghz == 0.0  # at B = 0 every point is real, or none
-    es = _native(solve_manifold(emitter, manifold, alpha_ghz=alphas), real)
+    [(_, real, *inputs)] = _kinds(emitter, (0.0, 0.0, 0.0), alphas, None)  # one field, one kind
+    es = _native(solve_manifold(emitter, manifold, *inputs), real)
     low = es.values[:, :n_low]
     return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
-                      jsq=_jsq_labels(es, _jsq(emitter.nuclear_spin, real))[:, :n_low],
+                      jsq=_jsq_labels(es, _like(jsq_operator(emitter.nuclear_spin),
+                                                es.vectors))[:, :n_low],
                       meta={"emitter": emitter.isotope, "manifold": manifold, "axis": "alpha_ghz"})
 
 
@@ -478,8 +459,8 @@ def sweep_field(emitter: EmitterModel, direction, b_magnitudes, fwhm_mhz: float,
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"field direction must be a unit vector, |d| = {norm!r}")
     b_mags = np.asarray(b_magnitudes, dtype=float).reshape(-1)
-    solved = _solve_transitions(emitter, b_mags[:, None] * direction, None, None)
-    traces = [synth_spectrum(table, fwhm_mhz, grid) for table, _, _ in solved]
+    tables, _ = _solve_transitions(emitter, b_mags[:, None] * direction, None, None)
+    traces = [synth_spectrum(table, fwhm_mhz, grid) for table in tables]
     for bmag, trace in zip(b_mags, traces):
         trace.meta.update(b_mag_tesla=float(bmag), b_direction=tuple(direction))
     return traces
@@ -493,14 +474,15 @@ def transition_diagram(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=No
     branch mean) plus the transition line list; gnd_index/exc_index of
     each line refer to positions in the level arrays.
     """
-    return _diagram(*_solve_transitions(emitter, [b], alpha_ghz, beta_ghz)[0])
+    return _diagram(_solve_transitions(emitter, [b], alpha_ghz, beta_ghz))
 
 
-def _diagram(table: TransitionTable, es_g: EigenSystem, es_e: EigenSystem) -> dict:
-    """The diagram bundle of a table and the two solves it came from."""
-    n_low = es_g.values.size // 2
-    gnd_levels = es_g.values[:n_low] - es_g.values[:n_low].mean()
-    exc_levels = es_e.values[:n_low] - es_e.values[:n_low].mean()
+def _diagram(solved) -> dict:
+    """The diagram bundle of a one-point `_solve_transitions` result."""
+    [table], [(_, es_g, es_e)] = solved
+    n_low = es_g.values.shape[-1] // 2
+    gnd, exc = es_g.values[0, :n_low], es_e.values[0, :n_low]
+    gnd_levels, exc_levels = gnd - gnd.mean(), exc - exc.mean()
     return {
         "gnd_levels_mhz": [float(v) for v in gnd_levels],
         "exc_levels_mhz": [float(v) for v in exc_levels],

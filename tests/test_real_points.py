@@ -139,10 +139,13 @@ def test_real_tables_match_the_complex_oracle(label):
     e = registry_lookup(label)
     n_low = e.dim // 2
     jsq_scale = np.linalg.norm(jsq_operator(e.nuclear_spin), 2)
+    jop = _real_operators(e.nuclear_spin).jsq
     for alpha in (0.0, 35.0):
-        solved = _solve_transitions(e, REAL_FIELDS, alpha, 0.0)
-        for b, (table, es_g, es_e) in zip(REAL_FIELDS, solved):
-            assert es_g.vectors.dtype == es_e.vectors.dtype == np.float64
+        tables, [(positions, es_g, es_e)] = _solve_transitions(e, REAL_FIELDS, alpha, 0.0)
+        assert positions.tolist() == list(range(len(REAL_FIELDS)))
+        assert es_g.vectors.dtype == es_e.vectors.dtype == np.float64
+        got_g, got_e = _jsq_labels(es_g, jop)[:, :n_low], _jsq_labels(es_e, jop)[:, :n_low]
+        for k, (b, table) in enumerate(zip(REAL_FIELDS, tables)):
             for name in ("freq_mhz", "intensity", "jsq_gnd", "jsq_exc"):
                 assert getattr(table, name).dtype == np.float64
             (freq, inten), labels, freq_bound, vec_bound = _oracle_lines(e, b, alpha)
@@ -151,10 +154,9 @@ def test_real_tables_match_the_complex_oracle(label):
             assert np.abs(got_freq - freq).max() <= freq_bound
             # |O|^2 of unit vectors moves by at most twice each side's change
             assert np.abs(got_inten - inten).max() <= 4.0 * vec_bound / n_low
-            jop = _real_operators(e.nuclear_spin).jsq
-            for es, want, index, on_lines in ((es_g, labels[0], table.gnd_index, table.jsq_gnd),
-                                              (es_e, labels[1], table.exc_index, table.jsq_exc)):
-                got = _jsq_labels(es, jop)[:n_low]
+            for got, want, index, on_lines in (
+                    (got_g[k], labels[0], table.gnd_index, table.jsq_gnd),
+                    (got_e[k], labels[1], table.exc_index, table.jsq_exc)):
                 assert np.abs(got - want).max() <= 2.0 * jsq_scale * vec_bound
                 assert _bits(on_lines) == _bits(got[index])
 
@@ -164,18 +166,24 @@ def test_a_mixed_stack_gives_each_row_its_one_point_table(label):
     e = registry_lookup(label, strain_alpha_ghz=20.0)
     fields = [(0.0, 0.0, 0.0), (0.02, 0.01, 0.05), (0.05, 0.0, 0.08), (0.0, -0.03, 0.0),
               (0.0, 0.0, 0.1), (0.01, 0.0, 0.0)]
-    real = [b[1] == 0.0 for b in fields]
-    solved = _solve_transitions(e, fields, None, 0.0)
-    for b, is_real, (table, es_g, es_e) in zip(fields, real, solved):
+    real = np.array([b[1] == 0.0 for b in fields])
+    tables, kinds = _solve_transitions(e, fields, None, 0.0)
+    for b, table in zip(fields, tables):
         one = transitions(e, b, beta_ghz=0.0)
         for name in ("freq_mhz", "intensity", "gnd_index", "exc_index", "jsq_gnd", "jsq_exc"):
             assert _bits(getattr(table, name)) == _bits(getattr(one, name))
         assert table.meta == one.meta
-        assert es_g.vectors.dtype == (np.float64 if is_real else np.complex128)
-        for manifold, es in (("gnd", es_g), ("exc", es_e)):
-            alone = solve_manifold(e, manifold, b, None, 0.0)
-            assert _bits(es.values) == _bits(alone.values)
-            assert np.array_equal(es.vectors, alone.vectors)
+    # one stack per kind, real first, each in its own dtype
+    assert [(positions.tolist(), es_g.vectors.dtype, es_e.vectors.dtype)
+            for positions, es_g, es_e in kinds] == [
+        (np.flatnonzero(real).tolist(), np.float64, np.float64),
+        (np.flatnonzero(~real).tolist(), np.complex128, np.complex128)]
+    for positions, es_g, es_e in kinds:
+        for j, k in enumerate(positions.tolist()):
+            for manifold, es in (("gnd", es_g), ("exc", es_e)):
+                alone = solve_manifold(e, manifold, fields[k], None, 0.0)
+                assert _bits(es.values[j]) == _bits(alone.values)
+                assert np.array_equal(es.vectors[j], alone.vectors)
     stacked = solve_manifold(e, "exc", fields, None, 0.0)
     assert stacked.vectors.dtype == np.complex128
     for k, b in enumerate(fields):
@@ -205,19 +213,18 @@ def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(monkeypatch):
     grid = np.arange(-300.0, 300.0, 6.0)
     data = sweep_field(base.scaled_hyperfine(1.3), direction, [0.0, 0.05, 0.1], 72.0, grid)
     dtypes, slope_dtypes = [], []
-    real_eigh, real_slopes = spectrum.eigh, spectrum._kind_slopes
+    real_eigh, real_slopes = spectrum.eigh, analysis._line_slopes
 
     def spy_eigh(h, degeneracy_operator=None):
         dtypes.append((np.asarray(h).dtype, np.asarray(degeneracy_operator).dtype))
         return real_eigh(h, degeneracy_operator)
 
-    def spy_slopes(solved, perturbations):
-        slope_dtypes.extend(es.vectors.dtype for _, g, e in solved for es in (g, e))
-        slope_dtypes.extend(dh.dtype for p in perturbations for dh in p[:2])
-        return real_slopes(solved, perturbations)
+    def spy_slopes(tables, kinds, perturbations):
+        slope_dtypes.extend(es.vectors.dtype for _, g, e in kinds for es in (g, e))
+        return real_slopes(tables, kinds, perturbations)
 
     monkeypatch.setattr(spectrum, "eigh", spy_eigh)
-    monkeypatch.setattr(spectrum, "_kind_slopes", spy_slopes)
+    monkeypatch.setattr(analysis, "_line_slopes", spy_slopes)
     res = analysis.fit_full_model(data, ("a_ple_scale", "fwhm", "amplitude"), base,
                                   init={"a_ple_scale": 1.0, "fwhm": 55.0})
     assert res.converged

@@ -90,16 +90,17 @@ def test_one_point_still_gives_one_matrix():
 def test_stacked_tables_equal_one_point_tables(label):
     e = registry_lookup(label, strain_alpha_ghz=25.0)
     fields = [(0.0, 0.0, 0.0), (0.02, 0.0, 0.05), (0.3, 0.1, 0.9)]
-    solved = _solve_transitions(e, fields, 40.0, 2.0)
-    with_ref = _solve_transitions(e, fields, 40.0, 2.0, _reference_line(e, fields, 40.0, 2.0)[0])
-    for b, (table, es_g, es_e), (again, _, _) in zip(fields, solved, with_ref):
+    tables, [(positions, es_g, es_e)] = _solve_transitions(e, fields, 40.0, 2.0)
+    again, _ = _solve_transitions(e, fields, 40.0, 2.0, _reference_line(e, fields, 40.0, 2.0)[0])
+    assert positions.tolist() == [0, 1, 2]  # beta != 0: every point is complex
+    for k, b in enumerate(fields):
         one = transitions(e, b, alpha_ghz=40.0, beta_ghz=2.0)
-        for t in (table, again):
+        for t in (tables[k], again[k]):
             for name in ("freq_mhz", "intensity", "gnd_index", "exc_index", "jsq_gnd", "jsq_exc"):
                 assert _bits(getattr(t, name)) == _bits(getattr(one, name))
             assert t.meta == one.meta
-        assert _bits(es_g.values) == _bits(solve_manifold(e, "gnd", b, 40.0, 2.0).values)
-        assert _bits(es_e.vectors) == _bits(solve_manifold(e, "exc", b, 40.0, 2.0).vectors)
+        assert _bits(es_g.values[k]) == _bits(solve_manifold(e, "gnd", b, 40.0, 2.0).values)
+        assert _bits(es_e.vectors[k]) == _bits(solve_manifold(e, "exc", b, 40.0, 2.0).vectors)
 
 
 def test_stacked_intensity_matrix_equals_its_one_point_results():
