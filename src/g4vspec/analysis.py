@@ -595,6 +595,33 @@ def _lorentz_slopes(fwhm):
     return d_center, d_fwhm
 
 
+def _trace_field(meta, index):
+    """The field of one map trace as 3 finite numbers (tesla): its meta's
+    b_mag_tesla along b_direction (default z), else its b_tesla, else zero.
+    Anything else is a TraceError naming the trace's position."""
+
+    def finite(key, shape, what):
+        value = meta[key]
+        try:
+            x = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, too large
+            x = None
+        if x is None or x.shape != shape or not np.isfinite(x).all():
+            raise TraceError(index, f"trace {index}: {key} must be {what}, got {value!r}")
+        return x
+
+    if "b_mag_tesla" in meta:
+        d = np.asarray(meta.get("b_direction", (0.0, 0.0, 1.0)), dtype=float)
+        norm = float(np.linalg.norm(d))
+        if d.shape != (3,) or abs(norm - 1.0) > 1e-6:
+            raise TraceError(index, f"trace {index}: b_direction must be a unit vector of 3 "
+                                    f"components, got {tuple(d.tolist())}")
+        return tuple(finite("b_mag_tesla", (), "a finite number") * d)
+    if "b_tesla" in meta:
+        return tuple(finite("b_tesla", (3,), "3 finite numbers").tolist())
+    return (0.0, 0.0, 0.0)
+
+
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
                    seed: int | None = None) -> FitResult:
     """Least-squares fit of the Hamiltonian-model spectrum to data.
@@ -643,18 +670,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         grid, y = _xy(t, i)
         grids.append(grid)
         signals.append(y)
-        meta = getattr(t, "meta", {}) or {}
-        if "b_tesla" in meta and "b_mag_tesla" not in meta:
-            fields.append(tuple(meta["b_tesla"]))
-        elif "b_mag_tesla" in meta:
-            d = np.asarray(meta.get("b_direction", (0.0, 0.0, 1.0)), dtype=float)
-            norm = float(np.linalg.norm(d))
-            if d.shape != (3,) or abs(norm - 1.0) > 1e-6:
-                raise TraceError(i, f"trace {i}: b_direction must be a unit vector of 3 "
-                                    f"components, got {tuple(d.tolist())}")
-            fields.append(tuple(meta["b_mag_tesla"] * d))
-        else:
-            fields.append((0.0, 0.0, 0.0))
+        fields.append(_trace_field(getattr(t, "meta", {}) or {}, i))
 
     defaults = {name: value(emitter) for name, (value, _, _) in _TABLE_PARAMS.items()}
     defaults.update(fwhm=50.0, amplitude=1.0, freq_offset=0.0)

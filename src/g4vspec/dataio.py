@@ -195,6 +195,13 @@ def emitter_from_dict(doc: dict) -> EmitterModel:
     """EmitterModel from a validated document; registry defaults fill any
     field the document does not override."""
     _validate(doc, "emitter.schema.json", "emitter file")
+    numbers = [(k, doc[k]) for k in _TOP_KEYS if k in doc]
+    numbers += [(f"{m}.{k}", v) for m in ("gnd", "exc") for k, v in doc.get(m, {}).items()]
+    for name, value in numbers:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is an integer too large for a float") from None
     label = doc["isotope"]
     if label in registry_labels():
         base = registry_lookup(label)

@@ -751,6 +751,33 @@ def test_full_model_refuses_a_field_direction_that_is_not_a_unit_vector(directio
         fit_full_model([good, trace], ("a_ple_scale", "fwhm"), base)
 
 
+@pytest.mark.parametrize("metas, message", [
+    # 2 and 3 components: NumPy's "inhomogeneous shape" error before
+    ([{"b_tesla": (0.0, 0.0, 0.1)}, {"b_tesla": (0.0, 0.0)}],
+     r"trace 1: b_tesla must be 3 finite numbers, got \(0\.0, 0\.0\)"),
+    # a lone 2-component field: "needs 3 components per point, got shape (1, 2)"
+    ([{"b_tesla": (0.0, 0.05)}], r"trace 0: b_tesla must be 3 finite numbers, got \(0\.0, 0\.05\)"),
+    # NaN: "magnetic field component must be finite"
+    ([{"b_tesla": (0.0, 0.0, 0.1)}, {"b_tesla": (0.0, math.nan, 0.1)}],
+     r"trace 1: b_tesla must be 3 finite numbers, got \(0\.0, nan, 0\.1\)"),
+    ([{"b_tesla": (0.0, 0.0, 0.1)}, {"b_tesla": ("0.1", 0.0, None)}],
+     r"trace 1: b_tesla must be 3 finite numbers, got \('0\.1', 0\.0, None\)"),
+    ([{"b_mag_tesla": 0.1}, {"b_mag_tesla": math.inf}],
+     r"trace 1: b_mag_tesla must be a finite number, got inf"),
+    ([{"b_mag_tesla": 10**400, "b_direction": (1.0, 0.0, 0.0)}],
+     r"trace 0: b_mag_tesla must be a finite number, got 1000"),
+], ids=["2-and-3-components", "2-components", "nan", "not-numbers", "inf-magnitude",
+        "huge-magnitude"])
+def test_full_model_names_a_trace_whose_field_is_not_three_finite_numbers(metas, message):
+    base = registry_lookup("117Sn", strain_alpha_ghz=55.0)
+    grid = np.arange(-700.0, 700.0, 10.0)
+    signal = sweep_field(base, (0.0, 0.0, 1.0), [0.05], 30.0, grid)[0].signal
+    traces = [SpectrumTrace(grid, signal, meta) for meta in metas]
+    with pytest.raises(analysis.TraceError, match="^" + message) as info:
+        fit_full_model(traces, ("a_ple_scale", "fwhm"), base)
+    assert info.value.index == len(metas) - 1
+
+
 def _mismatched(grid):
     return SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0)[:-1])
 

@@ -535,6 +535,14 @@ def test_emitter_file_with_non_finite_literal_names_file(tmp_path, capsys, liter
     assert not out.exists()
 
 
+def test_emitter_file_with_an_integer_beyond_the_float_range_names_file(tmp_path, capsys):
+    em = tmp_path / "em.json"
+    em.write_text('{"isotope": "117Sn", "strain_alpha_ghz": 1' + "0" * 400 + "}")
+    assert run_cli(["aple", str(em)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: emitter file {em}: strain_alpha_ghz is an integer too large for a float\n")
+
+
 def test_consecutive_commands_share_no_state(tmp_path, capsys):
     from g4vspec import cli
 

@@ -234,6 +234,21 @@ def test_emitter_file_errors_name_the_file(tmp_path):
     assert str(info.value) == f"emitter file {path}: strain_alpha_ghz must be finite, got inf"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"strain_alpha_ghz": 10**400}, "strain_alpha_ghz"),
+    ({"nuclear_spin": 10**400}, "nuclear_spin"),
+    ({"g_nuclear": -10**400}, "g_nuclear"),
+    ({"gnd": {"lambda_ghz": 10**400}}, "gnd.lambda_ghz"),
+])
+def test_emitter_file_integer_beyond_the_float_range_names_file_and_field(tmp_path, doc, field):
+    """A 400-digit integer literal escaped as OverflowError."""
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"isotope": "117Sn", **doc}))
+    with pytest.raises(ValueError) as info:
+        dataio.load_emitter(str(path))
+    assert str(info.value) == f"emitter file {path}: {field} is an integer too large for a float"
+
+
 # --- CSV ingestion ---
 
 def write_csv(tmp_path, text, name="t.csv"):
