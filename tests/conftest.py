@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,58 @@ from g4vspec import ManifoldParams, EmitterModel
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """calls(owner, name) replaces owner.name by a pass-through wrapper and
+    returns the list of its calls: each call's arguments bound by name to
+    the real function's parameters, defaults applied."""
+
+    def record(owner, name):
+        real = getattr(owner, name)
+        signature = inspect.signature(real)
+        seen = []
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return seen
+
+    return record
+
+
+def solve_inputs(c):
+    """The emitter, manifold, fields (3-tuples) and effective strain alpha
+    and beta of a recorded spectrum.solve_manifold call."""
+    e = c["emitter"]
+    fields = tuple(map(tuple, np.asarray(c["b"], dtype=float).reshape(-1, 3).tolist()))
+    alpha = e.strain_alpha_ghz if c["alpha_ghz"] is None else c["alpha_ghz"]
+    return e, c["manifold"], fields, float(alpha), c["beta_ghz"]
+
+
+def _bits(a):
+    """What two arrays share when they are equal bit for bit."""
+    return a.dtype, a.shape, a.tobytes()
+
+
+def lorentz_peak(f, center, fwhm):
+    """Unit-height Lorentzian."""
+    hw2 = (0.5 * fwhm) ** 2
+    return hw2 / ((f - center) ** 2 + hw2)
+
+
+def central_difference(fn, p, col):
+    """d fn / d p[col] by central differences, step 1e-4 relative."""
+    h = 1e-4 * max(abs(p[col]), 1.0)
+    up, down = p.copy(), p.copy()
+    up[col] += h
+    down[col] -= h
+    return (fn(up) - fn(down)) / (2.0 * h)
 
 
 def random_hermitian(rng, dim):

@@ -43,7 +43,7 @@ from g4vspec.spectrum import (
 )
 from g4vspec.spinops import SIGMA_Z, kron, spin_matrices
 
-from conftest import local_maxima, random_emitter
+from conftest import local_maxima, lorentz_peak, random_emitter
 
 DIRECTION_33 = (math.sin(math.radians(33.0)), 0.0, math.cos(math.radians(33.0)))
 
@@ -271,17 +271,12 @@ def test_c07b_sn_axial_map_splitting_and_anticrossing():
 
 # ---------------------------------------------------------------------- C8
 
-def _lorentz_peak(f, center, fwhm):
-    hw2 = (0.5 * fwhm) ** 2
-    return hw2 / ((f - center) ** 2 + hw2)
-
-
 def test_c08a_triplet_fit_round_trip():
     grid = np.arange(-400.0, 900.0, 2.0)
     truth_aple, truth_delta, truth_fwhm = -445.0, 150.0, 35.0
-    clean = _lorentz_peak(grid, -150.0, truth_fwhm) \
-        + 0.5 * _lorentz_peak(grid, -150.0 + 445.0 - 75.0, truth_fwhm) \
-        + 0.5 * _lorentz_peak(grid, -150.0 + 445.0 + 75.0, truth_fwhm)
+    clean = lorentz_peak(grid, -150.0, truth_fwhm) \
+        + 0.5 * lorentz_peak(grid, -150.0 + 445.0 - 75.0, truth_fwhm) \
+        + 0.5 * lorentz_peak(grid, -150.0 + 445.0 + 75.0, truth_fwhm)
     rng = np.random.Generator(np.random.PCG64(42))
     noisy = clean + rng.normal(0.0, 0.05 * clean.max(), clean.size)
     res = fit_lorentzians(type("T", (), {"freq_mhz": grid, "signal": noisy})(),

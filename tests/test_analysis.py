@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from g4vspec import analysis
+from g4vspec import analysis, spectrum
 from g4vspec.analysis import (
     _levenberg_marquardt,
     chi2_independence,
@@ -21,10 +22,7 @@ from g4vspec.analysis import (
 from g4vspec.hamiltonian import a_ple, build_hamiltonian, registry_lookup
 from g4vspec.spectrum import SpectrumTrace, _reference_line, sweep_field
 
-
-def lorentz_peak(f, center, fwhm):
-    hw2 = (0.5 * fwhm) ** 2
-    return hw2 / ((f - center) ** 2 + hw2)
+from conftest import central_difference, lorentz_peak, solve_inputs
 
 
 def make_triplet(grid, f_ch1, aple, delta, fwhm, amplitude, baseline=0.0):
@@ -490,39 +488,20 @@ def _small_sn_map():
     return base, traces
 
 
-def _record_solves(monkeypatch):
-    """Every solve_manifold call as (is_bare, manifold, fields, effective
-    strain alpha, beta, matrix size)."""
-    import g4vspec.spectrum as spectrum_mod
-
-    calls = []
-    real = spectrum_mod.solve_manifold
-
-    def counting(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
-        fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
-        alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
-        calls.append((emitter == emitter.without_couplings(), manifold, fields,
-                      alpha, beta_ghz, emitter.dim))
-        return real(emitter, manifold, b, alpha_ghz, beta_ghz)
-
-    monkeypatch.setattr(spectrum_mod, "solve_manifold", counting)
-    return calls
+def _solves(recorded):
+    """Recorded solve_manifold calls as (is_bare, manifold, fields,
+    effective strain alpha, beta, matrix size)."""
+    return [(e == e.without_couplings(), manifold, fields, alpha, beta, e.dim)
+            for e, manifold, fields, alpha, beta in map(solve_inputs, recorded)]
 
 
-def _full_model_problem(monkeypatch, data, base, init):
+def _full_model_problem(calls, data, base, init):
     """The residual, analytic Jacobian and start that fit_full_model, with
     every parameter of FULL_MODEL_FREE free, hands the LM core."""
-    seen = {}
-    real = analysis._levenberg_marquardt
-
-    def spy(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
-        seen.update(residual=residual_fn, jac=jac, p0=np.array(p0))
-        return real(residual_fn, p0, max_iter, jac=jac)
-
-    monkeypatch.setattr(analysis, "_levenberg_marquardt", spy)
+    cores = calls(analysis, "_levenberg_marquardt")
     fit_full_model(data, analysis.FULL_MODEL_FREE, base, init=init)
-    assert seen["jac"] is not None
-    return seen
+    assert cores[-1]["jac"] is not None
+    return cores[-1]
 
 
 def _ge_map_with_zero_field_row():
@@ -564,22 +543,18 @@ def _sn_map_with_beta_strain():
 @pytest.mark.parametrize("make_map", [_ge_map_with_zero_field_row, _sn_map_with_strain,
                                       _ge_map_off_the_xz_plane, _sn_map_with_beta_strain],
                          ids=["73Ge-33deg", "117Sn-strain", "73Ge-off-xz", "117Sn-beta"])
-def test_full_model_jacobian_matches_central_differences(monkeypatch, make_map):
+def test_full_model_jacobian_matches_central_differences(calls, make_map):
     """Each analytic column, on each map row, against central differences
     with steps of 1e-4 relative; the B = 0 row, whose levels form degenerate
     clusters, included.  The maps hold real points only, real and complex
     points in one stack, and complex points only."""
     base, traces, init = make_map()
-    problem = _full_model_problem(monkeypatch, traces, base, init)
-    p, residual = problem["p0"], problem["residual"]
+    problem = _full_model_problem(calls, traces, base, init)
+    p, residual = problem["p0"], problem["residual_fn"]
     j = problem["jac"](p)
     rows = np.cumsum([0] + [t.freq_mhz.size for t in traces])
     for col, name in enumerate(analysis.FULL_MODEL_FREE):
-        h = 1e-4 * max(abs(p[col]), 1.0)
-        up, down = p.copy(), p.copy()
-        up[col] += h
-        down[col] -= h
-        central = (residual(up) - residual(down)) / (2.0 * h)
+        central = central_difference(residual, p, col)
         for a, b in zip(rows[:-1], rows[1:]):
             scale = np.abs(central[a:b]).max()
             assert scale > 0.0, name
@@ -612,22 +587,15 @@ def test_table_params_match_central_differences(label):
         assert np.abs(slope - central).max() <= 1e-6 * max(np.abs(central).max(), 1.0), name
 
 
-def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(monkeypatch):
+def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(calls):
     """At the values of the last residual the amplitude column is that
     residual's unit-amplitude model, not synthesized again; after a residual
     at another fwhm it is synthesized anew, with the same bits."""
     base, traces, init = _ge_map_with_zero_field_row()
-    problem = _full_model_problem(monkeypatch, traces, base, init)
-    p, residual, jac = problem["p0"], problem["residual"], problem["jac"]
+    problem = _full_model_problem(calls, traces, base, init)
+    p, residual, jac = problem["p0"], problem["residual_fn"], problem["jac"]
     names = analysis.FULL_MODEL_FREE
-    real = analysis.kernels.lorentzian_sum
-    sums = []
-
-    def counted(*args):
-        sums.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(analysis.kernels, "lorentzian_sum", counted)
+    sums = calls(analysis.kernels, "lorentzian_sum")
     residual(p)
     sums.clear()
     reused = jac(p)
@@ -643,15 +611,16 @@ def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(m
     assert reused.tobytes() == fresh.tobytes()
 
 
-def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
+def test_full_model_fit_solves_each_reference_once_per_manifold(calls):
     base, traces = _small_sn_map()
     rows = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.02))
-    calls = _record_solves(monkeypatch)
+    solves = calls(spectrum, "solve_manifold")
     res = fit_full_model(traces, ("a_ple_scale", "strain_alpha", "fwhm"), base,
                          init={"fwhm": 120.0})
     assert res.converged
-    bare = [c[1:] for c in calls if c[0]]
-    tables = [c[1:] for c in calls if not c[0]]
+    solved = _solves(solves)
+    bare = [c[1:] for c in solved if c[0]]
+    tables = [c[1:] for c in solved if not c[0]]
     alphas = {c[2] for c in tables}
     assert len(alphas) > 1
     # one stacked bare solve per manifold and distinct strain_alpha, covering
@@ -662,22 +631,24 @@ def test_full_model_fit_solves_each_reference_once_per_manifold(monkeypatch):
     # With strain_alpha fixed, every a_ple_scale the fit visits shares one
     # reference pair; it must visit at least two, its start (1.0) and more,
     # because the map was made at 1.2.
-    calls.clear()
+    solves.clear()
     res = fit_full_model(traces, ("a_ple_scale", "fwhm"), base, init={"fwhm": 120.0})
     assert res.converged and res.params["a_ple_scale"] == pytest.approx(1.2, rel=1e-3)
-    assert [c[1:] for c in calls if c[0]] == [(m, rows, 55.0, None, 4) for m in ("gnd", "exc")]
-    assert sum(not c[0] for c in calls) >= 2 * 2  # two manifolds at two a_ple_scale or more
+    again = _solves(solves)
+    assert [c[1:] for c in again if c[0]] == [(m, rows, 55.0, None, 4) for m in ("gnd", "exc")]
+    assert sum(not c[0] for c in again) >= 2 * 2  # two manifolds at two a_ple_scale or more
 
 
-def test_full_model_fits_in_a_row_share_no_memo(monkeypatch):
+def test_full_model_fits_in_a_row_share_no_memo(calls):
     base, traces = _small_sn_map()
-    calls = _record_solves(monkeypatch)
+    solves = calls(spectrum, "solve_manifold")
     fit_full_model(traces, ("a_ple_scale", "fwhm"), base, init={"fwhm": 120.0})
-    first = list(calls)
-    calls.clear()
+    first = _solves(solves)
+    solves.clear()
     fit_full_model(traces, ("a_ple_scale", "fwhm"), base, init={"fwhm": 120.0})
-    assert calls == first
-    assert sum(c[0] for c in calls) == 2  # one strain, two manifolds, solved again
+    second = _solves(solves)
+    assert second == first
+    assert sum(c[0] for c in second) == 2  # one strain, two manifolds, solved again
 
 
 def test_full_model_fit_that_raises_drops_its_memo():
@@ -885,28 +856,22 @@ def test_peak_jacobians_match_forward_differences(case):
     assert (np.abs(analytic - numeric).max(axis=0) <= tol).all()
 
 
-def _count_calls(fn, counter):
-    def counting(*args):
-        counter[0] += 1
-        return fn(*args)
-    return counting
-
-
 @pytest.mark.parametrize("model", ["single", "triplet211", "gaussian"])
-def test_closed_form_fit_calls_its_model_once_per_trial(monkeypatch, model):
-    model_calls, trials = [0], [0]
-    monkeypatch.setattr(analysis, "_solve_damped", _count_calls(analysis._solve_damped, trials))
+def test_closed_form_fit_calls_its_model_once_per_trial(calls, monkeypatch, model):
+    trials = calls(analysis, "_solve_damped")
     grid = np.arange(-400.0, 900.0, 2.0)
     names, fn, jac = analysis._PEAK_MODELS[model]
-    monkeypatch.setitem(analysis._PEAK_MODELS, model, (names, _count_calls(fn, model_calls), jac))
+    entry = types.SimpleNamespace(fn=fn)
+    model_calls = calls(entry, "fn")
+    monkeypatch.setitem(analysis._PEAK_MODELS, model, (names, entry.fn, jac))
     if model == "gaussian":
         res = fit_gaussian(SpectrumTrace(grid, 0.1 + 2.0 * np.exp(-((grid - 20.0) / 30.0) ** 2)))
     else:
         sig = make_triplet(grid, -150.0, -445.0, 150.0, 35.0, 1.0, 0.02)
         res = fit_lorentzians(SpectrumTrace(grid, sig), model=model)
-    assert res.converged and trials[0] >= res.n_iterations
+    assert res.converged and len(trials) >= res.n_iterations
     # the start, then one call per damped trial step: no difference columns
-    assert model_calls[0] == 1 + trials[0]
+    assert len(model_calls) == 1 + len(trials)
 
 
 # --- LM recovers the truth on noise-free peak traces ---

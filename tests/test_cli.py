@@ -6,10 +6,7 @@ import pytest
 from g4vspec import dataio
 from g4vspec.cli import run_cli
 
-
-def lorentz(grid, center, fwhm):
-    hw2 = (0.5 * fwhm) ** 2
-    return hw2 / ((grid - center) ** 2 + hw2)
+from conftest import lorentz_peak
 
 
 def test_aple_prints_value_and_manifold_scalars(capsys):
@@ -63,17 +60,10 @@ def test_simulate_with_diagram(tmp_path):
     assert len(d["gnd_levels_mhz"]) == 4
 
 
-def test_simulate_with_diagram_solves_each_manifold_once(tmp_path, monkeypatch):
+def test_simulate_with_diagram_solves_each_manifold_once(tmp_path, calls, monkeypatch):
     from g4vspec import spectrum
 
-    solved = []
-    original = spectrum.solve_manifold
-
-    def counting(emitter, manifold, *args, **kwargs):
-        solved.append(manifold)
-        return original(emitter, manifold, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "solve_manifold", counting)
+    solved = calls(spectrum, "solve_manifold")
     out, diagram = tmp_path / "ge.csv", tmp_path / "ge.json"
     b, alpha, beta = (0.01, 0.02, 0.05), 3.0, 1.5
     code = run_cli([
@@ -83,7 +73,7 @@ def test_simulate_with_diagram_solves_each_manifold_once(tmp_path, monkeypatch):
     ])
     assert code == 0
     # the emitter and its coupling-free copy, both manifolds: 4 solves in all
-    assert sorted(solved) == ["exc", "exc", "gnd", "gnd"]
+    assert sorted(c["manifold"] for c in solved) == ["exc", "exc", "gnd", "gnd"]
     monkeypatch.undo()
 
     emitter = dataio.load_emitter("73Ge")
@@ -260,7 +250,7 @@ def test_batch_fits_mixed_grid_lengths_as_each_file_alone(tmp_path):
     paths = []
     for k, step in enumerate((2.0, 2.5, 2.0, 4.0, 2.5)):
         grid = np.arange(-300.0, 900.0, step)
-        sig = 0.05 + 1.5 * lorentz(grid, -20.0 + 7.0 * k, 30.0 + 3.0 * k)
+        sig = 0.05 + 1.5 * lorentz_peak(grid, -20.0 + 7.0 * k, 30.0 + 3.0 * k)
         paths.append(tmp_path / f"e{k}.csv")
         dataio.write_spectrum_csv(paths[-1], type("T", (), {"freq_mhz": grid, "signal": sig})())
     assert run_cli(["fit", "--batch", str(tmp_path / "e*.csv"), "--model", "single",
@@ -278,8 +268,8 @@ def test_batch_fits_mixed_grid_lengths_as_each_file_alone(tmp_path):
 def test_a_trace_fit_error_in_a_batch_names_its_file(tmp_path, capsys, command):
     grid = np.arange(-100.0, 100.0, 2.0)
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    for path, sig in zip(paths, (lorentz(grid, 0.0, 20.0), np.ones(grid.size),
-                                 lorentz(grid, 5.0, 20.0))):
+    for path, sig in zip(paths, (lorentz_peak(grid, 0.0, 20.0), np.ones(grid.size),
+                                 lorentz_peak(grid, 5.0, 20.0))):
         dataio.write_spectrum_csv(path, type("T", (), {"freq_mhz": grid, "signal": sig})())
     out = tmp_path / "r.json"
     if command == "fit --batch":
@@ -387,7 +377,7 @@ def _reports_written_by(tmp_path, command):
             dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
     else:
         for k in range(2):
-            sig = 0.05 + sum(w * lorentz(grid, 8.0 * k + f, 35.0)
+            sig = 0.05 + sum(w * lorentz_peak(grid, 8.0 * k + f, 35.0)
                              for w, f in ((1.0, 0.0), (0.5, 410.0), (0.5, 490.0)))
             dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
         trace = tmp_path / "t0.csv"

@@ -19,6 +19,8 @@ import pytest
 from g4vspec import registry_labels, registry_lookup
 from g4vspec.spectrum import merge_lines, transitions
 
+from conftest import central_difference, solve_inputs
+
 DATA = Path(__file__).resolve().parent / "data"
 FREQ_TOL_MHZ = 1e-9
 INTENSITY_TOL = 1e-12
@@ -67,68 +69,50 @@ def test_field_map_fit_matches_golden():
         assert res.as_report() == report  # std_errs and rms too
 
 
-def test_field_map_fit_computes_each_table_once(monkeypatch):
+def test_field_map_fit_computes_each_table_once(calls, monkeypatch):
     from g4vspec import analysis, spectrum
 
     want = GOLDEN["fit"]
     base, data = _recorder().fit_data(want)
-    seen = []
-    in_jacobian = []
-    real = spectrum.solve_manifold
+    solves = calls(spectrum, "solve_manifold")
+    jacobian_solves = []
     real_core = analysis._levenberg_marquardt
 
-    def counted(emitter, manifold, b=(0.0, 0.0, 0.0), alpha_ghz=None, beta_ghz=None):
-        fields = tuple(map(tuple, np.asarray(b, dtype=float).reshape(-1, 3).tolist()))
-        alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
-        seen.append((emitter, manifold, fields, float(alpha), bool(in_jacobian)))
-        return real(emitter, manifold, b, alpha_ghz, beta_ghz)
-
-    def core(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
+    def core(*args, **kwargs):
+        jac = kwargs["jac"]
         assert jac is not None  # the full model's Jacobian is analytic
 
-        def flagged(p):
-            in_jacobian.append(True)
+        def flagged(*a):
+            before = len(solves)
             try:
-                return jac(p)
+                return jac(*a)
             finally:
-                in_jacobian.pop()
+                jacobian_solves.append(len(solves) - before)
 
-        return real_core(residual_fn, p0, max_iter, jac=flagged)
+        return real_core(*args, **dict(kwargs, jac=flagged))
 
-    monkeypatch.setattr(spectrum, "solve_manifold", counted)
     monkeypatch.setattr(analysis, "_levenberg_marquardt", core)
     res = analysis.fit_full_model(data, tuple(want["free"]), base, init=dict(want["init"]))
+    seen = [solve_inputs(c)[:4] for c in solves]
     assert seen and len(set(seen)) == len(seen)
     assert len({c[2] for c in seen}) == 1  # every solve is the stack of all map rows
-    assert not any(c[4] for c in seen)  # no Jacobian solves anything
+    assert jacobian_solves and not any(jacobian_solves)  # no Jacobian solves anything
     assert res.n_iterations == want["n_iterations"]
     assert {k: float(v) for k, v in res.params.items()} == want["params"]
 
 
-def test_field_map_fit_reports_the_condition_of_its_normal_matrix(monkeypatch):
+def test_field_map_fit_reports_the_condition_of_its_normal_matrix(calls):
     """cond(J^T J) at the optimum matches a central-difference Jacobian
     there, and stays out of the report."""
     from g4vspec import analysis
 
     want = GOLDEN["fit"]
     base, data = _recorder().fit_data(want)
-    seen = {}
-    real_core = analysis._levenberg_marquardt
-
-    def core(residual_fn, p0, max_iter=analysis.MAX_ITERATIONS, jac=None):
-        seen["residual"] = residual_fn
-        return real_core(residual_fn, p0, max_iter, jac=jac)
-
-    monkeypatch.setattr(analysis, "_levenberg_marquardt", core)
+    cores = calls(analysis, "_levenberg_marquardt")
     res = analysis.fit_full_model(data, tuple(want["free"]), base, init=dict(want["init"]))
     p = np.array([res.params[name] for name in want["free"]])
-    j = np.empty((sum(t.signal.size for t in data), p.size))
-    for col in range(p.size):
-        h = 1e-4 * max(abs(p[col]), 1.0)
-        up, down = p.copy(), p.copy()
-        up[col] += h
-        down[col] -= h
-        j[:, col] = (seen["residual"](up) - seen["residual"](down)) / (2.0 * h)
+    j = np.column_stack([central_difference(cores[-1]["residual_fn"], p, col)
+                         for col in range(p.size)])
     assert res.cond_jtj == pytest.approx(np.linalg.cond(j.T @ j), rel=1e-6)
     assert res.cond_jtj > 1.0
     assert "cond_jtj" not in json.dumps(res.as_report())

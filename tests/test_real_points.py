@@ -17,6 +17,8 @@ from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _so
                               transitions)
 from g4vspec.spinops import CLUSTER_TOL, eigh
 
+from conftest import _bits
+
 EPS = np.finfo(float).eps
 THETA = math.radians(33.0)
 # Real points: zero field (degenerate clusters for the J^2 pinning), an
@@ -29,10 +31,6 @@ REAL_FIELDS = np.array([
     (-0.02, 0.0, 0.05),
 ])
 SPINS = (0.0, 0.5, 1.0, 1.5, 4.5)
-
-
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
 
 
 @pytest.mark.parametrize("i", SPINS)
@@ -204,7 +202,7 @@ def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
     assert str(mixed.value) == str(alone.value)
 
 
-def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(monkeypatch):
+def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(calls):
     """The ge_map_fit shape, fields in the x-z plane and no beta strain,
     never falls back to complex arithmetic: every eigh and every Jacobian
     stack is float64."""
@@ -212,21 +210,12 @@ def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(monkeypatch):
     direction = (math.sin(THETA), 0.0, math.cos(THETA))
     grid = np.arange(-300.0, 300.0, 6.0)
     data = sweep_field(base.scaled_hyperfine(1.3), direction, [0.0, 0.05, 0.1], 72.0, grid)
-    dtypes, slope_dtypes = [], []
-    real_eigh, real_slopes = spectrum.eigh, analysis._line_slopes
-
-    def spy_eigh(h, degeneracy_operator=None):
-        dtypes.append((np.asarray(h).dtype, np.asarray(degeneracy_operator).dtype))
-        return real_eigh(h, degeneracy_operator)
-
-    def spy_slopes(tables, kinds, perturbations):
-        slope_dtypes.extend(es.vectors.dtype for _, g, e in kinds for es in (g, e))
-        return real_slopes(tables, kinds, perturbations)
-
-    monkeypatch.setattr(spectrum, "eigh", spy_eigh)
-    monkeypatch.setattr(analysis, "_line_slopes", spy_slopes)
+    eighs, slopes = calls(spectrum, "eigh"), calls(analysis, "_line_slopes")
     res = analysis.fit_full_model(data, ("a_ple_scale", "fwhm", "amplitude"), base,
                                   init={"a_ple_scale": 1.0, "fwhm": 55.0})
     assert res.converged
+    dtypes = [(np.asarray(c["h"]).dtype, np.asarray(c["degeneracy_operator"]).dtype)
+              for c in eighs]
+    slope_dtypes = [es.vectors.dtype for c in slopes for _, g, e in c["kinds"] for es in (g, e)]
     assert dtypes and set(dtypes) == {(np.dtype(float), np.dtype(float))}
     assert slope_dtypes and set(slope_dtypes) == {np.dtype(float)}

@@ -487,17 +487,14 @@ def test_jsq_labels_match_the_explicit_expectation():
     assert np.abs(_jsq_labels(es, jop) - want).max() <= 1e-12
 
 
-def test_diagram_levels_come_from_the_table_solves(monkeypatch):
+def test_diagram_levels_come_from_the_table_solves(calls):
     import g4vspec.spectrum as spectrum_mod
 
     e = registry_lookup("117Sn", strain_alpha_ghz=20.0)
-    calls = []
-    real = spectrum_mod.solve_manifold
-    monkeypatch.setattr(spectrum_mod, "solve_manifold",
-                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    solves = calls(spectrum_mod, "solve_manifold")
     d = transition_diagram(e, (0.0, 0.0, 0.05))
-    assert len(calls) == 4
-    es_g = real(e, "gnd", (0.0, 0.0, 0.05))
+    assert len(solves) == 4
+    es_g = solve_manifold(e, "gnd", (0.0, 0.0, 0.05))
     low = es_g.values[:e.dim // 2]
     assert d["gnd_levels_mhz"] == [float(v) for v in low - low.mean()]
     assert d["lines"] == list(transitions(e, (0.0, 0.0, 0.05)).records())
@@ -505,19 +502,11 @@ def test_diagram_levels_come_from_the_table_solves(monkeypatch):
 
 # --- solve counts ---
 
-def _count_solves(monkeypatch):
+def test_transitions_outside_a_memo_solve_four_manifolds_each(calls):
     import g4vspec.spectrum as spectrum_mod
 
-    calls = []
-    real = spectrum_mod.solve_manifold
-    monkeypatch.setattr(spectrum_mod, "solve_manifold",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
-    return calls
-
-
-def test_transitions_outside_a_memo_solve_four_manifolds_each(monkeypatch):
     e = registry_lookup("117Sn", strain_alpha_ghz=20.0)
-    calls = _count_solves(monkeypatch)
+    solves = calls(spectrum_mod, "solve_manifold")
     transitions(e, (0.0, 0.0, 0.05))
     transitions(e, (0.0, 0.0, 0.05))
-    assert len(calls) == 8
+    assert len(solves) == 8

@@ -15,7 +15,7 @@ from g4vspec.spinops import (
     spin_matrices,
 )
 
-from conftest import random_hermitian
+from conftest import _bits, random_hermitian
 
 SPINS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
 
@@ -188,10 +188,6 @@ def test_expectation_singlet_total_spin_zero():
 def test_expectation_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         expectation(np.eye(2), np.array([1.0, 1.0]))
-
-
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
 
 
 def _pinned_by_loop(h, dop):

@@ -18,6 +18,8 @@ from g4vspec.spectrum import (
 )
 from g4vspec.spinops import EigenSystem, eigh
 
+from conftest import _bits
+
 # Zero field and zero strain leave degenerate clusters for the J^2 pinning.
 component = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
 strain = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, allow_subnormal=False))
@@ -42,10 +44,6 @@ def stacks(draw):
     else:
         b, alpha, points = fields, alphas, list(zip(fields, alphas))
     return label, manifold, b, alpha, beta, points
-
-
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
