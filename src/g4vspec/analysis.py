@@ -36,7 +36,8 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import EmitterModel, a_ple, term_hyperfine, term_strain
-from .spectrum import SpectrumTrace, _line_slopes, _reference_line, _solve_transitions
+from .spectrum import (SpectrumTrace, _line_slopes, _reference_line, _solve_transitions,
+                       _unit_direction)
 
 __all__ = [
     "FitResult",
@@ -611,11 +612,10 @@ def _trace_field(meta, index):
         return x
 
     if "b_mag_tesla" in meta:
-        d = np.asarray(meta.get("b_direction", (0.0, 0.0, 1.0)), dtype=float)
-        norm = float(np.linalg.norm(d))
-        if d.shape != (3,) or abs(norm - 1.0) > 1e-6:
-            raise TraceError(index, f"trace {index}: b_direction must be a unit vector of 3 "
-                                    f"components, got {tuple(d.tolist())}")
+        try:
+            d = _unit_direction(meta.get("b_direction", (0.0, 0.0, 1.0)))
+        except ValueError as err:
+            raise TraceError(index, f"trace {index}: b_direction {err}") from None
         return tuple(finite("b_mag_tesla", (), "a finite number") * d)
     if "b_tesla" in meta:
         return tuple(finite("b_tesla", (3,), "3 finite numbers").tolist())

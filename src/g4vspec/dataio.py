@@ -220,7 +220,7 @@ def emitter_from_dict(doc: dict) -> EmitterModel:
         if base is not None:
             return dataclasses.replace(getattr(base, which), **kw)
         if "lambda_soc_ghz" not in kw:
-            raise ValueError(f"emitter file: {which}.lambda_ghz is required for {label!r}")
+            raise ValueError(f"{which}.lambda_ghz is required for {label!r}")
         return ManifoldParams(**kw)
 
     gnd, exc = manifold("gnd"), manifold("exc")

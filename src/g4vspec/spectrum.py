@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from .hamiltonian import (EmitterModel, _build_real, a_parallel, a_perp, build_hamiltonian,
                           jsq_operator)
-from .spinops import CLUSTER_TOL, EigenSystem, eigh
+from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
 __all__ = [
     "TransitionTable",
@@ -125,8 +125,7 @@ def dipole_operator(i) -> np.ndarray:
     matrix is the identity of dimension 4(2I+1); D+D = 1 on the ground
     space and Tr(D+D) = 4(2I+1).
     """
-    dim_n = int(round(2.0 * float(i))) + 1
-    return np.eye(4 * dim_n, dtype=complex)
+    return np.eye(4 * spin_matrices(i).dim, dtype=complex)
 
 
 def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
@@ -447,17 +446,33 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
                       meta={"emitter": emitter.isotope, "manifold": manifold, "axis": "alpha_ghz"})
 
 
+def _unit_direction(d) -> np.ndarray:
+    """d as a float64 unit vector: 3 finite numbers of norm 1 to 1e-6.
+    Anything else is a ValueError, "must be a unit vector of 3 components,
+    got (...)", that the caller prefixes with the direction's name."""
+    try:
+        v = np.asarray(d, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, too large
+        v = None
+    if (v is None or v.shape != (3,) or not np.isfinite(v).all()
+            or abs(float(np.linalg.norm(v)) - 1.0) > 1e-6):
+        shown = np.asarray(d, dtype=object)
+        shown = tuple(shown.tolist()) if shown.ndim else (d,)
+        raise ValueError(f"must be a unit vector of 3 components, got {shown}")
+    return v
+
+
 def sweep_field(emitter: EmitterModel, direction, b_magnitudes, fwhm_mhz: float,
                 grid) -> list:
     """One synthesized trace per field magnitude along a fixed direction.
 
     All rows are solved as one stack; output order follows b_magnitudes.
-    The direction must be a unit vector to 1e-6.
+    The direction must be a unit vector (see `_unit_direction`).
     """
-    direction = np.asarray(direction, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(direction))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"field direction must be a unit vector, |d| = {norm!r}")
+    try:
+        direction = _unit_direction(direction)
+    except ValueError as err:
+        raise ValueError(f"field direction {err}") from None
     b_mags = np.asarray(b_magnitudes, dtype=float).reshape(-1)
     tables, _ = _solve_transitions(emitter, b_mags[:, None] * direction, None, None)
     traces = [synth_spectrum(table, fwhm_mhz, grid) for table in tables]

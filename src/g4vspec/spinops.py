@@ -67,11 +67,21 @@ class EigenSystem:
 
 def _asymmetry(m):
     """Largest element of |m - m^H| and of |m| (1 for a zero matrix), one
-    of each per matrix of m (..., d, d), flattened over the stack."""
+    of each per matrix of m (..., d, d), flattened over the stack.  A
+    matrix with a NaN or infinite element has a scale that is not finite."""
     m = np.asarray(m)
-    defects = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; the scale tells
+        defects = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
     scales = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    return defects.ravel(), np.where(scales > 0.0, scales, 1.0).ravel()
+    return defects.ravel(), np.where(scales == 0.0, 1.0, scales).ravel()
+
+
+def _not_hermitian(m, tol):
+    """The asymmetries and scales of m's matrices (see `_asymmetry`) and the
+    positions of those that are not finite, or not Hermitian to tol
+    relative to their own largest element."""
+    defects, scales = _asymmetry(m)
+    return defects, scales, np.flatnonzero(~((defects <= tol * scales) & np.isfinite(scales)))
 
 
 def hermiticity_defect(m) -> float:
@@ -81,19 +91,20 @@ def hermiticity_defect(m) -> float:
 
 def is_hermitian(m, tol: float = 1e-12) -> bool:
     """Whether each matrix of m (..., d, d) is Hermitian to tol relative to
-    its own largest element."""
-    defects, scales = _asymmetry(m)
-    return bool((defects <= tol * scales).all())
+    its own largest element; a matrix with a NaN or infinite element is
+    not."""
+    return _not_hermitian(m, tol)[2].size == 0
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> None:
     """ValueError unless each matrix of m (..., d, d) is Hermitian to tol
     relative to its own largest element; the first failing matrix is named
-    by its asymmetry."""
-    defects, scales = _asymmetry(m)
-    bad = np.flatnonzero(defects > tol * scales)
+    by its asymmetry, or as not finite."""
+    defects, scales, bad = _not_hermitian(m, tol)
     if bad.size:
         defect, scale = defects[bad[0]], scales[bad[0]]
+        if not np.isfinite(scale):
+            raise ValueError("matrix is not finite: it has a NaN or infinite element")
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} "
             f"({defect / scale:.3e} relative)"

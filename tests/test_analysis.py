@@ -202,6 +202,8 @@ def test_full_model_rejects_unknown_free_name():
     trace = SpectrumTrace(grid, np.ones(5))
     with pytest.raises(ValueError, match="free"):
         fit_full_model(trace, ("nonsense",), base)
+    with pytest.raises(ValueError, match="^at least one free parameter is required$"):
+        fit_full_model(trace, (), base)
 
 
 # --- kernel density estimate ---
@@ -306,6 +308,16 @@ def test_chi2_swap_invariance():
 def test_chi2_zero_marginal_rejected():
     with pytest.raises(ValueError, match="marginal"):
         chi2_independence(((0, 0), (5, 5)))
+
+
+@pytest.mark.parametrize("table, message", [
+    (((1, 2, 3), (4, 5, 6)), r"^expected a 2x2 table, got shape \(2, 3\)$"),
+    ((1, 2, 3, 4), r"^expected a 2x2 table, got shape \(4,\)$"),
+    (((1, -2), (4, 5)), "^contingency counts must be non-negative$"),
+])
+def test_chi2_refuses_a_table_that_is_not_2x2_counts(table, message):
+    with pytest.raises(ValueError, match=message):
+        chi2_independence(table)
 
 
 def _upper_gamma_half(mpmath, chi2):
@@ -709,10 +721,13 @@ def test_full_model_refuses_a_free_name_given_twice():
 
 
 @pytest.mark.parametrize("direction", [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0), (0.0, 1.0),
-                                       (0.0, 0.6, 0.8 + 2e-6)])
+                                       (0.0, 0.6, 0.8 + 2e-6), (math.nan, 0, 1),
+                                       (math.inf, 0, 0), "z", (0, 1)])
 def test_full_model_refuses_a_field_direction_that_is_not_a_unit_vector(direction):
     """A trace made at 0.05 T along z, given b_direction (0, 0, 2), fitted
-    a_ple_scale 1.112 instead of 1; given (0, 0, 0), it fitted at zero field."""
+    a_ple_scale 1.112 instead of 1; given (0, 0, 0), it fitted at zero field.
+    A NaN or infinite component, or a string, failed without naming the
+    trace."""
     base = registry_lookup("117Sn", strain_alpha_ghz=55.0)
     grid = np.arange(-700.0, 700.0, 10.0)
     good, trace = sweep_field(base, (0.0, 0.0, 1.0), [0.0, 0.05], 30.0, grid)

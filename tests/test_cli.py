@@ -554,9 +554,8 @@ def test_consecutive_commands_share_no_state(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-@pytest.mark.parametrize("argv", [["-m", "g4vspec.cli", "stats", "-h"],
-                                  ["-m", "g4vspec", "--help"]])
-def test_module_entry_points_run_the_cli(argv):
+def _run_python(argv):
+    """python argv in a subprocess that imports this checkout's g4vspec."""
     import os
     import subprocess
     import sys
@@ -567,10 +566,43 @@ def test_module_entry_points_run_the_cli(argv):
     src = str(Path(g4vspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["-m", "g4vspec.cli", "stats", "-h"],
+                                  ["-m", "g4vspec", "--help"]])
+def test_module_entry_points_run_the_cli(argv):
+    proc = _run_python(argv)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def test_python_dash_m_g4vspec_runs_a_command_as_run_cli_does(capsys):
+    assert run_cli(["aple", "117Sn"]) == 0
+    proc = _run_python(["-m", "g4vspec", "aple", "117Sn"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    proc = _run_python(["-m", "g4vspec", "frobnicate"])
+    assert proc.returncode == 1 and "invalid choice: 'frobnicate'" in proc.stderr
+
+
+def test_synth_jitter_alpha_is_seeded_and_scatters_about_the_base_strain(tmp_path):
+    from g4vspec.hamiltonian import registry_lookup
+
+    def truth(name):
+        assert run_cli(["synth", "117Sn", "--n", "20", "--seed", "7", "--fwhm", "30",
+                        "--grid", "-600:600:4", "--jitter-alpha", "5",
+                        "--out-dir", str(tmp_path / name), "--truth", str(tmp_path / name)
+                        + ".json"]) == 0
+        return json.loads((tmp_path / f"{name}.json").read_text())
+
+    first = truth("a")
+    assert truth("b") == first
+    alphas = np.array([entry["alpha_ghz"] for entry in first["entries"]])
+    base = registry_lookup("117Sn").strain_alpha_ghz
+    assert 2.5 < alphas.std() < 10.0
+    assert abs(alphas.mean() - base) < 3.0 * 5.0 / np.sqrt(alphas.size)
 
 
 def _small_map(tmp_path):
@@ -723,6 +755,14 @@ def _non_finite_case(tmp_path, case):
         "stats counts text": ["stats", "--counts", "1,2,3,x", "--out", str(out)],
         "fit zero-width start": ["fit", "--trace", str(trace), "--model", "single",
                                  "--init", zero_width, "--out", str(out)],
+        "fit batch full model": ["fit", "--batch", str(trace), "--model", "full",
+                                 "--out", str(out)],
+        "fit batch no match": ["fit", "--batch", str(tmp_path / "none*.csv"), "--model",
+                               "single", "--out", str(out)],
+        "fit full no emitter": ["fit", "--trace", str(trace), "--model", "full",
+                                "--out", str(out)],
+        "fit full no data": ["fit", "--emitter", "117Sn", "--model", "full", "--out", str(out)],
+        "fit-pl no input": ["fit-pl", "--bandwidth", "1", "--kde-out", str(out)],
     }[case]
     return argv, [out, tmp_path / "traces", tmp_path / "pl.json"]
 
@@ -762,6 +802,11 @@ def _non_finite_case(tmp_path, case):
     ("stats counts text", "--counts needs four integers 'a,b,c,d'"),
     ("fit zero-width start", "the fit cannot start: its residual at the initial parameters "
                              "is not finite"),
+    ("fit batch full model", "--batch supports --model single or triplet"),
+    ("fit batch no match", "--batch matched no files: "),
+    ("fit full no emitter", "--model full needs --emitter"),
+    ("fit full no data", "--model full needs --trace or --map"),
+    ("fit-pl no input", "fit-pl needs --values or --traces"),
 ])
 def test_non_finite_inputs_are_refused_with_one_error_line(tmp_path, capsys, case, message):
     import warnings

@@ -192,6 +192,11 @@ def test_emitter_file_custom_isotope_requires_full_definition(tmp_path):
     e = dataio.load_emitter(str(path))
     assert e.nuclear_spin == 0.5
     assert e.gnd.lambda_soc_ghz == 50.0
+    path.write_text(json.dumps({**doc, "gnd": {"a_fc_mhz": 100.0}}))
+    with pytest.raises(ValueError) as info:
+        dataio.load_emitter(str(path))
+    assert str(info.value) == (f"emitter file {path}: gnd.lambda_ghz is required for "
+                               f"'13C-like'")
 
 
 def test_emitter_round_trip_through_dict():
@@ -360,6 +365,20 @@ def test_values_csv_non_finite_rejected(tmp_path, value):
         dataio.read_values_csv(p, column="b")
     assert str(info.value) == f"{p}: line 4: non-finite value"
     assert np.array_equal(dataio.read_values_csv(p, column="a"), [1.0, 3.0, 5.0])
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("", None, "empty file"),
+    ("\n \n", None, "empty file"),
+    ("a,b\n1,2\n", None, "multiple columns, pass a column name"),
+    ("a\n1\nx\n", None, "line 3: bad value in 'x'"),
+    ("a,b\n1,2\n3\n", "b", "line 3: bad value in '3'"),
+])
+def test_values_csv_refusals_name_the_file(tmp_path, text, column, message):
+    p = write_csv(tmp_path, text, name="v.csv")
+    with pytest.raises(ValueError) as info:
+        dataio.read_values_csv(p, column=column)
+    assert str(info.value) == f"{p}: {message}"
 
 
 _GOOD_REPORT = {

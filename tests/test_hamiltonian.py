@@ -352,6 +352,9 @@ def test_emitter_validation():
                      gnd=ManifoldParams(lambda_soc_ghz=100.0, quad_q_mhz=4.3), exc=p)
     with pytest.raises(ValueError):
         ManifoldParams(lambda_soc_ghz=-1.0)
+    e = EmitterModel(isotope="x", nuclear_spin=0.5, g_nuclear=0.0, gnd=p, exc=p)
+    with pytest.raises(ValueError, match="^manifold must be one of \\('gnd', 'exc'\\), got 'mid'$"):
+        e.manifold("mid")
 
 
 def test_random_emitters_build_hermitian(rng):

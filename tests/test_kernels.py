@@ -75,3 +75,5 @@ def test_validation():
         kernels.gaussian_sum([0.0], [1.0], -1.0, grid)
     with pytest.raises(ValueError, match="length"):
         kernels.lorentzian_sum([0.0, 1.0], [1.0], 1.0, grid)
+    with pytest.raises(ValueError, match="^expected a 1-D array$"):
+        kernels.lorentzian_sum([[0.0], [1.0]], [1.0, 1.0], 1.0, grid)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def test_dipole_identity_for_spinless():
 def test_dipole_trace_sum_rule(i, expected):
     d = dipole_operator(i)
     assert np.trace(d.conj().T @ d).real == pytest.approx(expected)
+
+
+def test_dipole_operator_takes_the_spin_rule_of_spin_matrices():
+    """0.3 gave an 8x8 identity and -1 NumPy's "negative dimensions"."""
+    assert np.array_equal(dipole_operator(4.5), np.eye(40))
+    for i in (0.3, -1):
+        with pytest.raises(ValueError, match="must be a non-negative half-integer"):
+            dipole_operator(i)
 
 
 def test_dipole_commutes_with_spin_nuclear_operators(rng):
@@ -107,6 +117,8 @@ def test_synth_empty_table_zero_trace():
     )
     trace = synth_spectrum(table, 10.0, np.linspace(-5, 5, 11))
     assert np.allclose(trace.signal, 0.0)
+    freqs, intens = merge_lines(table)
+    assert freqs.shape == intens.shape == (0,)
 
 
 def test_synth_single_line_peak_value():
@@ -127,6 +139,8 @@ def test_synth_validates_inputs():
         synth_spectrum(table, 0.0, np.linspace(-1, 1, 5))
     with pytest.raises(ValueError, match="increasing"):
         synth_spectrum(table, 1.0, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="^frequency grid is empty$"):
+        synth_spectrum(table, 1.0, np.array([]))
 
 
 def test_73ge_flat_top_width():
@@ -214,6 +228,11 @@ def test_sweep_field_requires_unit_direction():
     e = registry_lookup("117Sn")
     with pytest.raises(ValueError, match="unit"):
         sweep_field(e, (0.0, 0.0, 2.0), [0.0], 35.0, np.linspace(-1, 1, 5))
+    # NaN passed the norm test; "z" and (0, 1) failed inside NumPy
+    for direction in ((math.nan, 0, 1), (math.inf, 0, 0), "z", (0, 1)):
+        with pytest.raises(ValueError, match="^field direction must be a unit vector of 3 "
+                                             "components, got \\("):
+            sweep_field(e, direction, [0.0], 35.0, np.linspace(-1, 1, 5))
 
 
 def test_73ge_map_hump_and_shoulders_at_0p1T():

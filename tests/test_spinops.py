@@ -3,6 +3,7 @@ import pytest
 
 from g4vspec.spinops import (
     CLUSTER_TOL,
+    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -12,6 +13,7 @@ from g4vspec.spinops import (
     hermiticity_defect,
     is_hermitian,
     kron,
+    require_hermitian,
     spin_matrices,
 )
 
@@ -129,6 +131,48 @@ def test_eigh_rejects_non_hermitian(rng):
     assert not is_hermitian(stack) and hermiticity_defect(stack) == pytest.approx(1e-3)
     with pytest.raises(ValueError, match="asymmetry"):
         eigh(stack)
+
+
+def _required_hermitian(m, tol):
+    try:
+        require_hermitian(m, tol)
+    except ValueError:
+        return False
+    return True
+
+
+def test_is_and_require_hermitian_agree_and_refuse_non_finite_matrices(rng):
+    """[[1, nan], [nan, 2]] passed require_hermitian, and eigh returned NaN
+    eigenvalues; an inf element raised a RuntimeWarning."""
+    h = random_hermitian(rng, 6)
+    with_nan, with_inf = h.copy(), h.copy()
+    with_nan[0, 1] = with_nan[1, 0] = np.nan
+    with_inf[2, 2] = np.inf
+    non_finite = [with_nan, with_inf, np.array([[1.0, np.nan], [np.nan, 2.0]]),
+                  np.array([[1.0, np.inf], [np.inf, 2.0]]), np.stack([h, with_nan])]
+    for m in [h, rng.normal(size=(6, 6)), *non_finite]:
+        for tol in (1e-12, HERMITIAN_TOL):
+            assert is_hermitian(m, tol) == _required_hermitian(m, tol)
+    for m in non_finite:
+        assert not is_hermitian(m)
+        with pytest.raises(ValueError, match="^matrix is not finite: it has a NaN or infinite "
+                                             "element$"):
+            eigh(m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kron(SIGMA_X), "^kron needs at least two factors$"),
+    (lambda: kron(SIGMA_X, np.ones((2, 3))), "^kron factors must be square matrices$"),
+    (lambda: eigh(np.ones((2, 3))), "^eigh expects a square matrix or a stack of them$"),
+    (lambda: eigh(np.ones(3)), "^eigh expects a square matrix or a stack of them$"),
+    # <v|O|v> = i for the anti-Hermitian O = [[0, 1], [-1, 0]]
+    (lambda: expectation(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 1.0j]) / 2**0.5),
+     "^expectation value has imaginary residue 1.000e\\+00$"),
+], ids=["kron-one-factor", "kron-non-square", "eigh-non-square", "eigh-vector",
+        "expectation-imaginary"])
+def test_malformed_operators_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_eigh_degenerate_rotation_labels():
