@@ -591,11 +591,11 @@ def test_synth_jitter_alpha_is_seeded_and_scatters_about_the_base_strain(tmp_pat
     from g4vspec.hamiltonian import registry_lookup
 
     def truth(name):
+        path = tmp_path / f"{name}.json"
         assert run_cli(["synth", "117Sn", "--n", "20", "--seed", "7", "--fwhm", "30",
                         "--grid", "-600:600:4", "--jitter-alpha", "5",
-                        "--out-dir", str(tmp_path / name), "--truth", str(tmp_path / name)
-                        + ".json"]) == 0
-        return json.loads((tmp_path / f"{name}.json").read_text())
+                        "--out-dir", str(tmp_path / name), "--truth", str(path)]) == 0
+        return json.loads(path.read_text())
 
     first = truth("a")
     assert truth("b") == first
