@@ -575,27 +575,6 @@ _TABLE_PARAMS = {
 FULL_MODEL_FREE = (*_TABLE_PARAMS, "fwhm", "amplitude", "freq_offset")
 
 
-def _lorentz_slopes(fwhm):
-    """`kernels._line_sum` profiles of the derivatives of the unit-area
-    Lorentzian of FWHM fwhm (that of `kernels.lorentzian_sum`) along the
-    line centre and along fwhm."""
-    hw = 0.5 * fwhm
-    pref = hw / np.pi
-    hw2 = hw * hw
-
-    def d_center(c, w, g):
-        u = g - c
-        inv = 1.0 / (u * u + hw2)
-        return (2.0 * pref) * w * u * inv * inv
-
-    def d_fwhm(c, w, g):
-        u2 = (g - c) ** 2
-        inv = 1.0 / (u2 + hw2)
-        return (0.5 / np.pi) * w * (u2 - hw2) * inv * inv
-
-    return d_center, d_fwhm
-
-
 def _trace_field(meta, index):
     """The field of one map trace as 3 finite numbers (tesla): its meta's
     b_mag_tesla along b_direction (default z), else its b_tesla, else zero.
@@ -639,18 +618,17 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     tuple of their values, all rows solved as one stack per manifold, and
     the reference lines of each coupling-free emitter those values give.
 
-    The Jacobian is analytic and solves nothing.  The fwhm, amplitude and
-    freq_offset columns are Lorentzian sums over the current row tables.
-    The a_ple_scale and strain_alpha columns take the eigensystems that the
-    residual at the same point solved: line shifts by Hellmann-Feynman,
-    intensity changes by first-order eigenvector derivatives, and the
-    reference line's slopes from its spin-neutral solve.  The
-    amplitude column at the values of the last residual is that residual's
-    unit-amplitude model.  Degenerate levels
-    (the J^2-pinned clusters of every B = 0 row) take degenerate
-    perturbation theory: each cluster counts as if rotated into the
-    eigenbasis of the perturbation projected onto it.  The result's
-    cond_jtj is cond(J^T J) at the optimum; the report leaves it out.
+    The Jacobian is analytic and solves nothing.  Each row takes all its
+    columns from one `kernels.lorentzian_sums` pass, so the amplitude column
+    is, bit for bit, the unit-amplitude model of a residual at the same
+    values.  The a_ple_scale and strain_alpha columns take the eigensystems
+    that residual solved: line shifts by Hellmann-Feynman, intensity
+    changes by first-order eigenvector derivatives, and the reference
+    line's slopes from its spin-neutral solve.  Degenerate levels (the
+    J^2-pinned clusters of every B = 0 row) take degenerate perturbation
+    theory: each cluster counts as if rotated into the eigenbasis of the
+    perturbation projected onto it.  The result's cond_jtj is cond(J^T J)
+    at the optimum; the report leaves it out.
     """
     traces = list(data) if isinstance(data, (list, tuple)) else [data]
     if not traces:
@@ -689,9 +667,6 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     solved = {}
     ref_lines = {}
     jac_key = jac_last = None
-    # The last residual's unit-amplitude rows and their (table key, fwhm,
-    # freq_offset): the amplitude column of a Jacobian taken there.
-    unit_rows = (None, None)
 
     def params(values):
         p = dict(defaults)
@@ -715,13 +690,11 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         return key, solved[key]
 
     def model_signal(values):
-        nonlocal unit_rows
         p = params(values)
-        key, ((tables, _), _) = rows_at(p)
+        _, ((tables, _), _) = rows_at(p)
         fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
         unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
                 for grid, table in zip(grids, tables)]
-        unit_rows = ((key, fwhm, offset), unit)
         return np.concatenate([p["amplitude"] * sig for sig in unit])
 
     def jacobian(values):
@@ -729,35 +702,20 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         nonlocal jac_key, jac_last
         p = params(values)
         jac_key, (rows, ref_slopes) = rows_at(p)
-        amplitude, fwhm = p["amplitude"], abs(p["fwhm"])
-        unit = unit_rows[1] if unit_rows[0] == (jac_key, fwhm, p["freq_offset"]) else None
-        d_center, d_fwhm = _lorentz_slopes(fwhm)
         perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
         slopes = dict(zip(moved, _line_slopes(*rows, perturbations))) if moved else {}
         j = np.empty((y_all.size, len(free)))
         start = 0
         for k, (grid, table) in enumerate(zip(grids, rows[0])):
-            centers = table.freq_mhz + p["freq_offset"]
-            block = j[start:start + grid.size]
+            # Each column's (peak, center, width) profile weights, per unit amplitude.
+            terms = {"amplitude": (table.intensity,), "freq_offset": (None, table.intensity),
+                     "fwhm": (None, None, _sign(p["fwhm"]) * table.intensity),
+                     **{name: slopes[name][k] for name in slopes}}
+            j[start:start + grid.size] = kernels.lorentzian_sums(
+                table.freq_mhz + p["freq_offset"], abs(p["fwhm"]), grid,
+                [terms[name] for name in free]).T
             start += grid.size
-
-            def peaks(weights):
-                return kernels.lorentzian_sum(centers, weights, fwhm, grid)
-
-            def peak_slopes(weights, profile):
-                return kernels._line_sum(centers, weights, grid, profile)
-
-            for col, name in enumerate(free):
-                if name == "amplitude":
-                    block[:, col] = peaks(table.intensity) if unit is None else unit[k]
-                elif name == "fwhm":
-                    block[:, col] = (amplitude * _sign(p["fwhm"])
-                                     * peak_slopes(table.intensity, d_fwhm))
-                elif name == "freq_offset":
-                    block[:, col] = amplitude * peak_slopes(table.intensity, d_center)
-                else:
-                    d_inten, shift = slopes[name][k]
-                    block[:, col] = amplitude * (peaks(d_inten) + peak_slopes(shift, d_center))
+        j[:, [name != "amplitude" for name in free]] *= p["amplitude"]
         jac_last = j
         return j
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from g4vspec import analysis, spectrum
+from g4vspec import analysis, kernels, spectrum
 from g4vspec.analysis import (
     _levenberg_marquardt,
     chi2_independence,
@@ -22,7 +22,7 @@ from g4vspec.analysis import (
 from g4vspec.hamiltonian import a_ple, build_hamiltonian, registry_lookup
 from g4vspec.spectrum import SpectrumTrace, _reference_line, sweep_field
 
-from conftest import central_difference, lorentz_peak, solve_inputs
+from conftest import _bits, central_difference, lorentz_peak, solve_inputs
 
 
 def make_triplet(grid, f_ch1, aple, delta, fwhm, amplitude, baseline=0.0):
@@ -599,28 +599,33 @@ def test_table_params_match_central_differences(label):
         assert np.abs(slope - central).max() <= 1e-6 * max(np.abs(central).max(), 1.0), name
 
 
-def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(calls):
-    """At the values of the last residual the amplitude column is that
-    residual's unit-amplitude model, not synthesized again; after a residual
-    at another fwhm it is synthesized anew, with the same bits."""
+def test_full_model_jacobian_takes_the_amplitude_column_from_the_last_residual(
+        calls, monkeypatch):
+    """The amplitude column is the unit-amplitude model of a residual at the
+    same values, bit for bit: right after that residual, and after a
+    residual at another fwhm and amplitude.  Chunks of 16 split each row's
+    20 to 88 lines, so the chunked sums must agree too."""
+    lorentzian_sum = kernels.lorentzian_sum
     base, traces, init = _ge_map_with_zero_field_row()
-    problem = _full_model_problem(calls, traces, base, init)
-    p, residual, jac = problem["p0"], problem["residual_fn"], problem["jac"]
     names = analysis.FULL_MODEL_FREE
-    sums = calls(analysis.kernels, "lorentzian_sum")
-    residual(p)
-    sums.clear()
-    reused = jac(p)
-    # one peak sum per row for each Hamiltonian column, none for amplitude
-    assert len(sums) == 2 * len(traces)
-    elsewhere = p.copy()
-    elsewhere[names.index("fwhm")] *= 1.5
-    elsewhere[names.index("amplitude")] *= 2.0
-    residual(elsewhere)
-    sums.clear()
-    fresh = jac(p)
-    assert len(sums) == 3 * len(traces)
-    assert reused.tobytes() == fresh.tobytes()
+    for chunk in (kernels._CHUNK, 16):
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        problem = _full_model_problem(calls, traces, base, init)
+        p, residual, jac = problem["p0"], problem["residual_fn"], problem["jac"]
+        sums = calls(analysis.kernels, "lorentzian_sum")
+        residual(p)
+        assert len(sums) == len(traces)
+        unit = np.concatenate([lorentzian_sum(**c) for c in sums])
+        amplitude = np.ascontiguousarray(jac(p)[:, names.index("amplitude")])
+        assert _bits(amplitude) == _bits(unit)
+        assert len(sums) == len(traces)  # the Jacobian sums no Lorentzian of its own
+        elsewhere = p.copy()
+        elsewhere[names.index("fwhm")] *= 1.5
+        elsewhere[names.index("amplitude")] *= 2.0
+        residual(elsewhere)
+        amplitude = np.ascontiguousarray(jac(p)[:, names.index("amplitude")])
+        assert _bits(amplitude) == _bits(unit)
+        monkeypatch.undo()
 
 
 def test_full_model_fit_solves_each_reference_once_per_manifold(calls):

@@ -77,3 +77,64 @@ def test_validation():
         kernels.lorentzian_sum([0.0, 1.0], [1.0], 1.0, grid)
     with pytest.raises(ValueError, match="^expected a 1-D array$"):
         kernels.lorentzian_sum([[0.0], [1.0]], [1.0, 1.0], 1.0, grid)
+
+
+def _two_chunk_comb(rng):
+    """200 lines (two 128-line chunks), a few far off the grid, with
+    negative, zero and positive weights."""
+    assert 200 > kernels._CHUNK
+    centers = rng.uniform(-60.0, 60.0, 200)
+    centers[[3, 150, 199]] = (-1e6, 2e5, 1e9)
+    weights = rng.uniform(-1.0, 2.0, 200)
+    weights[[0, 77, 140]] = 0.0
+    return centers, weights, np.linspace(-100.0, 100.0, 801)
+
+
+def test_lorentzian_sums_peak_rows_are_lorentzian_sum_bit_for_bit(rng):
+    centers, weights, grid = _two_chunk_comb(rng)
+    other = rng.uniform(0.0, 1.0, 200)
+    out = kernels.lorentzian_sums(centers, 9.0, grid,
+                                  [(weights, None, None), (None, other, other), (other, None, None)])
+    assert out.shape == (3, grid.size)
+    assert out[0].tobytes() == kernels.lorentzian_sum(centers, weights, 9.0, grid).tobytes()
+    assert out[2].tobytes() == kernels.lorentzian_sum(centers, other, 9.0, grid).tobytes()
+    assert np.allclose(out[0], reference_lorentzian(centers, weights, 9.0, grid),
+                       rtol=1e-13, atol=1e-13 * np.abs(out[0]).max())
+
+
+def test_lorentzian_sums_derivatives_match_central_differences(rng):
+    centers, weights, grid = _two_chunk_comb(rng)
+    fwhm, h = 9.0, 1e-4
+    d_center, d_fwhm = kernels.lorentzian_sums(
+        centers, fwhm, grid, [(None, weights, None), (None, None, weights)])
+    # Moving every centre by h moves the sum as the centre derivatives add.
+    want_center = (kernels.lorentzian_sum(centers + h, weights, fwhm, grid)
+                   - kernels.lorentzian_sum(centers - h, weights, fwhm, grid)) / (2.0 * h)
+    want_fwhm = (kernels.lorentzian_sum(centers, weights, fwhm + h, grid)
+                 - kernels.lorentzian_sum(centers, weights, fwhm - h, grid)) / (2.0 * h)
+    for got, want in ((d_center, want_center), (d_fwhm, want_fwhm)):
+        scale = np.abs(want).max()
+        assert scale > 1e-3
+        assert np.abs(got - want).max() <= 1e-8 * scale
+
+
+def test_lorentzian_sums_refuses_what_lorentzian_sum_refuses():
+    grid = np.linspace(0, 1, 5)
+    with pytest.raises(ValueError, match="positive"):
+        kernels.lorentzian_sums([0.0], 0.0, grid, [([1.0], None, None)])
+    with pytest.raises(ValueError, match="length"):
+        kernels.lorentzian_sums([0.0, 1.0], 1.0, grid, [(None, [1.0], None)])
+    assert kernels.lorentzian_sums([0.0], 1.0, grid, []).shape == (0, 5)
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e200])
+def test_a_line_whose_squared_detuning_overflows_adds_exactly_zero(far):
+    # pytest turns RuntimeWarning into an error, so this also pins that the
+    # overflow is silent.
+    grid = np.linspace(-10.0, 10.0, 21)
+    near = kernels.lorentzian_sum([1.0], [2.0], 3.0, grid)
+    assert kernels.lorentzian_sum([1.0, far], [2.0, 5.0], 3.0, grid).tobytes() == near.tobytes()
+    assert not kernels.lorentzian_sum([far], [1.0], 3.0, grid).any()
+    assert not kernels.gaussian_sum([far], [1.0], 3.0, grid).any()
+    out = kernels.lorentzian_sums([far], 3.0, grid, [([1.0], [1.0], [1.0])])
+    assert not out.any()
