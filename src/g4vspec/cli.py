@@ -199,14 +199,19 @@ def _cmd_fit_batch(args) -> int:
     paths = sorted(glob.glob(args.batch))
     if not paths:
         raise ValueError(f"--batch matched no files: {args.batch!r}")
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for path, label in zip(paths, labels):
+        # The summary CSV is unquoted: such a label would shift its row.
+        if args.summary_out and ("," in label or label.splitlines() != [label]):
+            raise ValueError(f"{path}: --summary-out cannot label a row by a file name "
+                             "holding a comma or a line break")
     model = "triplet211" if args.model == "triplet" else "single"
     init = _parse_init(args.init)
     fits = _fit_files(paths, lambda traces: analysis.fit_lorentzians(
         traces, model=model, init=init, seed=args.seed))
     reports = []
     summary = []  # one row per trace
-    for path, res in zip(paths, fits):
-        label = os.path.splitext(os.path.basename(path))[0]
+    for label, res in zip(labels, fits):
         reports.append({"label": label, "report": res.as_report()})
         summary.append((label, args.model, abs(res.params.get("a_ple", float("nan"))),
                         res.params.get("delta", float("nan")), res.params["fwhm"],

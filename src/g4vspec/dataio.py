@@ -440,9 +440,13 @@ def read_values_csv(path, column: str | None = None) -> np.ndarray:
     col = 0 if column is None else header.index(column)
     out = []
     for lineno, raw in lines[1:]:
+        cells = raw.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, "
+                             f"got {len(cells)}")
         try:
-            value = float(raw.split(",")[col])
-        except (IndexError, ValueError):
+            value = float(cells[col])
+        except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad value in {raw!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: non-finite value")

@@ -47,6 +47,15 @@ def test_simulate_ge_flat_top(tmp_path, capsys):
     assert width - 26.0 == pytest.approx(124.0, rel=0.15)
 
 
+def test_simulate_at_an_overflowing_field_writes_the_zero_limit_without_a_warning(tmp_path):
+    # Every line's squared detuning overflows; pytest makes a RuntimeWarning an error.
+    out = tmp_path / "far.csv"
+    assert run_cli(["simulate", "73Ge", "--b", "0,0,1e300", "--fwhm", "30",
+                    "--grid", "-10:10:1", "--out", str(out)]) == 0
+    trace = dataio.ingest_csv(out)
+    assert trace.freq_mhz.size == 21 and not trace.signal.any()
+
+
 def test_simulate_with_diagram(tmp_path):
     out = tmp_path / "sn.csv"
     diagram = tmp_path / "sn.json"
@@ -509,6 +518,45 @@ def test_values_with_non_finite_entry_name_file_and_line(tmp_path, capsys, value
     assert capsys.readouterr().err == want
     assert not kde_out.exists()
     assert not stats_out.exists()
+
+
+@pytest.mark.parametrize("text, column, want", [
+    ("a,b\n1,2,3\n", "b", "line 2: expected 2 fields, got 3"),
+    ("a,b\n1,2\n3\n", "b", "line 3: expected 2 fields, got 1"),
+    ("value\n1,2\n", None, "line 2: expected 1 fields, got 2"),
+], ids=["long row", "short row", "one column"])
+def test_stats_refuses_a_values_row_whose_field_count_is_not_the_headers(
+        tmp_path, capsys, text, column, want):
+    src = tmp_path / "v.csv"
+    src.write_text(text)
+    out = tmp_path / "stats.json"
+    argv = ["stats", "--values", str(src), "--out", str(out)]
+    assert run_cli(argv + (["--column", column] if column else [])) == 1
+    assert capsys.readouterr().err == f"error: {src}: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["x,1e9", "a\nb"], ids=["comma", "line break"])
+def test_batch_summary_refuses_a_file_name_that_would_shift_its_row(
+        tmp_path, capsys, calls, stem):
+    from g4vspec import analysis as analysis_mod
+
+    grid = np.arange(-300.0, 300.0, 4.0)
+    for name in ("good", stem):
+        dataio.write_spectrum_csv(tmp_path / f"{name}.csv", type(
+            "T", (), {"freq_mhz": grid, "signal": lorentz_peak(grid, 10.0, 40.0)})())
+    fits = calls(analysis_mod, "fit_lorentzians")
+    report, summary = tmp_path / "batch.json", tmp_path / "summary.csv"
+    batch = ["fit", "--batch", str(tmp_path / "*.csv"), "--model", "single", "--out", str(report)]
+    assert run_cli(batch + ["--summary-out", str(summary)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / (stem + '.csv')}: --summary-out cannot label a row by a file "
+        "name holding a comma or a line break\n")
+    assert fits == []
+    assert not report.exists() and not summary.exists()
+    # Without a summary the label is only a JSON string, which holds anything.
+    assert run_cli(batch) == 0
+    assert [d["label"] for d in json.loads(report.read_text())] == sorted(["good", stem])
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

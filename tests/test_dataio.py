@@ -372,7 +372,9 @@ def test_values_csv_non_finite_rejected(tmp_path, value):
     ("\n \n", None, "empty file"),
     ("a,b\n1,2\n", None, "multiple columns, pass a column name"),
     ("a\n1\nx\n", None, "line 3: bad value in 'x'"),
-    ("a,b\n1,2\n3\n", "b", "line 3: bad value in '3'"),
+    ("a,b\n1,2\n3\n", "b", "line 3: expected 2 fields, got 1"),
+    ("a,b\n1,2,3\n", "b", "line 2: expected 2 fields, got 3"),
+    ("a\n1,2\n", None, "line 2: expected 1 fields, got 2"),
 ])
 def test_values_csv_refusals_name_the_file(tmp_path, text, column, message):
     p = write_csv(tmp_path, text, name="v.csv")
