@@ -77,6 +77,11 @@ def test_validation():
         kernels.lorentzian_sum([0.0, 1.0], [1.0], 1.0, grid)
     with pytest.raises(ValueError, match="^expected a 1-D array$"):
         kernels.lorentzian_sum([[0.0], [1.0]], [1.0, 1.0], 1.0, grid)
+    with pytest.raises(ValueError, match="positive"):
+        kernels.lorentzian_sums([0.0], 0.0, grid, [([1.0], None, None)])
+    with pytest.raises(ValueError, match="length"):
+        kernels.lorentzian_sums([0.0, 1.0], 1.0, grid, [(None, [1.0], None)])
+    assert kernels.lorentzian_sums([0.0], 1.0, grid, []).shape == (0, 5)
 
 
 def _two_chunk_comb(rng):
@@ -93,8 +98,8 @@ def _two_chunk_comb(rng):
 def test_lorentzian_sums_peak_rows_are_lorentzian_sum_bit_for_bit(rng):
     centers, weights, grid = _two_chunk_comb(rng)
     other = rng.uniform(0.0, 1.0, 200)
-    out = kernels.lorentzian_sums(centers, 9.0, grid,
-                                  [(weights, None, None), (None, other, other), (other, None, None)])
+    terms = [(weights, None, None), (None, other, other), (other, None, None)]
+    out = kernels.lorentzian_sums(centers, 9.0, grid, terms)
     assert out.shape == (3, grid.size)
     assert out[0].tobytes() == kernels.lorentzian_sum(centers, weights, 9.0, grid).tobytes()
     assert out[2].tobytes() == kernels.lorentzian_sum(centers, other, 9.0, grid).tobytes()
@@ -116,15 +121,6 @@ def test_lorentzian_sums_derivatives_match_central_differences(rng):
         scale = np.abs(want).max()
         assert scale > 1e-3
         assert np.abs(got - want).max() <= 1e-8 * scale
-
-
-def test_lorentzian_sums_refuses_what_lorentzian_sum_refuses():
-    grid = np.linspace(0, 1, 5)
-    with pytest.raises(ValueError, match="positive"):
-        kernels.lorentzian_sums([0.0], 0.0, grid, [([1.0], None, None)])
-    with pytest.raises(ValueError, match="length"):
-        kernels.lorentzian_sums([0.0, 1.0], 1.0, grid, [(None, [1.0], None)])
-    assert kernels.lorentzian_sums([0.0], 1.0, grid, []).shape == (0, 5)
 
 
 @pytest.mark.parametrize("far", [1e300, -1e300, 1e200])
