@@ -44,8 +44,8 @@ def _line_sum(centers, terms, grid, profiles):
 
 
 def _lorentzian(c, g, hw, slopes):
-    """The unit-area Lorentzian L of half width hw and, with slopes, its
-    derivatives along the centre and the FWHM."""
+    """(L,), or with slopes (L, dL/dcenter, dL/dfwhm), for L the unit-area
+    Lorentzian of half width hw, all from one inverse denominator."""
     u = np.subtract(g, c)
     inv = np.square(u, out=None if slopes else u)
     inv += hw * hw
