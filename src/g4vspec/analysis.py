@@ -2,28 +2,29 @@
 Hamiltonian-model fits of spectra and field maps, kernel density
 estimation, the sqrt(mass) isotope-shift model, and contingency testing.
 
-All fitters share one damped least-squares core (Levenberg-Marquardt
-style) that solves one problem or a stack of k independent ones at once:
-each problem keeps its own damping, acceptance, convergence and iteration
-count, and every product, solve and inverse is taken per slice, so a
-problem gives the same bits alone or in any stack.  `_fit` is the one
-place that calls the core and reports: it names the parameters and their
-errors and gives the parameters that a model sees only through |.| their
-reported sign.  The closed-form peak models (single Lorentzian, 2:1:1
-triplet, Gaussian) sit in one table with their Jacobians, broadcast over a
-stack of traces, are seeded by one peak search per trace and fitted by one
-`_fit_peaks`, which fits the traces of a list that share a grid length as
-one stack.  The full-model fit is one problem with an analytic Jacobian,
-taken from the eigensystems its residual has already solved (see
-`spectrum._line_slopes`).  Damping is multiplied by 10 on a rejected step
-and divided by 10 on acceptance.  A fit stops when the relative cost change falls below 1e-10,
-when an accepted step is shorter than machine epsilon times |p| (without
-that, a noise-free trace can keep shrinking a residual of 1e-150 until the
-cap), or after 200 iterations.  Only improving steps are ever accepted, a
-start whose residual is not finite is refused, and everything is
-deterministic for identical inputs.  A full-model fit solves all rows of a
-field map as one stack per manifold and reuses row tables and reference
-lines within the fit.
+All fitters share one damped least-squares core (Levenberg-Marquardt style)
+that solves one problem or a stack of k independent ones at once: each
+problem keeps its own damping, acceptance, convergence and iteration count,
+and every product, solve and inverse is taken per slice, so a problem gives
+the same bits alone or in any stack.  `_fit` is the one place that calls
+the core and reports: it names the parameters and their errors and gives
+the parameters that a model sees only through |.| their reported sign.  The
+closed-form peak models (single Lorentzian, 2:1:1 triplet, Gaussian) sit in
+one table with their Jacobians and broadcast over a stack of traces, with
+no separate path for one trace; the Lorentzian ones take their peaks from
+`kernels._lorentzian`, the triplet's three from one call.  They are seeded
+by one peak search per trace and fitted by one `_fit_peaks`, which fits the
+traces of a list that share a grid length as one stack.  The full-model fit
+is one problem with an analytic Jacobian, taken from the eigensystems its
+residual has already solved (see `spectrum._line_slopes`).  Damping is
+multiplied by 10 on a rejected step and divided by 10 on acceptance.  A fit
+stops when the relative cost change falls below 1e-10, when an accepted
+step is shorter than machine epsilon times |p| (without that, a noise-free
+trace can keep shrinking a residual of 1e-150 until the cap), or after 200
+iterations.  Only improving steps are ever accepted, a start whose residual
+is not finite is refused, and everything is deterministic for identical
+inputs.  A full-model fit solves all rows of a field map as one stack per
+manifold and reuses row tables and reference lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
@@ -276,37 +277,9 @@ def _fit(model, names, residual, p0, seed, jac):
 # peak models
 
 def _columns(p):
-    """Each parameter of a stack (k, n) as a column that broadcasts over the
-    stack's grids (k, m); of one problem (n,), or a stack of one, as a
-    float, whose arithmetic costs less than NumPy's and rounds the same."""
-    return p.T[..., None] if p.ndim == 2 and len(p) > 1 else p.reshape(-1).tolist()
-
-
-def _square(v):
-    # C pow(), as a NumPy scalar's v**2 takes it; an array's v**2 is v*v,
-    # which differs in the last bit for about 0.1% of values.  The recorded
-    # peak-fit goldens were fitted with scalar parameters.
-    return np.float_power(v, 2)
-
-
-def _lorentz_peaks(f, centers, fwhm):
-    """Unit-height Lorentzians of one FWHM at each of centers."""
-    hw2 = _square(0.5 * fwhm)
-    return [hw2 / ((f - c) ** 2 + hw2) for c in centers]
-
-
-def _lorentz_terms(f, centers, fwhm):
-    """For each of centers, the _lorentz_peaks L with dL/dcenter and
-    dL/dfwhm, from one denominator."""
-    half = 0.5 * fwhm
-    hw2 = _square(half)
-    terms = []
-    for c in centers:
-        u = f - c
-        inv = 1.0 / (u * u + hw2)
-        peak = hw2 * inv
-        terms.append((peak, 2.0 * u * peak * inv, half * (1.0 - peak) * inv))
-    return terms
+    """Each parameter of one problem (n,) or a stack (k, n) as a column that
+    broadcasts over its grid (m,) or the stack's grids (k, m)."""
+    return p.T[..., None]
 
 
 def _sign(v):
@@ -314,59 +287,69 @@ def _sign(v):
     return np.where(v >= 0, 1.0, -1.0)
 
 
+def _peaks(centers, fwhm, f, slopes):
+    """pi hw and kernels._lorentzian's unit-area profiles at centers, of half
+    width hw = |fwhm|/2: the unit-height peak is pi hw L, its d/dcenter
+    pi hw dL/dcenter and its d/dfwhm pi hw dL/dfwhm + (pi/2) L."""
+    hw = 0.5 * abs(fwhm)
+    return np.pi * hw, kernels._lorentzian(centers, f, hw, slopes)
+
+
 def _model_single(p, f):
     f0, fwhm, amplitude, baseline = _columns(p)
-    [peak] = _lorentz_peaks(f, (f0,), abs(fwhm))
-    return baseline + amplitude * peak
+    height, [peak] = _peaks(f0, fwhm, f, False)
+    return baseline + amplitude * height * peak
 
 
 def _jac_single(p, f):
     f0, fwhm, amplitude, baseline = _columns(p)
-    [(peak, d_center, d_fwhm)] = _lorentz_terms(f, (f0,), abs(fwhm))
+    height, (peak, d_center, d_fwhm) = _peaks(f0, fwhm, f, True)
     j = np.empty(peak.shape + (4,))  # each column written as soon as it is formed
-    j[..., 0] = amplitude * d_center
-    j[..., 1] = amplitude * _sign(fwhm) * d_fwhm
-    j[..., 2] = peak
+    j[..., 0] = amplitude * height * d_center
+    j[..., 1] = amplitude * _sign(fwhm) * (height * d_fwhm + 0.5 * np.pi * peak)
+    j[..., 2] = height * peak
     j[..., 3] = 1.0
     return j
 
 
 def _triplet_centers(f_ch1, aple, delta):
     # Heights locked 2:1:1; the two weak peaks straddle |a_ple| above the
-    # strong one, split by |delta|.
-    return (f_ch1, f_ch1 + abs(aple) - 0.5 * abs(delta), f_ch1 + abs(aple) + 0.5 * abs(delta))
+    # strong one, split by |delta|.  One (3, ...) array: one kernel call.
+    return np.stack((f_ch1, f_ch1 + abs(aple) - 0.5 * abs(delta),
+                     f_ch1 + abs(aple) + 0.5 * abs(delta)))
 
 
 def _model_triplet(p, f):
     f_ch1, aple, delta, fwhm, amplitude, baseline = _columns(p)
-    l0, l1, l2 = _lorentz_peaks(f, _triplet_centers(f_ch1, aple, delta), abs(fwhm))
-    return baseline + amplitude * (l0 + 0.5 * l1 + 0.5 * l2)
+    height, [(l0, l1, l2)] = _peaks(_triplet_centers(f_ch1, aple, delta), fwhm, f, False)
+    return baseline + amplitude * height * (l0 + 0.5 * l1 + 0.5 * l2)
 
 
 def _jac_triplet(p, f):
     f_ch1, aple, delta, fwhm, amplitude, baseline = _columns(p)
     _, s_aple, s_delta, s_fwhm, _, _ = _columns(_sign(p))
-    (l0, dc0, dw0), (l1, dc1, dw1), (l2, dc2, dw2) = _lorentz_terms(
-        f, _triplet_centers(f_ch1, aple, delta), abs(fwhm))
+    height, ((l0, l1, l2), (dc0, dc1, dc2), (dw0, dw1, dw2)) = _peaks(
+        _triplet_centers(f_ch1, aple, delta), fwhm, f, True)
+    peaks = l0 + 0.5 * (l1 + l2)
     j = np.empty(l0.shape + (6,))
-    j[..., 0] = amplitude * (dc0 + 0.5 * (dc1 + dc2))
-    j[..., 1] = amplitude * s_aple * 0.5 * (dc1 + dc2)
-    j[..., 2] = amplitude * s_delta * 0.25 * (dc2 - dc1)
-    j[..., 3] = amplitude * s_fwhm * (dw0 + 0.5 * (dw1 + dw2))
-    j[..., 4] = l0 + 0.5 * (l1 + l2)
+    j[..., 0] = amplitude * height * (dc0 + 0.5 * (dc1 + dc2))
+    j[..., 1] = amplitude * height * s_aple * 0.5 * (dc1 + dc2)
+    j[..., 2] = amplitude * height * s_delta * 0.25 * (dc2 - dc1)
+    j[..., 3] = amplitude * s_fwhm * (height * (dw0 + 0.5 * (dw1 + dw2)) + 0.5 * np.pi * peaks)
+    j[..., 4] = height * peaks
     j[..., 5] = 1.0
     return j
 
 
 def _model_gaussian(p, f):
     center, sigma, amplitude, baseline = _columns(p)
-    return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * _square(sigma)))
+    return baseline + amplitude * np.exp(-((f - center) ** 2) / (2.0 * (sigma * sigma)))
 
 
 def _jac_gaussian(p, f):
     center, sigma, amplitude, baseline = _columns(p)
     u = f - center
-    s2 = _square(sigma)
+    s2 = sigma * sigma
     g = np.exp(-(u**2) / (2.0 * s2))
     d_center = amplitude * g * u / s2
     j = np.empty(g.shape + (4,))
@@ -378,8 +361,8 @@ def _jac_gaussian(p, f):
 
 
 def _check_init(init, names, complete):
-    """ValueError unless init is None or a dict of finite numbers keyed by
-    names, with a value for every name when complete."""
+    """ValueError unless init is None or a dict of finite numbers (not bools)
+    keyed by names, with a value for every name when complete."""
     if init is None:
         return
     if not isinstance(init, dict):
@@ -392,7 +375,7 @@ def _check_init(init, names, complete):
     if missing:
         raise ValueError(f"init needs a value for every parameter; missing {', '.join(missing)}")
     for name, value in init.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if type(value) is bool or not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValueError(f"init {name!r} must be a finite number, got {value!r}")
 
 

@@ -75,12 +75,13 @@ def _build_parser() -> _Parser:
     add_emitter(p)
 
     p = sub.add_parser("fit", help="fit a trace, a field map, or a batch of traces")
-    p.add_argument("--trace", default=None, help="spectrum CSV (freq_mhz,intensity)")
-    p.add_argument("--map", dest="map_path", default=None,
-                   help="field-map CSV (b_tesla,freq_mhz,intensity)")
-    p.add_argument("--batch", default=None,
-                   help="glob of spectrum CSVs; writes a report array and, with "
-                        "--summary-out, a per-emitter CSV summary")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--trace", default=None, help="spectrum CSV (freq_mhz,intensity)")
+    source.add_argument("--map", dest="map_path", default=None,
+                        help="field-map CSV (b_tesla,freq_mhz,intensity)")
+    source.add_argument("--batch", default=None,
+                        help="glob of spectrum CSVs; writes a report array and, with "
+                             "--summary-out, a per-emitter CSV summary")
     p.add_argument("--model", choices=("single", "triplet", "full"), required=True)
     p.add_argument("--emitter", default=None, help="required for --model full")
     p.add_argument("--direction", default="0,0,1", help="field direction for --map")
@@ -92,8 +93,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit-pl", help="Gaussian fits of traces or raw centers + KDE CSV")
-    p.add_argument("--values", default=None, help="CSV of center values (single column)")
-    p.add_argument("--traces", nargs="*", default=None, help="spectrum CSVs to fit")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--values", default=None, help="CSV of center values (single column)")
+    source.add_argument("--traces", nargs="*", default=None, help="spectrum CSVs to fit")
     p.add_argument("--bandwidth", type=float, required=True, help="KDE bandwidth")
     p.add_argument("--kde-out", required=True)
     p.add_argument("--out", default=None, help="report JSON")

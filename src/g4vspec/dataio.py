@@ -425,14 +425,23 @@ def write_values_csv(path, values, column: str = "value") -> None:
 
 
 def read_values_csv(path, column: str | None = None) -> np.ndarray:
-    """Single column of finite numbers from a CSV; picks `column` by header
+    """Single column of finite numbers from a CSV under a header line of
+    column names, refused if it holds only numbers; picks `column` by header
     name when given, else the only column.  Blank lines are skipped."""
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0][1].split(",")
+    lineno, raw = lines[0]
+    header = raw.split(",")
+    try:
+        list(map(float, header))
+    except ValueError:
+        pass
+    else:
+        raise ValueError(f"{path}: line {lineno}: expected a header line of column names, "
+                         f"got {raw!r}")
     if column is None and len(header) != 1:
         raise ValueError(f"{path}: multiple columns, pass a column name")
     if column is not None and column not in header:

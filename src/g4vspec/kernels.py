@@ -4,7 +4,9 @@ The one synthesis kernel, in NumPy.  `_line_sum` holds the one chunk loop:
 per chunk of `_CHUNK` lines it builds the unweighted profiles in place and
 contracts them with their weights by `@`.  `lorentzian_sums` adds the
 Lorentzian's derivatives along centre and FWHM from the same reciprocal
-denominator.  A line whose squared detuning overflows adds exactly 0.
+denominator.  `_lorentzian` is the package's one Lorentzian profile: it
+also gives the closed-form peak models of `analysis` their peaks.  A line
+whose squared detuning overflows adds exactly 0.
 `BACKEND` names the kernel for run metadata and is always "python".
 """
 import numpy as np
@@ -45,7 +47,9 @@ def _line_sum(centers, terms, grid, profiles):
 
 def _lorentzian(c, g, hw, slopes):
     """(L,), or with slopes (L, dL/dcenter, dL/dfwhm), for L the unit-area
-    Lorentzian of half width hw, all from one inverse denominator."""
+    Lorentzian of half width hw, all from one inverse denominator.  c, g and
+    hw broadcast: the (k, 1) centres and (1, m) grid of `_line_sum`, or a
+    peak fit's (3, k, 1) centres, (k, m) grids and (k, 1) half widths."""
     u = np.subtract(g, c)
     inv = np.square(u, out=None if slopes else u)
     inv += hw * hw

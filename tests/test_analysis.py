@@ -702,6 +702,9 @@ def test_full_model_fit_that_raises_drops_its_memo():
      "amplitude, freq_offset"),
     (lambda t, init: fit_full_model(t, ("fwhm",), registry_lookup("117Sn"), init),
      {"fwhm": "wide"}, "init 'fwhm' must be a finite number, got 'wide'"),
+    (lambda t, init: fit_lorentzians(t, "single", init),
+     {"f0": True, "fwhm": 40.0, "amplitude": 1.0, "baseline": False},
+     "init 'f0' must be a finite number, got True"),
 ])
 def test_fitters_share_one_init_check(fit, init, message):
     grid = np.arange(-100.0, 100.0, 2.0)
@@ -874,6 +877,10 @@ def test_peak_jacobians_match_forward_differences(case):
            + 10.0 * np.finfo(float).eps * (2.0 * amplitude + baseline) / step
            + 1e-9 * np.abs(analytic).max(axis=0))
     assert (np.abs(analytic - numeric).max(axis=0) <= tol).all()
+    # A stack of problems runs the arithmetic of each one alone.
+    stack, grids = np.stack([p, 2.0 * p]), np.stack([JAC_GRID, JAC_GRID])
+    for row, q in zip(zip(fn(stack, grids), jac(stack, grids)), stack):
+        assert [_bits(a) for a in row] == [_bits(fn(q, JAC_GRID)), _bits(jac(q, JAC_GRID))]
 
 
 @pytest.mark.parametrize("model", ["single", "triplet211", "gaussian"])

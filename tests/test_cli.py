@@ -255,6 +255,31 @@ def test_fit_pl_traces_mode(tmp_path):
     assert centers[1] == pytest.approx(6.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("--trace", "--map"), ("--trace", "--batch"), ("--map", "--batch"), ("--values", "--traces"),
+])
+def test_two_input_sources_are_a_usage_error(tmp_path, capsys, first, second):
+    grid = np.arange(-300.0, 300.0, 4.0)
+    trace = tmp_path / "t.csv"
+    dataio.write_spectrum_csv(trace, type(
+        "T", (), {"freq_mhz": grid, "signal": lorentz_peak(grid, 10.0, 40.0)})())
+    values = tmp_path / "v.csv"
+    dataio.write_values_csv(values, [1.0, 2.0, 3.0], column="value")
+    source = {"--trace": trace, "--map": _small_map(tmp_path), "--batch": trace,
+              "--values": values, "--traces": trace}
+    out = tmp_path / "out.json"
+    if first == "--values":
+        argv = ["fit-pl", "--bandwidth", "3", "--kde-out", str(tmp_path / "kde.csv")]
+    else:
+        argv = ["fit", "--model", "full" if second == "--map" else "single", "--emitter", "117Sn"]
+    argv += [first, str(source[first]), second, str(source[second]), "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"g4vspec {argv[0]}: argument {second}: not allowed with argument "
+                          f"{first}\nusage: ")
+    assert not out.exists() and not (tmp_path / "kde.csv").exists()
+
+
 def test_batch_fits_mixed_grid_lengths_as_each_file_alone(tmp_path):
     paths = []
     for k, step in enumerate((2.0, 2.5, 2.0, 4.0, 2.5)):
@@ -694,6 +719,8 @@ _BAD_INITS = [
      "init needs a value for every parameter; missing fwhm, amplitude, baseline"),
     ("triplet", "{", "--init is not valid JSON: Expecting property name enclosed in double "
                      "quotes: line 1 column 2 (char 1)"),
+    ("single", '{"f0": true, "fwhm": 40.0, "amplitude": 1.0, "baseline": false}',
+     "init 'f0' must be a finite number, got True"),
     ("full", "[1]", "init must be a dict of initial values, got list"),
     ("full", '{"bogus": 1}', "unknown init parameter(s) 'bogus'; choose from a_ple_scale, "
                              "strain_alpha, fwhm, amplitude, freq_offset"),

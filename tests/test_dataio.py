@@ -375,6 +375,7 @@ def test_values_csv_non_finite_rejected(tmp_path, value):
     ("a,b\n1,2\n3\n", "b", "line 3: expected 2 fields, got 1"),
     ("a,b\n1,2,3\n", "b", "line 2: expected 2 fields, got 3"),
     ("a\n1,2\n", None, "line 2: expected 1 fields, got 2"),
+    ("1.5\n2.5\n3.5\n", None, "line 1: expected a header line of column names, got '1.5'"),
 ])
 def test_values_csv_refusals_name_the_file(tmp_path, text, column, message):
     p = write_csv(tmp_path, text, name="v.csv")
