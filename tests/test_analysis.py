@@ -473,9 +473,10 @@ def _valley_jac(p):
 
 def test_lm_flags_non_convergence_at_iteration_cap():
     # one iteration is never enough from here
-    p, cov, rms, converged, iters = _levenberg_marquardt(
-        _valley, np.array([-1.2, 1.0]), max_iter=1, jac=_valley_jac
-    )
+    with mock.patch.object(analysis, "MAX_ITERATIONS", 1):
+        p, cov, rms, converged, iters = _levenberg_marquardt(
+            _valley, np.array([-1.2, 1.0]), jac=_valley_jac
+        )
     assert not converged
     assert iters == 1
     # best-so-far is still an improvement over the start
@@ -1113,9 +1114,10 @@ def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
     calls = []
     starts = np.array([[0.0, 0.0], [-1.2, 1.0]])
     residual, jac = _stacked(PROBLEMS, calls)
-    out = _levenberg_marquardt(residual, starts, max_iter=6, jac=jac)
-    alone = [_levenberg_marquardt(fn, p0, max_iter=6, jac=fn_jac)
-             for (fn, fn_jac), p0 in zip(PROBLEMS, starts)]
+    with mock.patch.object(analysis, "MAX_ITERATIONS", 6):
+        out = _levenberg_marquardt(residual, starts, jac=jac)
+        alone = [_levenberg_marquardt(fn, p0, jac=fn_jac)
+                 for (fn, fn_jac), p0 in zip(PROBLEMS, starts)]
     assert out[4].tolist() == [alone[0][4], 6] and alone[0][4] < 6
     assert out[3].tolist() == [True, False]
     _assert_rows_equal(out, alone)
@@ -1125,6 +1127,11 @@ def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
     assert calls[-1] == ("jac", [0, 1])
     last_with_valley = max(i for i, (_, at) in enumerate(calls[:-1]) if 1 in at)
     assert len(calls) - 1 - last_with_valley > 2
+    # A refresh takes the Jacobian of every pending problem, moved or not:
+    # each one is followed by the trial residual of the same problems.
+    for i, (kind, at) in enumerate(calls[:-1]):
+        if kind == "jac":
+            assert calls[i + 1] == ("residual", at)
 
 
 def test_a_singular_slice_falls_back_on_its_own():
