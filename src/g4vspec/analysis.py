@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import EmitterModel, a_ple, term_hyperfine, term_strain
+from .hamiltonian import EmitterModel, _no_overflow, a_ple, term_hyperfine, term_strain
 from .spectrum import (SpectrumTrace, _line_slopes, _reference_line, _solve_transitions,
                        _unit_direction)
 
@@ -376,7 +376,8 @@ def _check_init(init, names, complete):
     if missing:
         raise ValueError(f"init needs a value for every parameter; missing {', '.join(missing)}")
     for name, value in init.items():
-        if type(value) is bool or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if type(value) is bool or not (isinstance(value, numbers.Real)
+                                       and _no_overflow(f"init {name!r}", math.isfinite, value)):
             raise ValueError(f"init {name!r} must be a finite number, got {value!r}")
 
 

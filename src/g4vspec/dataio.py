@@ -26,7 +26,8 @@ from importlib import resources
 
 import numpy as np
 
-from .hamiltonian import EmitterModel, ManifoldParams, a_ple, registry_labels, registry_lookup
+from .hamiltonian import (EmitterModel, ManifoldParams, _no_overflow, a_ple, registry_labels,
+                          registry_lookup)
 from .spectrum import SpectrumTrace, synth_spectrum, transitions
 
 __all__ = [
@@ -198,10 +199,7 @@ def emitter_from_dict(doc: dict) -> EmitterModel:
     numbers = [(k, doc[k]) for k in _TOP_KEYS if k in doc]
     numbers += [(f"{m}.{k}", v) for m in ("gnd", "exc") for k, v in doc.get(m, {}).items()]
     for name, value in numbers:
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"{name} is an integer too large for a float") from None
+        _no_overflow(name, float, value)
     label = doc["isotope"]
     if label in registry_labels():
         base = registry_lookup(label)

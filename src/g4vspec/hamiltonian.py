@@ -72,15 +72,23 @@ GHZ = 1000.0  # exact GHz -> MHz
 MANIFOLDS = ("gnd", "exc")
 
 
+def _no_overflow(name, fn, *args):
+    """fn(*args); an integer beyond the float range is a ValueError naming it."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
 def _finite(name, value):
-    if not math.isfinite(value):
+    if not _no_overflow(name, math.isfinite, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
 def _per_point(name, x):
     """One finite value as a float, a stack of n as an (n, 1, 1) array."""
-    x = np.asarray(x, dtype=float)
+    x = _no_overflow(name, np.asarray, x, float)
     if not np.isfinite(x).all():
         _finite(name, float(x[~np.isfinite(x)][0]))
     return float(x) if x.ndim == 0 else x[:, None, None]
@@ -99,9 +107,8 @@ class ManifoldParams:
     ioc_upsilon_mhz: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_soc_ghz", "q_orb", "a_fc_mhz", "a_dd_mhz",
-                     "quad_q_mhz", "ioc_upsilon_mhz"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _finite(f.name, getattr(self, f.name)))
         if self.lambda_soc_ghz < 0:
             raise ValueError(f"lambda_soc_ghz must be >= 0, got {self.lambda_soc_ghz}")
 
@@ -126,10 +133,8 @@ class EmitterModel:
             raise ValueError(
                 f"nuclear_spin must be a non-negative half-integer, got {self.nuclear_spin}"
             )
-        _finite("g_nuclear", self.g_nuclear)
-        _finite("g_electron", self.g_electron)
-        _finite("strain_alpha_ghz", self.strain_alpha_ghz)
-        _finite("strain_beta_ghz", self.strain_beta_ghz)
+        for name in ("g_nuclear", "g_electron", "strain_alpha_ghz", "strain_beta_ghz"):
+            _finite(name, getattr(self, name))
         for name in MANIFOLDS:
             p = getattr(self, name)
             if p.lambda_soc_ghz <= 0:
@@ -455,15 +460,18 @@ def registry_lookup(label: str, *, lambda_gnd_ghz: float | None = None,
     spin, g_i, (afc_g, add_g), (afc_e, add_e) = _HYPERFINE_TABLE[label]
     lam_g, lam_e = _LAMBDA_GHZ[_element_of(label)]
     qg, qe = _Q_ORB_DEFAULT
+
+    def given(name, value, default):  # an override as a float, or the default
+        return default if value is None else _no_overflow(name, float, value)
     gnd = ManifoldParams(
-        lambda_soc_ghz=lam_g if lambda_gnd_ghz is None else float(lambda_gnd_ghz),
-        q_orb=qg if q_gnd is None else float(q_gnd),
+        lambda_soc_ghz=given("lambda_gnd_ghz", lambda_gnd_ghz, lam_g),
+        q_orb=given("q_gnd", q_gnd, qg),
         a_fc_mhz=afc_g,
         a_dd_mhz=add_g,
     )
     exc = ManifoldParams(
-        lambda_soc_ghz=lam_e if lambda_exc_ghz is None else float(lambda_exc_ghz),
-        q_orb=qe if q_exc is None else float(q_exc),
+        lambda_soc_ghz=given("lambda_exc_ghz", lambda_exc_ghz, lam_e),
+        q_orb=given("q_exc", q_exc, qe),
         a_fc_mhz=afc_e,
         a_dd_mhz=add_e,
     )
@@ -473,7 +481,7 @@ def registry_lookup(label: str, *, lambda_gnd_ghz: float | None = None,
         g_nuclear=g_i,
         gnd=gnd,
         exc=exc,
-        g_electron=DEFAULT_G_ELECTRON if g_electron is None else float(g_electron),
+        g_electron=given("g_electron", g_electron, DEFAULT_G_ELECTRON),
         strain_alpha_ghz=strain_alpha_ghz,
         strain_beta_ghz=strain_beta_ghz,
     )

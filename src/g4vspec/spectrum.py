@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_real, a_parallel, a_perp, build_hamiltonian,
-                          jsq_operator)
+from .hamiltonian import (EmitterModel, _build_real, _no_overflow, a_parallel, a_perp,
+                          build_hamiltonian, jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
 __all__ = [
@@ -296,8 +296,10 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     b_stack = np.asarray(b_stack, dtype=float)
     n = len(b_stack)
     n_low = lower_branch_size(emitter)
-    alpha = float(emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
-    beta = float(emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
+    alpha = _no_overflow("strain alpha_ghz", float,
+                         emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
+    beta = _no_overflow("strain beta_ghz", float,
+                        emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
     tables, kinds = [None] * n, []
     values_g, values_e = np.empty((n, emitter.dim)), np.empty((n, emitter.dim))
     for rows, real, *inputs in _kinds(emitter, b_stack, alpha_ghz, beta_ghz):

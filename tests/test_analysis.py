@@ -706,6 +706,9 @@ def test_full_model_fit_that_raises_drops_its_memo():
     (lambda t, init: fit_lorentzians(t, "single", init),
      {"f0": True, "fwhm": 40.0, "amplitude": 1.0, "baseline": False},
      "init 'f0' must be a finite number, got True"),
+    (lambda t, init: fit_lorentzians(t, "single", init),
+     {"f0": 10**400, "fwhm": 40.0, "amplitude": 1.0, "baseline": 0.0},
+     "init 'f0' is an integer too large for a float"),
 ])
 def test_fitters_share_one_init_check(fit, init, message):
     grid = np.arange(-100.0, 100.0, 2.0)

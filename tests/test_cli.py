@@ -724,6 +724,8 @@ _BAD_INITS = [
     ("full", "[1]", "init must be a dict of initial values, got list"),
     ("full", '{"bogus": 1}', "unknown init parameter(s) 'bogus'; choose from a_ple_scale, "
                              "strain_alpha, fwhm, amplitude, freq_offset"),
+    ("single", '{"f0": 1' + "0" * 400 + ', "fwhm": 40.0, "amplitude": 1.0, "baseline": 0.0}',
+     "init 'f0' is an integer too large for a float"),
 ]
 
 

@@ -23,6 +23,7 @@ from g4vspec.hamiltonian import (
     term_strain,
     term_zeeman,
 )
+from g4vspec.spectrum import transitions
 from g4vspec.spinops import is_hermitian
 
 from conftest import random_emitter
@@ -512,3 +513,15 @@ def test_terms_reject_non_half_integer_spin():
             fn(p, 0.3)
     with pytest.raises(ValueError, match="half-integer"):
         jsq_operator(-0.5)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ManifoldParams(lambda_soc_ghz=1.0, a_fc_mhz=10**400), "a_fc_mhz"),
+    (lambda: registry_lookup("119Sn", strain_alpha_ghz=10**400), "strain_alpha_ghz"),
+    (lambda: registry_lookup("119Sn", q_gnd=10**400), "q_gnd"),
+    (lambda: transitions(registry_lookup("119Sn"), alpha_ghz=10**400), "strain alpha_ghz"),
+], ids=["manifold-field", "registry-strain", "registry-q", "transitions-alpha"])
+def test_an_integer_beyond_the_float_range_is_refused_by_name(build, name):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{name} is an integer too large for a float"
