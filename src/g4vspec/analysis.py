@@ -23,10 +23,10 @@ diagonal are taken again for every pending problem.  A fit stops when the
 relative cost change falls below 1e-10, when an accepted step is shorter
 than machine epsilon times |p| (without that, a noise-free trace can keep
 shrinking a residual of 1e-150 until the cap), or after MAX_ITERATIONS
-(200) iterations.  Only improving steps are ever accepted, a start whose residual
-is not finite is refused, and everything is deterministic for identical
-inputs.  A full-model fit solves all rows of a field map as one stack per
-manifold and reuses row tables and reference lines within the fit.
+(200) iterations.  Only improving steps are ever accepted, a start whose
+residual is not finite is refused, and everything is deterministic for
+identical inputs.  A full-model fit solves all rows of a field map as one
+stack per manifold and reuses row tables and reference lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
