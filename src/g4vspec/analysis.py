@@ -720,10 +720,10 @@ def kde(values, bandwidth: float) -> SpectrumTrace:
     The grid of KDE_GRID_POINTS points spans the data plus three bandwidths
     on each side and the density is normalized to unit area on that grid.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = _no_overflow("a kde value", np.asarray, values, float).reshape(-1)
     if values.size == 0:
         raise ValueError("kde needs at least one value")
-    if not 0 < bandwidth < math.inf:
+    if not (_no_overflow("bandwidth", math.isfinite, bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     with np.errstate(all="ignore"):  # overflow near the float range is refused below
         lo = values.min() - 3.0 * bandwidth
@@ -747,7 +747,7 @@ def isotope_shift_ratio(m_a, m_b, m_c, m_d) -> float:
     (1/sqrt(m_c) - 1/sqrt(m_d)).
     """
     for m in (m_a, m_b, m_c, m_d):
-        if not 0 < m < math.inf:
+        if not (_no_overflow("atomic mass", math.isfinite, m) and m > 0):
             raise ValueError(f"atomic masses must be positive and finite, got {m}")
     denom = 1.0 / math.sqrt(m_c) - 1.0 / math.sqrt(m_d)
     if denom == 0.0:
@@ -800,10 +800,10 @@ def _mean_sem(values):
 def ensemble_stats(values, bin_width: float) -> EnsembleStats:
     """Mean, standard error of the mean, and a zero-anchored histogram of
     at most 10**7 bins."""
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = _no_overflow("an ensemble value", np.asarray, values, float).reshape(-1)
     if values.size == 0:
         raise ValueError("ensemble_stats needs at least one value")
-    if not 0 < bin_width < math.inf:
+    if not (_no_overflow("bin_width", math.isfinite, bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     n, mean, sem = _mean_sem(values)
     with np.errstate(all="ignore"):  # a count that is not finite is refused just below

@@ -5,7 +5,8 @@ Each format is defined once.  `_read_rows` reads the spectrum and map
 CSVs (header, blank lines, field count, finite numbers); `read_values_csv`
 picks one column of a ragged CSV.  `_write_csv` writes every CSV, at 9
 significant digits with '.' decimal separator and LF line endings, so
-repeated runs diff clean.  `_MANIFOLD_KEYS` and `_TOP_KEYS` map
+repeated runs diff clean; it formats a whole file with one `%` call over
+one template.  `_MANIFOLD_KEYS` and `_TOP_KEYS` map
 emitter-file keys to `EmitterModel` fields both ways.  File writes are
 whole-file atomic (temp file + rename).  Emitter files are checked
 against their packaged JSON schema when read; fit reports are built to
@@ -328,30 +329,30 @@ def _write_csv(path, columns, blocks, formats=None) -> None:
     """One `write_text` of the header `columns` and each block's rows.
 
     A block holds one sequence per column, cut to the shortest, with
-    `itertools.repeat(x)` for a value shared by its rows.  Cells are
-    formatted at 9 significant digits unless `formats` maps the column name
-    to another format: a shared value once per block, a sequence that the
-    block before held in the same column (the shared grid of a map) not
-    again, and any other column by one `%` call."""
-    formats = formats or {}
-    specs = [formats.get(name, "%.9g") for name in columns]
-    parts = [",".join(columns) + "\n"]
-    before = [(None, None)] * len(columns)  # (sequence, its cells) per column
-    for block in blocks:
-        cells = []
+    `itertools.repeat(x)` for a value shared by its rows.  Cells are at 9
+    significant digits unless `formats` maps the column name to another
+    format.  One `%` call formats the file: a shared value, and the first
+    sequence a block shares with the block before in its column (a map's
+    grid), are template text escaped for `%`; every other cell an argument."""
+    specs = [(formats or {}).get(name, "%.9g") for name in columns]
+    template, args, before = [",".join(columns).replace("%", "%%") + "\n"], [], {}
+    for block in map(list, blocks):
+        n = min((len(c) for c in block if not isinstance(c, itertools.repeat)), default=0)
+        row, fresh = [""], []  # a row's text, or its text, shared cells and the text after
         for k, (spec, col) in enumerate(zip(specs, block)):
             if isinstance(col, itertools.repeat):
-                cells.append(itertools.repeat(spec % next(col)))
-            elif col is before[k][0]:
-                cells.append(before[k][1])
+                row[-1] += (spec % next(col)).replace("%", "%%")
+            elif col is before.get(k, (None,))[0] and len(row) == 1:
+                before[k] = (col, before[k][1] or [(spec % v).replace("%", "%%") for v in col])
+                row += [before[k][1][:n], ""]
             else:
-                values = col.tolist() if isinstance(col, np.ndarray) else list(col)
-                cells.append(((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1])
-                before[k] = (col, cells[-1])
-        rows = "\n".join(map(",".join, zip(*cells)))
-        if rows:
-            parts.append(rows + "\n")
-    write_text(path, "".join(parts))
+                fresh.append((col.tolist() if isinstance(col, np.ndarray) else list(col))[:n])
+                before[k], row[-1] = (col, None), row[-1] + spec
+            row[-1] += "," if k + 1 < len(block) else "\n"
+        head, cells, tail = row if len(row) == 3 else ("", [""] * n, row[0])
+        template.append(head + (tail + head).join(cells) + tail if n else "")
+        args += fresh[0] if len(fresh) == 1 else itertools.chain.from_iterable(zip(*fresh))
+    write_text(path, "".join(template) % tuple(args))
 
 
 def ingest_csv(path) -> MeasuredTrace:

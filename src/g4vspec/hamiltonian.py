@@ -128,7 +128,7 @@ class EmitterModel:
     strain_beta_ghz: float = 0.0
 
     def __post_init__(self):
-        two_i = 2.0 * self.nuclear_spin
+        two_i = 2.0 * _no_overflow("nuclear_spin", float, self.nuclear_spin)
         if self.nuclear_spin < 0 or abs(two_i - round(two_i)) > 1e-9:
             raise ValueError(
                 f"nuclear_spin must be a non-negative half-integer, got {self.nuclear_spin}"
@@ -173,6 +173,7 @@ class EmitterModel:
 
     def scaled_hyperfine(self, scale: float) -> "EmitterModel":
         """Copy with A_FC and A_DD of both manifolds multiplied by one factor."""
+        scale = _no_overflow("hyperfine scale", float, scale)
         return dataclasses.replace(
             self,
             gnd=dataclasses.replace(
@@ -268,7 +269,7 @@ def _strain(alpha_ghz, beta_ghz, ops):
 
 
 def _zeeman(emitter, manifold, b, ops):
-    b = np.asarray(b, dtype=float)
+    b = _no_overflow("magnetic field", np.asarray, b, float)
     if b.ndim not in (1, 2) or b.shape[-1] != 3:
         raise ValueError(f"magnetic field needs 3 components per point, got shape {b.shape}")
     bx, by, bz = (_per_point("magnetic field component", c) for c in b.T)
@@ -402,8 +403,8 @@ def jt_shifted_params(params: ManifoldParams, delta_fc_mhz: float,
     deltas (symmetry-lowering sensitivity studies)."""
     return dataclasses.replace(
         params,
-        a_fc_mhz=params.a_fc_mhz + float(delta_fc_mhz),
-        a_dd_mhz=params.a_dd_mhz + float(delta_dd_mhz),
+        a_fc_mhz=params.a_fc_mhz + _no_overflow("delta_fc_mhz", float, delta_fc_mhz),
+        a_dd_mhz=params.a_dd_mhz + _no_overflow("delta_dd_mhz", float, delta_dd_mhz),
     )
 
 

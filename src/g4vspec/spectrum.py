@@ -32,6 +32,9 @@ both kinds solves each kind as one stack, and `_like` gives J^2 or a dH
 in the dtype of a kind's vectors.  `solve_manifold` itself
 returns complex128 for every point, the real ones cast exactly; the
 table path takes their float64 vectors back out of that cast.
+`sweep_field` turns its direction about the symmetry axis into the x-z
+plane, which changes no spectrum, so that with beta = 0 all its rows are
+real points.
 """
 from dataclasses import dataclass, field, replace
 
@@ -135,7 +138,7 @@ def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
     Points all of one kind are passed on whole, with rows a full slice.
     A malformed field counts as complex, and its build refuses it."""
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    fields = np.asarray(b, dtype=float)
+    fields = _no_overflow("magnetic field", np.asarray, b, float)
     real = np.bool_(False)
     if fields.ndim in (1, 2) and fields.shape[-1] == 3:
         real = (fields[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
@@ -293,7 +296,7 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     checked once for the stack, and the J^2 labels, intensity matrices
     and detunings taken once per kind.
     """
-    b_stack = np.asarray(b_stack, dtype=float)
+    b_stack = _no_overflow("magnetic field", np.asarray, b_stack, float)
     n = len(b_stack)
     n_low = lower_branch_size(emitter)
     alpha = _no_overflow("strain alpha_ghz", float,
@@ -427,9 +430,10 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
         raise ValueError("frequency grid is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("frequency grid must be strictly increasing")
-    signal = kernels.lorentzian_sum(table.freq_mhz, table.intensity, float(fwhm_mhz), grid)
+    fwhm_mhz = _no_overflow("fwhm_mhz", float, fwhm_mhz)
+    signal = kernels.lorentzian_sum(table.freq_mhz, table.intensity, fwhm_mhz, grid)
     meta = dict(table.meta)
-    meta["fwhm_mhz"] = float(fwhm_mhz)
+    meta["fwhm_mhz"] = fwhm_mhz
     return SpectrumTrace(freq_mhz=grid, signal=signal, meta=meta)
 
 
@@ -470,16 +474,25 @@ def sweep_field(emitter: EmitterModel, direction, b_magnitudes, fwhm_mhz: float,
 
     All rows are solved as one stack; output order follows b_magnitudes.
     The direction must be a unit vector (see `_unit_direction`).
+
+    The rows are solved in the real frame: at (hypot(dx, dy), 0, dz), the
+    direction turned about the symmetry axis into the x-z plane.  Turning
+    S and I together about that axis leaves every field-independent term,
+    the dipole map D = 1 and J^2 unchanged, so the spectra are the same;
+    with beta = 0 every row is then a real point.  The traces' meta keep
+    the field as given (b_tesla, b_mag_tesla, b_direction).
     """
     try:
         direction = _unit_direction(direction)
     except ValueError as err:
         raise ValueError(f"field direction {err}") from None
-    b_mags = np.asarray(b_magnitudes, dtype=float).reshape(-1)
-    tables, _ = _solve_transitions(emitter, b_mags[:, None] * direction, None, None)
+    b_mags = _no_overflow("field magnitude", np.asarray, b_magnitudes, float).reshape(-1)
+    real_frame = np.array([np.hypot(direction[0], direction[1]), 0.0, direction[2]])
+    tables, _ = _solve_transitions(emitter, b_mags[:, None] * real_frame, None, None)
     traces = [synth_spectrum(table, fwhm_mhz, grid) for table in tables]
     for bmag, trace in zip(b_mags, traces):
-        trace.meta.update(b_mag_tesla=float(bmag), b_direction=tuple(direction))
+        trace.meta.update(b_tesla=tuple((bmag * direction).tolist()), b_mag_tesla=float(bmag),
+                          b_direction=tuple(direction))
     return traces
 
 

@@ -1,6 +1,6 @@
 """Record tests/data/golden_tables.json from the current source tree.
 
-    PYTHONPATH=src python tests/data/record_golden_tables.py
+    PYTHONPATH=src python tests/data/record_golden_tables.py [--check]
 
 The file holds, for every registry isotope at four fixed (B, alpha, beta)
 points, the ``merge_lines`` output of ``transitions``, plus the result of
@@ -13,8 +13,12 @@ traces, and the field-map fit's standard errors.
 ``tests/test_golden_tables.py`` recomputes them and compares.  Re-record
 only on purpose: the file pins the numbers that refactors must keep.
 Before it writes, the script prints, for each section, the largest
-absolute and relative change against the file it replaces.
+absolute and relative change against the file it replaces.  With
+``--check`` it prints the same lines, writes nothing, and exits 1 if the
+file would change (0 if every leaf is the same), so a change that claims
+bit identity can show it without a scratch copy.
 """
+import argparse
 import dataclasses
 import json
 import math
@@ -209,7 +213,11 @@ def fit_record(spec, res):
                 n_iterations=int(res.n_iterations), converged=bool(res.converged))
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Record tests/data/golden_tables.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the changes, write nothing, exit 1 if any leaf moved")
+    check = parser.parse_args(argv).check
     res = run_fit(FIT)
     mixed = run_fit(MIXED_FIT)
     doc = {
@@ -219,17 +227,21 @@ def main():
                           field_map_fit=res.as_report()),
         "mixed_fit": dict(fit_record(MIXED_FIT, mixed), report=mixed.as_report()),
     }
-    if OUT.exists():
-        print(f"changes against the {OUT.name} this replaces:")
-        for line in changes(json.loads(OUT.read_text(encoding="utf-8")), doc):
+    text = json.dumps(doc, indent=1) + "\n"
+    old = OUT.read_text(encoding="utf-8") if OUT.exists() else None
+    if old is not None:
+        print(f"changes against the {OUT.name} this {'checks' if check else 'replaces'}:")
+        for line in changes(json.loads(old), doc):
             print("  " + line)
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    if check:
+        print(f"{OUT.name} is {'unchanged' if text == old else 'changed'}")
+        return int(text != old)
+    OUT.write_text(text, encoding="utf-8")
     print(f"wrote {OUT}: {len(doc['tables'])} tables, fit {doc['fit']['params']} "
           f"in {res.n_iterations} iterations, mixed-kind fit {doc['mixed_fit']['params']} in "
           f"{mixed.n_iterations} iterations, {len(doc['peak_fits']['fits'])} peak fits")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -2,6 +2,7 @@
 per-row reference built with `fmt`, the exact reader messages on a corpus
 of bad files, write-then-read round trips, and the emitter key map."""
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -132,6 +133,74 @@ def test_batch_summary_writer_bytes(tmp_path, monkeypatch):
                     "--summary-out", str(summary), "--out", str(tmp_path / "r.json")]) == 0
     assert summary.read_text() == reference_csv(
         header, [("a", "single", "nan", "nan", fmt(ODD[2]), fmt(1.0 / 3.0))])
+
+
+# The per-row reference of each cell format `_write_csv` is given, and the
+# values a column of that format holds.
+CELL = {"%.9g": fmt, "%d": lambda v: str(int(v)), "%s": str}
+INT64 = st.integers(-(2**63), 2**63 - 1)
+VALUES = {"%.9g": st.floats() | INT64, "%d": INT64, "%s": st.text(alphabet="ab%sd.9", max_size=4)}
+
+
+def _sequence(spec):
+    """A fresh column: a list, or a float or int array; str columns a tuple."""
+    values = st.lists(VALUES[spec], max_size=6)
+    return values.map(tuple) if spec == "%s" else values | values.map(np.array)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=st.lists(st.sampled_from(sorted(CELL)), min_size=1, max_size=4), data=st.data())
+def test_write_csv_bytes_equal_the_per_row_reference(tmp_path, specs, data):
+    """Blocks of repeated values, a sequence shared with an earlier block
+    (a map's grid), fresh float, int and str columns, empty blocks and
+    unequal lengths cut to the shortest, under column names and values
+    holding '%': the one-template writer gives the bytes of formatting each
+    row on its own."""
+    names = data.draw(st.lists(st.text(alphabet="ab%s_", min_size=1, max_size=4),
+                               min_size=len(specs), max_size=len(specs), unique=True))
+    last = [None] * len(specs)  # the last fresh sequence of each column
+    blocks, rows = [], []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kinds = data.draw(st.lists(st.sampled_from(["repeat", "shared", "fresh"]),
+                                   min_size=len(specs), max_size=len(specs)))
+        if set(kinds) == {"repeat"}:
+            kinds[0] = "fresh"
+        block = []
+        for k, (spec, kind) in enumerate(zip(specs, kinds)):
+            if kind == "repeat":
+                block.append(itertools.repeat(data.draw(VALUES[spec])))
+            elif kind == "fresh" or last[k] is None:
+                last[k] = data.draw(_sequence(spec))
+                block.append(last[k])
+            else:
+                block.append(last[k])
+        blocks.append(tuple(block))
+        rows += zip(*(itertools.repeat(next(c)) if isinstance(c, itertools.repeat) else list(c)
+                      for c in block))
+    path = tmp_path / "w.csv"
+    dataio._write_csv(path, names, blocks, dict(zip(names, specs)))
+    want = reference_csv(",".join(names),
+                         [[CELL[s](v) for s, v in zip(specs, row)] for row in rows])
+    assert path.read_bytes() == want.encode()
+
+
+def test_batch_summary_labels_holding_a_percent_sign_come_out_verbatim(tmp_path):
+    """File names are arguments of the summary's one `%` call, never part
+    of its template."""
+    grid = np.arange(-100.0, 100.5, 2.0)
+    signal = 1.0 / (1.0 + (grid / 15.0) ** 2)
+    for name in ("a%b", "c%s"):
+        dataio.write_spectrum_csv(tmp_path / f"{name}.csv", SpectrumTrace(grid, signal, {}))
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["fit", "--batch", str(tmp_path / "*.csv"), "--model", "single",
+                    "--summary-out", str(summary), "--out", str(tmp_path / "r.json")]) == 0
+    reports = json.loads((tmp_path / "r.json").read_text())
+    assert summary.read_text() == reference_csv(
+        "label,model,a_ple_mhz,delta_mhz,fwhm_mhz,residual_rms",
+        [(r["label"], "single", "nan", "nan", fmt(r["report"]["params"]["fwhm"]),
+          fmt(r["report"]["residual_rms"])) for r in reports])
+    assert [r["label"] for r in reports] == ["a%b", "c%s"]
 
 
 # --- reader messages ---

@@ -8,7 +8,9 @@ and again when real points (B_y = 0, beta = 0) came to be solved in
 float64; the tables of complex points were left unchanged by that one.  The
 mixed-kind fit (a field off the x-z plane and a B = 0 row) was added, its
 existing sections unchanged, before a stack of each kind of point came to
-be kept whole from the solve to the line slopes."""
+be kept whole from the solve to the line slopes.  It alone was re-recorded
+when field sweeps, which make its data, came to be solved in the real
+frame."""
 import importlib.util
 import json
 from pathlib import Path
@@ -138,6 +140,26 @@ def test_recorder_reports_the_largest_change_of_each_section():
     assert lines[3].endswith("; 1 other leaves changed, the first at peak_fits.fits.0.converged")
     assert lines[4].endswith(
         "; 1 other leaves changed, the first at peak_fits.field_map_fit.seed")
+
+
+def test_recorder_check_writes_nothing_and_exits_1_when_a_leaf_moved(tmp_path, monkeypatch,
+                                                                      capsys):
+    """`--check` against the recorded file, and against one whose fit
+    iteration count differs: the same change lines, exit 0 and 1, and the
+    file untouched."""
+    recorder = _recorder()
+    moved = json.loads(json.dumps(GOLDEN))
+    moved["fit"]["n_iterations"] += 1
+    out = tmp_path / "golden_tables.json"
+    monkeypatch.setattr(recorder, "OUT", out)
+    for doc, code, verdict in ((GOLDEN, 0, "unchanged"), (moved, 1, "changed")):
+        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        written = out.read_bytes()
+        assert recorder.main(["--check"]) == code
+        assert out.read_bytes() == written
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:-1] == ["  " + line for line in recorder.changes(doc, GOLDEN)]
+        assert lines[-1] == f"golden_tables.json is {verdict}"
 
 
 def test_peak_fits_match_golden():

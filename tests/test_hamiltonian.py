@@ -23,7 +23,8 @@ from g4vspec.hamiltonian import (
     term_strain,
     term_zeeman,
 )
-from g4vspec.spectrum import transitions
+from g4vspec import analysis
+from g4vspec.spectrum import solve_manifold, sweep_field, synth_spectrum, transitions
 from g4vspec.spinops import is_hermitian
 
 from conftest import random_emitter
@@ -520,7 +521,27 @@ def test_terms_reject_non_half_integer_spin():
     (lambda: registry_lookup("119Sn", strain_alpha_ghz=10**400), "strain_alpha_ghz"),
     (lambda: registry_lookup("119Sn", q_gnd=10**400), "q_gnd"),
     (lambda: transitions(registry_lookup("119Sn"), alpha_ghz=10**400), "strain alpha_ghz"),
-], ids=["manifold-field", "registry-strain", "registry-q", "transitions-alpha"])
+    (lambda: transitions(registry_lookup("119Sn"), (0, 0, 10**400)), "magnetic field"),
+    (lambda: solve_manifold(registry_lookup("119Sn"), "gnd", (0, 0, 10**400)), "magnetic field"),
+    (lambda: build_hamiltonian(registry_lookup("119Sn"), "gnd", (0, 0, 10**400)),
+     "magnetic field"),
+    (lambda: sweep_field(registry_lookup("119Sn"), (0, 0, 1), [10**400], 30.0, [0.0, 1.0]),
+     "field magnitude"),
+    (lambda: analysis.kde([1.0, 2.0, 10**400], 1.0), "a kde value"),
+    (lambda: analysis.kde([1.0, 2.0], 10**400), "bandwidth"),
+    (lambda: analysis.ensemble_stats([1.0, 2.0, 10**400], 1.0), "an ensemble value"),
+    (lambda: analysis.ensemble_stats([1.0, 2.0], 10**400), "bin_width"),
+    (lambda: analysis.isotope_shift_ratio(10**400, 119, 117, 118), "atomic mass"),
+    (lambda: synth_spectrum(transitions(registry_lookup("119Sn")), 10**400, [0.0, 1.0]),
+     "fwhm_mhz"),
+    (lambda: jt_shifted_params(ManifoldParams(lambda_soc_ghz=1.0), 10**400, 0), "delta_fc_mhz"),
+    (lambda: jt_shifted_params(ManifoldParams(lambda_soc_ghz=1.0), 0, 10**400), "delta_dd_mhz"),
+    (lambda: registry_lookup("119Sn").scaled_hyperfine(10**400), "hyperfine scale"),
+    (lambda: flat_emitter(i=10**400), "nuclear_spin"),
+], ids=["manifold-field", "registry-strain", "registry-q", "transitions-alpha",
+        "transitions-field", "solve-manifold-field", "build-field", "sweep-magnitude",
+        "kde-value", "kde-bandwidth", "stats-value", "stats-bin-width", "isotope-mass",
+        "synth-fwhm", "jt-shift-fc", "jt-shift-dd", "scaled-hyperfine", "nuclear-spin"])
 def test_an_integer_beyond_the_float_range_is_refused_by_name(build, name):
     with pytest.raises(ValueError) as info:
         build()

@@ -1,7 +1,9 @@
 """Real points: with B_y = 0 and beta = 0 every term of the Hamiltonian is
 real, and such points are built, solved and turned into tables in
 float64.  The complex128 path is the oracle for them.  Every other point
-keeps that path bit for bit: test_golden_tables pins their tables."""
+keeps that path bit for bit: test_golden_tables pins their tables.  A
+field sweep turns its direction into the x-z plane, so with beta = 0 its
+rows are real points whatever the direction."""
 import dataclasses
 import math
 
@@ -14,7 +16,7 @@ from g4vspec.hamiltonian import (_IMAGINARY, _build_real, _operators, _real_oper
                                  registry_lookup)
 from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _solve,
                               _solve_transitions, merge_lines, solve_manifold, sweep_field,
-                              transitions)
+                              synth_spectrum, transitions)
 from g4vspec.spinops import CLUSTER_TOL, eigh
 
 from conftest import _bits
@@ -219,3 +221,73 @@ def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(calls):
     slope_dtypes = [es.vectors.dtype for c in slopes for _, g, e in c["kinds"] for es in (g, e)]
     assert dtypes and set(dtypes) == {(np.dtype(float), np.dtype(float))}
     assert slope_dtypes and set(slope_dtypes) == {np.dtype(float)}
+
+
+def _lorentzian_bounds(fwhm):
+    """The largest value and slope of a unit-area Lorentzian of width fwhm."""
+    hw = 0.5 * fwhm
+    return 1.0 / (math.pi * hw), 3.0 * math.sqrt(3.0) / (8.0 * math.pi * hw**2)
+
+
+@pytest.mark.parametrize("label", registry_labels())
+def test_a_sweep_off_the_x_z_plane_equals_synthesis_at_the_given_fields(label):
+    """Each row of a sweep along a seeded random direction with B_y != 0
+    (solved in the real frame, in float64) against `synth_spectrum` of the
+    complex128 `transitions` table at the field as given.  The bound is the
+    rounding of both sides' eigensolves, as for the spin-neutral reference
+    line: what two solvers may disagree by per level (`_eigenvalue_bound`)
+    in each of the four solves moves a line by at most their sum dF, and
+    over the smallest gap between clusters (`_vector_bound`, dV) a line's
+    intensity by at most 4 dV / n_low.  With sum_l I_l <= 1 and n_low^2
+    lines, a row moves by at most 4 n_low dV max L + dF max |L'|."""
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, label)) + 1))
+    e = registry_lookup(label)
+    neutral = dataclasses.replace(e.without_couplings(), nuclear_spin=0.0)
+    n_low, fwhm = e.dim // 2, 30.0
+    grid = np.arange(-400.0, 400.0, 2.0)
+    peak, slope = _lorentzian_bounds(fwhm)
+    worst = 0.0
+    for _ in range(4):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        fields = rng.uniform(0.0, 0.3, 5)
+        for b_mag, trace in zip(fields, sweep_field(e, direction, fields, fwhm, grid)):
+            b = b_mag * direction
+            assert b[1] != 0.0
+            want = synth_spectrum(transitions(e, b), fwhm, grid).signal
+            d_freq, d_vec = 0.0, 0.0
+            for manifold in ("gnd", "exc"):
+                h = build_hamiltonian(e, manifold, b)
+                d_freq += _eigenvalue_bound(h) + _eigenvalue_bound(
+                    build_hamiltonian(neutral, manifold, b))
+                d_vec = max(d_vec, _vector_bound(h, np.linalg.eigvalsh(h)))
+            bound = 4.0 * n_low * d_vec * peak + d_freq * slope
+            worst = max(worst, np.abs(trace.signal - want).max() / bound)
+    assert worst <= 1.0
+
+
+def test_a_sweep_off_the_x_z_plane_solves_only_float64_stacks_unless_beta(calls):
+    """With beta = 0 every row of a sweep whose direction has B_y != 0 is a
+    real point in the real frame; with beta != 0 every row stays complex."""
+    direction = (0.48, 0.6, 0.64)
+    grid = np.arange(-300.0, 300.0, 6.0)
+    eighs = calls(spectrum, "eigh")
+    for beta, dtype in ((0.0, np.float64), (5.0, np.complex128)):
+        e = registry_lookup("73Ge", strain_alpha_ghz=20.0, strain_beta_ghz=beta)
+        eighs.clear()
+        sweep_field(e, direction, [0.0, 0.05, 0.1], 30.0, grid)
+        dtypes = {(np.asarray(c["h"]).dtype, np.asarray(c["degeneracy_operator"]).dtype)
+                  for c in eighs}
+        assert dtypes == {(np.dtype(dtype), np.dtype(dtype))}
+        # gnd, exc and both reference solves, each one stack of all rows
+        assert [np.shape(c["h"])[0] for c in eighs] == [3] * 4
+
+
+def test_a_sweep_keeps_the_field_as_given_in_its_meta():
+    e = registry_lookup("117Sn")
+    direction = (-0.48, -0.6, 0.64)
+    grid = np.arange(-300.0, 300.0, 6.0)
+    for b_mag, trace in zip((0.0, 0.05), sweep_field(e, direction, [0.0, 0.05], 30.0, grid)):
+        assert trace.meta["b_direction"] == direction
+        assert trace.meta["b_mag_tesla"] == b_mag
+        assert trace.meta["b_tesla"] == tuple((b_mag * np.array(direction)).tolist())
