@@ -26,7 +26,8 @@ shrinking a residual of 1e-150 until the cap), or after MAX_ITERATIONS
 (200) iterations.  Only improving steps are ever accepted, a start whose
 residual is not finite is refused, and everything is deterministic for
 identical inputs.  A full-model fit solves all rows of a field map as one
-stack per manifold and reuses row tables and reference lines within the fit.
+stack per manifold, in the real frame, and reuses row tables and reference
+lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import kernels
 from .hamiltonian import EmitterModel, _no_overflow, a_ple, term_hyperfine, term_strain
-from .spectrum import (SpectrumTrace, _line_slopes, _reference_line, _solve_transitions,
-                       _unit_direction)
+from .spectrum import (SpectrumTrace, _line_slopes, _real_frame, _reference_line,
+                       _solve_transitions, _unit_direction)
 
 __all__ = [
     "FitResult",
@@ -589,8 +590,9 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
 
     a_ple_scale and strain_alpha change the line tables; `_TABLE_PARAMS`
     says how.  A fit keeps two dicts while it runs: the solved rows at each
-    tuple of their values, all rows solved as one stack per manifold, and
-    the reference lines of each coupling-free emitter those values give.
+    tuple of their values, all rows solved as one stack per manifold in the
+    real frame (`spectrum._real_frame`, as `sweep_field` solves its rows),
+    and the reference lines of each coupling-free emitter those values give.
 
     The Jacobian is analytic and solves nothing.  Each row takes all its
     columns from one `kernels.lorentzian_sums` pass, so the amplitude column
@@ -623,6 +625,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         grids.append(grid)
         signals.append(y)
         fields.append(_trace_field(getattr(t, "meta", {}) or {}, i))
+    fields = _real_frame(fields)
 
     defaults = {name: value(emitter) for name, (value, _, _) in _TABLE_PARAMS.items()}
     defaults.update(fwhm=50.0, amplitude=1.0, freq_offset=0.0)

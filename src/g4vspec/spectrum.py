@@ -12,29 +12,29 @@ nuclear-SOC couplings zeroed.  It is taken from the spin-neutral (I = 0,
 4x4) copy of that system, which has exactly the same C line.
 
 `solve_manifold` is the one solver: it takes one point or a stack of n
-fields and/or strains and runs one `eigh` per kind of point in the stack.
-Tables along a field axis (`sweep_field`, the rows of a field-map fit)
-solve each manifold and the coupling-free reference once for all points
-of a kind; a caller that already holds the reference lines (a fit, which
-keeps them per coupling-free emitter) passes them in.  Every number is
-bit-identical to a one-point solve.  `_solve_transitions` returns a
-stack's tables, one per point, and each kind's eigensystems as the one
-stack it was solved as; `_line_slopes` takes those stacks as they are and
-gives the first-order change of the lines along a change of the
+fields and/or strains.  Tables along a field axis (`sweep_field`, the rows
+of a field-map fit) solve each manifold and the coupling-free reference
+once for the stack; a caller that already holds the reference lines (a
+fit, which keeps them per coupling-free emitter) passes them in.  Every
+number is bit-identical to a one-point solve.  `_solve_transitions`
+returns a stack's tables, one per point, and both manifolds' eigensystems
+as the stack they were solved as; `_line_slopes` takes that pair as it is
+and gives the first-order change of the lines along a change of the
 Hamiltonian without solving again.
 
 Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
 Hamiltonian is real in the product basis (see `hamiltonian`).  Real
-points are built and diagonalized in float64, and the tables, J^2 labels,
-reference lines and line slopes of real points are computed in float64
-from there; every other point is solved in complex128.  A stack with
-both kinds solves each kind as one stack, and `_like` gives J^2 or a dH
-in the dtype of a kind's vectors.  `solve_manifold` itself
-returns complex128 for every point, the real ones cast exactly; the
-table path takes their float64 vectors back out of that cast.
-`sweep_field` turns its direction about the symmetry axis into the x-z
-plane, which changes no spectrum, so that with beta = 0 all its rows are
-real points.
+points are built and diagonalized in float64, the others in complex128.
+`solve_manifold` returns complex128, the real points cast exactly, and
+solves a stack that mixes both kinds (only a caller's own) as one stack
+per kind, so that each point keeps its one-point bits.  The table path
+keeps a stack of real points in float64, its tables, J^2 labels,
+reference lines and line slopes too, and any other stack in complex128;
+`_like` gives J^2 or a dH in the dtype of the vectors.  `sweep_field` and
+the rows of a field-map fit are solved in the real frame (`_real_frame`),
+which changes no spectrum, so each stack they solve is of one kind,
+float64 exactly when beta = 0.  One-point `transitions` solves at the
+field as given.
 """
 from dataclasses import dataclass, field, replace
 
@@ -131,26 +131,14 @@ def dipole_operator(i) -> np.ndarray:
     return np.eye(4 * spin_matrices(i).dim, dtype=complex)
 
 
-def _kinds(emitter: EmitterModel, b, alpha_ghz, beta_ghz):
-    """The real points (B_y = 0 and beta = 0) and the complex ones of one
-    point or a stack, real first: (rows, real, b, alpha, beta) for each
-    kind that occurs, with the per-point inputs cut to the points at rows.
-    Points all of one kind are passed on whole, with rows a full slice.
-    A malformed field counts as complex, and its build refuses it."""
+def _real_points(emitter: EmitterModel, b, beta_ghz) -> np.ndarray:
+    """Whether each point of one field (3,) or a stack (n, 3) is real, B_y = 0
+    and beta = 0.  A malformed field counts as complex; its build refuses it."""
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
     fields = _no_overflow("magnetic field", np.asarray, b, float)
-    real = np.bool_(False)
-    if fields.ndim in (1, 2) and fields.shape[-1] == 3:
-        real = (fields[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
-    if real.all() or not real.any():
-        return [(slice(None), bool(real.all()), b, alpha_ghz, beta_ghz)]
-
-    def cut(x, rows):
-        return x if np.ndim(x) == 0 else np.asarray(x, dtype=float)[rows]
-
-    return [(rows, kind, fields[rows] if fields.ndim == 2 else fields, cut(alpha_ghz, rows),
-             cut(beta, rows))
-            for kind, rows in ((True, np.flatnonzero(real)), (False, np.flatnonzero(~real)))]
+    if fields.ndim not in (1, 2) or fields.shape[-1] != 3:
+        return np.bool_(False)
+    return (fields[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
 
 
 def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -177,24 +165,30 @@ def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     point, in one `eigh` each: real points (B_y = 0 and beta = 0) in
     float64, the others in complex128.  The result is complex128, the
     real points cast exactly."""
-    kinds = _kinds(emitter, b, alpha_ghz, beta_ghz)
-    if len(kinds) == 1:
-        [(_, real, *inputs)] = kinds
-        es = _solve(emitter, manifold, *inputs, real)
+    real = _real_points(emitter, b, beta_ghz)
+    if real.all() or not real.any():
+        es = _solve(emitter, manifold, b, alpha_ghz, beta_ghz, bool(real.all()))
         return EigenSystem(es.values, es.vectors.astype(complex, copy=False))
-    n = sum(len(rows) for rows, *_ in kinds)
-    values = np.empty((n, emitter.dim))
-    vectors = np.empty((n, emitter.dim, emitter.dim), dtype=complex)
-    for rows, real, *inputs in kinds:
-        es = _solve(emitter, manifold, *inputs, real)
+    values = np.empty((real.size, emitter.dim))
+    vectors = np.empty((real.size, emitter.dim, emitter.dim), dtype=complex)
+
+    def cut(x, ndim):  # a per-point input at rows; one that all points share as it is
+        return np.asarray(x, dtype=float)[rows] if np.ndim(x) > ndim else x
+
+    for kind in (True, False):
+        rows = np.flatnonzero(real == kind)
+        es = _solve(emitter, manifold, cut(b, 1), cut(alpha_ghz, 0), cut(beta_ghz, 0), kind)
         values[rows], vectors[rows] = es.values, es.vectors
     return EigenSystem(values, vectors)
 
 
-def _native(es: EigenSystem, real: bool) -> EigenSystem:
-    """A solve_manifold result of points of one kind in that kind's dtype:
-    the float64 vectors of real points out of their exact complex cast."""
-    return EigenSystem(es.values, np.ascontiguousarray(es.vectors.real)) if real else es
+def _solve_stack(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz) -> EigenSystem:
+    """solve_manifold in the stack's dtype: float64 vectors, taken out of
+    their exact complex cast, when every point is real."""
+    es = solve_manifold(emitter, manifold, b, alpha_ghz, beta_ghz)
+    if _real_points(emitter, b, beta_ghz).all():
+        return EigenSystem(es.values, np.ascontiguousarray(es.vectors.real))
+    return es
 
 
 def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations=()):
@@ -209,25 +203,18 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations
     and the m_I shifts sum to zero over a branch.  A slope is the mean of
     diag(V^H dH V) over the same two levels (Hellmann-Feynman), a trace and
     so the same in any basis of a degenerate pair, with dH evaluated on
-    that copy.  Each kind of point is solved as one stack, in its own
-    dtype."""
+    that copy.  Each manifold is solved as one stack, in its dtype."""
     neutral = replace(emitter.without_couplings(), nuclear_spin=0.0)
     dhs = [f(neutral) for f in perturbations]
-    n = len(b)
-    line, slopes = np.empty(n), [np.empty(n) for _ in dhs]
-    for rows, real, *inputs in _kinds(emitter, b, alpha_ghz, beta_ghz):
 
-        def mean_and_slopes(manifold, m):
-            es = _native(solve_manifold(neutral, manifold, *inputs), real)
-            v = es.vectors[..., :2]
-            return es.values[:, :2].mean(axis=1), [
-                0.5 * np.einsum("kij,kij->k", v.conj(), _like(dh[m], v) @ v).real for dh in dhs]
+    def mean_and_slopes(manifold, m):
+        es = _solve_stack(neutral, manifold, b, alpha_ghz, beta_ghz)
+        v = es.vectors[..., :2]
+        return es.values[:, :2].mean(axis=1), [
+            0.5 * np.einsum("kij,kij->k", v.conj(), _like(dh[m], v) @ v).real for dh in dhs]
 
-        (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slopes("gnd", 0), mean_and_slopes("exc", 1)
-        line[rows] = e_exc - e_gnd
-        for slope, g, e in zip(slopes, s_gnd, s_exc):
-            slope[rows] = e - g
-    return line, slopes
+    (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slopes("gnd", 0), mean_and_slopes("exc", 1)
+    return e_exc - e_gnd, [e - g for g, e in zip(s_gnd, s_exc)]
 
 
 def _hyperfine_scale(emitter: EmitterModel, manifold: str) -> float:
@@ -285,64 +272,54 @@ def transitions(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=None,
 
 
 def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_ref=None):
-    """(tables, kinds) of the fields of the (n, 3) stack b_stack: one table
-    per field, in stack order, and for each kind of point (see the dtype
-    rule) a (positions, es_gnd, es_exc) record, its points' positions in
-    the stack and both manifolds' eigensystems of them as one stack in
-    that kind's dtype.
+    """(tables, (es_gnd, es_exc)) of the fields of the (n, 3) stack b_stack:
+    one table per field, in stack order, and both manifolds' eigensystems of
+    the stack, in its dtype (see the dtype rule).
 
-    Each manifold is solved once per kind, and so is the coupling-free
-    reference unless its n lines are given as e_ref.  The branch gaps are
-    checked once for the stack, and the J^2 labels, intensity matrices
-    and detunings taken once per kind.
+    Each manifold is solved once, and so is the coupling-free reference
+    unless its (n,) lines are given as e_ref.  The branch gaps, J^2 labels,
+    intensity matrices and detunings are taken once for the stack.
     """
     b_stack = _no_overflow("magnetic field", np.asarray, b_stack, float)
-    n = len(b_stack)
     n_low = lower_branch_size(emitter)
     alpha = _no_overflow("strain alpha_ghz", float,
                          emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
     beta = _no_overflow("strain beta_ghz", float,
                         emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
-    tables, kinds = [None] * n, []
-    values_g, values_e = np.empty((n, emitter.dim)), np.empty((n, emitter.dim))
-    for rows, real, *inputs in _kinds(emitter, b_stack, alpha_ghz, beta_ghz):
-        es_g = _native(solve_manifold(emitter, "gnd", *inputs), real)
-        es_e = _native(solve_manifold(emitter, "exc", *inputs), real)
-        ref = _reference_line(emitter, *inputs)[0] if e_ref is None else np.asarray(e_ref)[rows]
-        positions = np.arange(n)[rows]
-        kinds.append((positions, es_g, es_e))
-        values_g[positions], values_e[positions] = es_g.values, es_e.values
+    es_g = _solve_stack(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
+    es_e = _solve_stack(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
+    _check_branch_gaps(emitter, es_g.values, es_e.values)
+    ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)[0] if e_ref is None else e_ref
 
-        jop = _like(jsq_operator(emitter.nuclear_spin), es_g.vectors)
-        jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
-        jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
-        intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
-        freqs = es_e.values[:, :n_low, None] - es_g.values[:, None, :n_low] - ref[:, None, None]
-        for j, k in enumerate(positions.tolist()):
-            inten, freq = intens[j], freqs[j]
-            keep = inten > INTENSITY_FLOOR * inten.max()
-            e_idx, g_idx = np.nonzero(keep)
-            order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
-            e_idx, g_idx = e_idx[order], g_idx[order]
-            tables[k] = TransitionTable(
-                freq_mhz=freq[e_idx, g_idx],
-                intensity=inten[e_idx, g_idx],
-                gnd_index=g_idx,
-                exc_index=e_idx,
-                jsq_gnd=jsq_g[j, g_idx],
-                jsq_exc=jsq_e[j, e_idx],
-                meta={"emitter": emitter.isotope, "b_tesla": tuple(b_stack[k].tolist()),
-                      "alpha_ghz": alpha, "beta_ghz": beta},
-            )
-    _check_branch_gaps(emitter, values_g, values_e)
-    return tables, kinds
+    jop = _like(jsq_operator(emitter.nuclear_spin), es_g.vectors)
+    jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
+    jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
+    intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
+    freqs = es_e.values[:, :n_low, None] - es_g.values[:, None, :n_low] - ref[:, None, None]
+    tables = []
+    for b, inten, freq, j_g, j_e in zip(b_stack.tolist(), intens, freqs, jsq_g, jsq_e):
+        keep = inten > INTENSITY_FLOOR * inten.max()
+        e_idx, g_idx = np.nonzero(keep)
+        order = np.lexsort((g_idx, e_idx, freq[e_idx, g_idx]))
+        e_idx, g_idx = e_idx[order], g_idx[order]
+        tables.append(TransitionTable(
+            freq_mhz=freq[e_idx, g_idx],
+            intensity=inten[e_idx, g_idx],
+            gnd_index=g_idx,
+            exc_index=e_idx,
+            jsq_gnd=j_g[g_idx],
+            jsq_exc=j_e[e_idx],
+            meta={"emitter": emitter.isotope, "b_tesla": tuple(b), "alpha_ghz": alpha,
+                  "beta_ghz": beta},
+        ))
+    return tables, (es_g, es_e)
 
 
-def _line_slopes(tables, kinds, perturbations):
+def _line_slopes(tables, eigensystems, perturbations):
     """First-order change of the lines of a `_solve_transitions` result,
-    along each perturbation (dh_gnd, dh_exc, d_ref): the manifolds'
-    Hamiltonians change by dh_gnd and dh_exc (d, d), and the n reference
-    lines by d_ref, an (n,) array or a number.
+    its tables and eigensystems, along each perturbation (dh_gnd, dh_exc,
+    d_ref): the manifolds' Hamiltonians change by dh_gnd and dh_exc (d, d),
+    and the n reference lines by d_ref, an (n,) array or a number.
 
     For each perturbation, one (d_intensity, shift_weight) pair per table,
     aligned with its lines: a spectrum sum_l I_l L(f_l) changes by
@@ -359,16 +336,16 @@ def _line_slopes(tables, kinds, perturbations):
     eigenbasis of the projected dh.  Only a table's kept lines get
     weights, so a line sum over them costs what the table's own does.
 
-    Each kind of point is taken as the one stack it was solved as, the
-    real one (float64 eigenvectors) with the real part of each dh, which
-    must be real there: hyperfine and strain alpha are.
+    A stack of real points (float64 eigenvectors) takes the real part of
+    each dh, which must be real there: hyperfine and strain alpha are.
     """
-    n_low = kinds[0][1].values.shape[-1] // 2
+    es_g, es_e = eigensystems
+    n_low = es_g.values.shape[-1] // 2
 
     def manifold(es):
-        # A kind's values (n, d) and vectors (n, d, d) of one manifold, and
-        # whether state m and lower-branch state n share a cluster (n, d,
-        # n_low); a cluster starts after each gap above tol, as in `eigh`.
+        # A manifold's values (n, d) and vectors (n, d, d), and whether
+        # state m and lower-branch state n share a cluster (n, d, n_low); a
+        # cluster starts after each gap above tol, as in `eigh`.
         cluster = np.cumsum(np.diff(es.values, axis=-1, prepend=-np.inf) > CLUSTER_TOL, axis=-1)
         return es.values, es.vectors, cluster[:, :, None] == cluster[:, None, :n_low]
 
@@ -380,23 +357,21 @@ def _line_slopes(tables, kinds, perturbations):
         c = np.where(same, 0.0, a / np.where(same, 1.0, gap))
         return c, np.where(same[:, :n_low], a[:, :n_low], 0.0)
 
-    out = [[None] * len(tables) for _ in perturbations]
-    for positions, es_g, es_e in kinds:
-        gnd, exc = manifold(es_g), manifold(es_e)
-        overlap = np.swapaxes(exc[1].conj(), -1, -2) @ gnd[1]  # O[k, exc, gnd]
-        low = overlap[:, :n_low, :n_low]
-        for slot, (dh_gnd, dh_exc, d_ref) in zip(out, perturbations):
-            c_g, block_g = mixing(*gnd, dh_gnd)
-            c_e, block_e = mixing(*exc, dh_exc)
-            d_low = (np.swapaxes(c_e.conj(), -1, -2) @ overlap[:, :, :n_low]
-                     + overlap[:, :n_low, :] @ c_g)
-            d_inten = (2.0 / n_low) * (low.conj() * d_low).real
-            shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
-            d_ref = np.broadcast_to(d_ref, len(tables))
-            for j, k in enumerate(positions.tolist()):
-                t = tables[k]
-                slot[k] = (d_inten[j, t.exc_index, t.gnd_index],
-                           shift[j, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
+    gnd, exc = manifold(es_g), manifold(es_e)
+    overlap = np.swapaxes(exc[1].conj(), -1, -2) @ gnd[1]  # O[k, exc, gnd]
+    low = overlap[:, :n_low, :n_low]
+    out = []
+    for dh_gnd, dh_exc, d_ref in perturbations:
+        c_g, block_g = mixing(*gnd, dh_gnd)
+        c_e, block_e = mixing(*exc, dh_exc)
+        d_low = (np.swapaxes(c_e.conj(), -1, -2) @ overlap[:, :, :n_low]
+                 + overlap[:, :n_low, :] @ c_g)
+        d_inten = (2.0 / n_low) * (low.conj() * d_low).real
+        shift = (1.0 / n_low) * (low.conj() * (block_e @ low - low @ block_g)).real
+        d_ref = np.broadcast_to(d_ref, len(tables))
+        out.append([(d_inten[k, t.exc_index, t.gnd_index],
+                     shift[k, t.exc_index, t.gnd_index] - t.intensity * d_ref[k])
+                    for k, t in enumerate(tables)])
     return out
 
 
@@ -443,8 +418,7 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)
-    [(_, real, *inputs)] = _kinds(emitter, (0.0, 0.0, 0.0), alphas, None)  # one field, one kind
-    es = _native(solve_manifold(emitter, manifold, *inputs), real)
+    es = _solve_stack(emitter, manifold, (0.0, 0.0, 0.0), alphas, None)
     low = es.values[:, :n_low]
     return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
                       jsq=_jsq_labels(es, _like(jsq_operator(emitter.nuclear_spin),
@@ -468,27 +442,32 @@ def _unit_direction(d) -> np.ndarray:
     return v
 
 
+def _real_frame(b) -> np.ndarray:
+    """Fields or directions b (..., 3) turned about the symmetry axis into
+    the x-z plane: (hypot(bx, by), 0, bz).  Turning S and I together about
+    that axis leaves every field-independent term, the dipole map D = 1 and
+    J^2 unchanged, so the spectra are the same; with beta = 0 every point
+    is then real."""
+    b = np.asarray(b, dtype=float)
+    return np.stack([np.hypot(b[..., 0], b[..., 1]), np.zeros(b.shape[:-1]), b[..., 2]], axis=-1)
+
+
 def sweep_field(emitter: EmitterModel, direction, b_magnitudes, fwhm_mhz: float,
                 grid) -> list:
     """One synthesized trace per field magnitude along a fixed direction.
 
     All rows are solved as one stack; output order follows b_magnitudes.
-    The direction must be a unit vector (see `_unit_direction`).
-
-    The rows are solved in the real frame: at (hypot(dx, dy), 0, dz), the
-    direction turned about the symmetry axis into the x-z plane.  Turning
-    S and I together about that axis leaves every field-independent term,
-    the dipole map D = 1 and J^2 unchanged, so the spectra are the same;
-    with beta = 0 every row is then a real point.  The traces' meta keep
-    the field as given (b_tesla, b_mag_tesla, b_direction).
+    The direction must be a unit vector (see `_unit_direction`).  The rows
+    are solved in the real frame (`_real_frame` of the direction), and the
+    traces' meta keep the field as given (b_tesla, b_mag_tesla,
+    b_direction).
     """
     try:
         direction = _unit_direction(direction)
     except ValueError as err:
         raise ValueError(f"field direction {err}") from None
     b_mags = _no_overflow("field magnitude", np.asarray, b_magnitudes, float).reshape(-1)
-    real_frame = np.array([np.hypot(direction[0], direction[1]), 0.0, direction[2]])
-    tables, _ = _solve_transitions(emitter, b_mags[:, None] * real_frame, None, None)
+    tables, _ = _solve_transitions(emitter, b_mags[:, None] * _real_frame(direction), None, None)
     traces = [synth_spectrum(table, fwhm_mhz, grid) for table in tables]
     for bmag, trace in zip(b_mags, traces):
         trace.meta.update(b_tesla=tuple((bmag * direction).tolist()), b_mag_tesla=float(bmag),
@@ -509,7 +488,7 @@ def transition_diagram(emitter: EmitterModel, b=(0.0, 0.0, 0.0), *, alpha_ghz=No
 
 def _diagram(solved) -> dict:
     """The diagram bundle of a one-point `_solve_transitions` result."""
-    [table], [(_, es_g, es_e)] = solved
+    [table], (es_g, es_e) = solved
     n_low = es_g.values.shape[-1] // 2
     gnd, exc = es_g.values[0, :n_low], es_e.values[0, :n_low]
     gnd_levels, exc_levels = gnd - gnd.mean(), exc - exc.mean()

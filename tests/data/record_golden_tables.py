@@ -5,8 +5,8 @@
 The file holds, for every registry isotope at four fixed (B, alpha, beta)
 points, the ``merge_lines`` output of ``transitions``, plus the result of
 one small full-model field-map fit in the x-z plane (its inputs are
-stored with it) and, under ``mixed_fit``, one off that plane whose stack
-holds real and complex points, and,
+stored with it) and, under ``mixed_fit``, one off that plane (B_y != 0),
+and,
 under ``peak_fits``, the full reports of ``single`` and ``triplet211`` fits
 of seeded noisy 119Sn traces, of Gaussian fits of seeded noisy Gaussian
 traces, and the field-map fit's standard errors.
@@ -57,8 +57,9 @@ FIT = {
     "init": {"a_ple_scale": 1.0, "strain_alpha": 20.0, "fwhm": 50.0},
 }
 
-# The same kind of map with the field off the x-z plane: its B = 0 row is
-# a real point and the others are complex, so one stack holds both kinds.
+# The same kind of map with the field off the x-z plane (B_y != 0).  As
+# given, its B = 0 row is a real point and the others are complex; the fit
+# solves every row in the real frame, so its stacks are float64.
 MIXED_FIT = dict(
     FIT,
     direction=[math.sin(math.radians(33.0)) * math.cos(math.radians(30.0)),
@@ -238,7 +239,7 @@ def main(argv=None):
         return int(text != old)
     OUT.write_text(text, encoding="utf-8")
     print(f"wrote {OUT}: {len(doc['tables'])} tables, fit {doc['fit']['params']} "
-          f"in {res.n_iterations} iterations, mixed-kind fit {doc['mixed_fit']['params']} in "
+          f"in {res.n_iterations} iterations, off-plane fit {doc['mixed_fit']['params']} in "
           f"{mixed.n_iterations} iterations, {len(doc['peak_fits']['fits'])} peak fits")
     return 0
 

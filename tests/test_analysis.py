@@ -534,7 +534,8 @@ def _sn_map_with_strain():
 
 
 def _ge_map_off_the_xz_plane():
-    # B_y != 0 on every row but the B = 0 one: a stack of both kinds of point.
+    # B_y != 0 on every row but the B = 0 one, as given; the fit solves the
+    # rows in the real frame.
     base, _, init = _ge_map_with_zero_field_row()
     gen = dataclasses.replace(base.scaled_hyperfine(1.2), strain_alpha_ghz=30.0)
     theta, phi = math.radians(33.0), math.radians(30.0)
@@ -559,8 +560,8 @@ def _sn_map_with_beta_strain():
 def test_full_model_jacobian_matches_central_differences(calls, make_map):
     """Each analytic column, on each map row, against central differences
     with steps of 1e-4 relative; the B = 0 row, whose levels form degenerate
-    clusters, included.  The maps hold real points only, real and complex
-    points in one stack, and complex points only."""
+    clusters, included.  The maps hold fields in the x-z plane, fields off
+    it (solved in the real frame), and complex points only (beta != 0)."""
     base, traces, init = make_map()
     problem = _full_model_problem(calls, traces, base, init)
     p, residual = problem["p0"], problem["residual_fn"]

@@ -10,7 +10,8 @@ mixed-kind fit (a field off the x-z plane and a B = 0 row) was added, its
 existing sections unchanged, before a stack of each kind of point came to
 be kept whole from the solve to the line slopes.  It alone was re-recorded
 when field sweeps, which make its data, came to be solved in the real
-frame."""
+frame, and again when the fit came to solve its rows in that frame, so
+that its stacks hold real points only."""
 import importlib.util
 import json
 from pathlib import Path
@@ -60,8 +61,8 @@ def test_merged_table_matches_golden(case):
 
 
 def test_field_map_fit_matches_golden():
-    """Both fits, the real-only one in the x-z plane and the one whose
-    stack mixes real and complex points, bit for bit."""
+    """Both fits, the one in the x-z plane and the one off it, whose rows
+    are solved in the real frame, bit for bit."""
     for want, report in ((GOLDEN["fit"], GOLDEN["peak_fits"]["field_map_fit"]),
                          (GOLDEN["mixed_fit"], GOLDEN["mixed_fit"]["report"])):
         res = _recorder().run_fit(want)

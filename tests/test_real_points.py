@@ -141,8 +141,7 @@ def test_real_tables_match_the_complex_oracle(label):
     jsq_scale = np.linalg.norm(jsq_operator(e.nuclear_spin), 2)
     jop = _real_operators(e.nuclear_spin).jsq
     for alpha in (0.0, 35.0):
-        tables, [(positions, es_g, es_e)] = _solve_transitions(e, REAL_FIELDS, alpha, 0.0)
-        assert positions.tolist() == list(range(len(REAL_FIELDS)))
+        tables, (es_g, es_e) = _solve_transitions(e, REAL_FIELDS, alpha, 0.0)
         assert es_g.vectors.dtype == es_e.vectors.dtype == np.float64
         got_g, got_e = _jsq_labels(es_g, jop)[:, :n_low], _jsq_labels(es_e, jop)[:, :n_low]
         for k, (b, table) in enumerate(zip(REAL_FIELDS, tables)):
@@ -166,24 +165,17 @@ def test_a_mixed_stack_gives_each_row_its_one_point_table(label):
     e = registry_lookup(label, strain_alpha_ghz=20.0)
     fields = [(0.0, 0.0, 0.0), (0.02, 0.01, 0.05), (0.05, 0.0, 0.08), (0.0, -0.03, 0.0),
               (0.0, 0.0, 0.1), (0.01, 0.0, 0.0)]
-    real = np.array([b[1] == 0.0 for b in fields])
-    tables, kinds = _solve_transitions(e, fields, None, 0.0)
+    tables, (es_g, es_e) = _solve_transitions(e, fields, None, 0.0)
     for b, table in zip(fields, tables):
         one = transitions(e, b, beta_ghz=0.0)
         for name in ("freq_mhz", "intensity", "gnd_index", "exc_index", "jsq_gnd", "jsq_exc"):
             assert _bits(getattr(table, name)) == _bits(getattr(one, name))
         assert table.meta == one.meta
-    # one stack per kind, real first, each in its own dtype
-    assert [(positions.tolist(), es_g.vectors.dtype, es_e.vectors.dtype)
-            for positions, es_g, es_e in kinds] == [
-        (np.flatnonzero(real).tolist(), np.float64, np.float64),
-        (np.flatnonzero(~real).tolist(), np.complex128, np.complex128)]
-    for positions, es_g, es_e in kinds:
-        for j, k in enumerate(positions.tolist()):
-            for manifold, es in (("gnd", es_g), ("exc", es_e)):
-                alone = solve_manifold(e, manifold, fields[k], None, 0.0)
-                assert _bits(es.values[j]) == _bits(alone.values)
-                assert np.array_equal(es.vectors[j], alone.vectors)
+    for k, b in enumerate(fields):
+        for manifold, es in (("gnd", es_g), ("exc", es_e)):
+            alone = solve_manifold(e, manifold, b, None, 0.0)
+            assert _bits(es.values[k]) == _bits(alone.values)
+            assert np.array_equal(es.vectors[k], alone.vectors)
     stacked = solve_manifold(e, "exc", fields, None, 0.0)
     assert stacked.vectors.dtype == np.complex128
     for k, b in enumerate(fields):
@@ -204,12 +196,15 @@ def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
     assert str(mixed.value) == str(alone.value)
 
 
-def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(calls):
-    """The ge_map_fit shape, fields in the x-z plane and no beta strain,
-    never falls back to complex arithmetic: every eigh and every Jacobian
-    stack is float64."""
+@pytest.mark.parametrize("phi", [0.0, math.radians(30.0)], ids=["x-z-plane", "off-plane"])
+def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(calls, phi):
+    """The ge_map_fit shape with no beta strain, its fields in the x-z plane
+    or off it (B_y != 0, as the mixed_fit golden), never falls back to
+    complex arithmetic: the rows are solved in the real frame, and every
+    eigh and every Jacobian stack is float64."""
     base = registry_lookup("73Ge")
-    direction = (math.sin(THETA), 0.0, math.cos(THETA))
+    direction = (math.sin(THETA) * math.cos(phi), math.sin(THETA) * math.sin(phi),
+                 math.cos(THETA))
     grid = np.arange(-300.0, 300.0, 6.0)
     data = sweep_field(base.scaled_hyperfine(1.3), direction, [0.0, 0.05, 0.1], 72.0, grid)
     eighs, slopes = calls(spectrum, "eigh"), calls(analysis, "_line_slopes")
@@ -218,7 +213,7 @@ def test_a_map_fit_at_33_degrees_solves_only_float64_stacks(calls):
     assert res.converged
     dtypes = [(np.asarray(c["h"]).dtype, np.asarray(c["degeneracy_operator"]).dtype)
               for c in eighs]
-    slope_dtypes = [es.vectors.dtype for c in slopes for _, g, e in c["kinds"] for es in (g, e)]
+    slope_dtypes = [es.vectors.dtype for c in slopes for es in c["eigensystems"]]
     assert dtypes and set(dtypes) == {(np.dtype(float), np.dtype(float))}
     assert slope_dtypes and set(slope_dtypes) == {np.dtype(float)}
 
