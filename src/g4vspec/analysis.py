@@ -25,9 +25,9 @@ than machine epsilon times |p| (without that, a noise-free trace can keep
 shrinking a residual of 1e-150 until the cap), or after MAX_ITERATIONS
 (200) iterations.  Only improving steps are ever accepted, a start whose
 residual is not finite is refused, and everything is deterministic for
-identical inputs.  A full-model fit solves all rows of a field map as one
-stack per manifold, in the real frame, and reuses row tables and reference
-lines within the fit.
+identical inputs.  A fit needs more data points than free parameters.  A
+full-model fit solves all rows of a field map as one stack per manifold, in
+the real frame, and reuses row tables and reference lines within the fit.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
@@ -263,10 +263,15 @@ def _report(model, names, seed, p, cov, rms, converged, iters) -> FitResult:
                      converged=bool(converged), n_iterations=int(iters), seed=seed)
 
 
-def _fit(model, names, residual, p0, seed, jac):
+def _fit(model, names, residual, p0, seed, jac, points):
     """Minimize residual from p0, one problem (n,) or a stack (k, n), and
     report the named parameters, their 1-sigma errors and the reported sign
-    of each |.| parameter: one FitResult, or a list of k."""
+    of each |.| parameter: one FitResult, or a list of k.  Each problem has
+    points data points, which must outnumber its free parameters (a
+    TraceError naming the first problem otherwise)."""
+    if points <= len(names):
+        raise TraceError(0, f"{points} data points cannot determine {len(names)} free "
+                            "parameters; a fit needs more data points than free parameters")
     out = _levenberg_marquardt(residual, p0, jac=jac)
     if np.ndim(p0) == 1:
         return _report(model, names, seed, *out)
@@ -503,7 +508,7 @@ def _fit_peaks(data, model, init, seed):
             x, y, p0 = np.array(xs), np.array(ys), np.array(starts, dtype=float)
             try:
                 stack = _fit(model, names, lambda p, rows: fn(p, x[rows]) - y[rows], p0, seed,
-                             jac=lambda p, rows: jac(p, x[rows]))
+                             jac=lambda p, rows: jac(p, x[rows]), points=size)
             except TraceError as exc:
                 raise TraceError(at[exc.index], str(exc)) from None
             for i, res in zip(at, stack):
@@ -699,12 +704,13 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     if "amplitude" in free and (init is None or "amplitude" not in init):
         # Deterministic scale seed: match the peak of the unit model.
         probe = model_signal([defaults[n] for n in free])
-        top = float(probe.max())
+        top = float(probe.max(initial=0.0))  # 0 for an empty trace, which _fit refuses
         if top > 0:
             defaults["amplitude"] = float(y_all.max()) / top
 
     p0 = np.array([defaults[n] for n in free], dtype=float)
-    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed, jac=jacobian)
+    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed, jac=jacobian,
+               points=y_all.size)
     # The core takes its last Jacobian at the optimum, for the covariance.
     res = replace(res, cond_jtj=float(np.linalg.cond(jac_last.T @ jac_last)))
     scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])

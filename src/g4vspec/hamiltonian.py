@@ -268,11 +268,23 @@ def _strain(alpha_ghz, beta_ghz, ops):
     return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
 
 
+def _fields(b) -> np.ndarray:
+    """One field (3,) or a stack of n (n, 3) as float64, tesla; anything
+    else, a ragged stack too, is a ValueError naming the magnetic field."""
+    try:
+        fields = np.asarray(b, dtype=float)
+    except OverflowError:
+        raise ValueError("magnetic field is an integer too large for a float") from None
+    except (TypeError, ValueError):  # ragged, or not numbers
+        fields = None
+    if fields is None or fields.ndim not in (1, 2) or fields.shape[-1] != 3:
+        got = "ragged or non-numeric points" if fields is None else f"shape {fields.shape}"
+        raise ValueError(f"magnetic field needs 3 components per point, got {got}")
+    return fields
+
+
 def _zeeman(emitter, manifold, b, ops):
-    b = _no_overflow("magnetic field", np.asarray, b, float)
-    if b.ndim not in (1, 2) or b.shape[-1] != 3:
-        raise ValueError(f"magnetic field needs 3 components per point, got shape {b.shape}")
-    bx, by, bz = (_per_point("magnetic field component", c) for c in b.T)
+    bx, by, bz = (_per_point("magnetic field component", c) for c in _fields(b).T)
     params = emitter.manifold(manifold)
     real = ops.s_y is None
 

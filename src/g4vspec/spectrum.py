@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_real, _no_overflow, a_parallel, a_perp,
+from .hamiltonian import (EmitterModel, _build_real, _fields, _no_overflow, a_parallel, a_perp,
                           build_hamiltonian, jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
@@ -133,12 +133,10 @@ def dipole_operator(i) -> np.ndarray:
 
 def _real_points(emitter: EmitterModel, b, beta_ghz) -> np.ndarray:
     """Whether each point of one field (3,) or a stack (n, 3) is real, B_y = 0
-    and beta = 0.  A malformed field counts as complex; its build refuses it."""
+    and beta = 0; a field of another shape, a ragged stack too, is refused."""
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    fields = _no_overflow("magnetic field", np.asarray, b, float)
-    if fields.ndim not in (1, 2) or fields.shape[-1] != 3:
-        return np.bool_(False)
-    return (fields[..., 1] == 0.0) & (np.asarray(beta, dtype=float) == 0.0)
+    return (_fields(b)[..., 1] == 0.0) & (
+        _no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)
 
 
 def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -280,7 +278,7 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     unless its (n,) lines are given as e_ref.  The branch gaps, J^2 labels,
     intensity matrices and detunings are taken once for the stack.
     """
-    b_stack = _no_overflow("magnetic field", np.asarray, b_stack, float)
+    b_stack = _fields(b_stack)
     n_low = lower_branch_size(emitter)
     alpha = _no_overflow("strain alpha_ghz", float,
                          emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
@@ -414,7 +412,7 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
 
 def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> LevelSweep:
     """Lower-branch levels (relative to their mean) vs strain alpha at B = 0."""
-    alphas = np.asarray(alpha_values_ghz, dtype=float)
+    alphas = _no_overflow("strain alpha_ghz", np.asarray, alpha_values_ghz, float)
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)

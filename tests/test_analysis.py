@@ -726,6 +726,41 @@ def test_init_accepts_numpy_numbers():
     assert fit_lorentzians(trace, "single", init).params["fwhm"] == pytest.approx(20.0)
 
 
+_TRIPLET_INIT = {"f_ch1": 0.0, "a_ple": 1.0, "delta": 1.0, "fwhm": 1.0, "amplitude": 1.0,
+                 "baseline": 0.0}
+
+
+@pytest.mark.parametrize("fit, points, n_free", [
+    (lambda t: fit_lorentzians(t, "triplet211", init=_TRIPLET_INIT), 3, 6),
+    (lambda t: fit_lorentzians(t, "single", init={"f0": 0.0, "fwhm": 1.0, "amplitude": 1.0,
+                                                  "baseline": 0.0}), 4, 4),
+    (lambda t: fit_gaussian(t, init={"center": 0.0, "sigma": 1.0, "amplitude": 1.0,
+                                     "baseline": 0.0}), 2, 4),
+    (lambda t: fit_full_model(t, ("a_ple_scale", "fwhm", "amplitude"),
+                              registry_lookup("117Sn")), 2, 3),
+    (lambda t: fit_full_model(t, ("a_ple_scale", "fwhm", "amplitude"),
+                              registry_lookup("117Sn")), 0, 3),
+    (lambda t: fit_full_model(t, ("a_ple_scale", "fwhm"), registry_lookup("117Sn")), 0, 2),
+], ids=["triplet-3", "single-4", "gaussian-2", "full-2", "full-empty", "full-empty-no-amplitude"])
+def test_a_fit_with_no_more_data_points_than_free_parameters_is_refused(fit, points, n_free):
+    """Such fits reported converged, with standard errors of 0.0, or (an
+    empty trace) a NaN rms with a RuntimeWarning or NumPy's zero-size error."""
+    grid = np.arange(float(points))
+    with pytest.raises(analysis.TraceError) as info:
+        fit(SpectrumTrace(grid, 1.0 + lorentz_peak(grid, 1.0, 2.0)))
+    assert str(info.value) == (f"{points} data points cannot determine {n_free} free parameters; "
+                               "a fit needs more data points than free parameters")
+
+
+def test_a_short_trace_in_a_list_is_named_by_its_position():
+    grid = np.arange(-100.0, 100.0, 2.0)
+    good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    short = SpectrumTrace(grid[:3], lorentz_peak(grid[:3], -98.0, 20.0))
+    with pytest.raises(analysis.TraceError) as info:
+        fit_lorentzians([good, short, good], "triplet211", init=_TRIPLET_INIT)
+    assert info.value.index == 1
+
+
 def test_full_model_refuses_a_free_name_given_twice():
     grid = np.arange(-100.0, 100.0, 2.0)
     with pytest.raises(ValueError, match="^free parameter 'fwhm' is given twice$"):

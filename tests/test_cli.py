@@ -746,6 +746,26 @@ def test_bad_init_is_an_error_line_not_a_traceback(tmp_path, capsys, model, init
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["trace", "batch"])
+def test_a_fit_with_fewer_points_than_parameters_is_an_error_line(tmp_path, capsys, batch):
+    """A 3-row trace fitted as a triplet with a full --init reported
+    converged: true, with std_errs 0.0 on a_ple, delta, amplitude and
+    baseline."""
+    trace = tmp_path / "t.csv"
+    trace.write_text("freq_mhz,intensity\n0,1\n1,2\n2,1\n")
+    init = ('{"f_ch1": 0, "a_ple": 1, "delta": 1, "fwhm": 1, "amplitude": 1, '
+            '"baseline": 0}')
+    out = tmp_path / "r.json"
+    source = ["--batch", str(trace)] if batch else ["--trace", str(trace)]
+    assert run_cli(["fit", *source, "--model", "triplet", "--init", init,
+                    "--out", str(out)]) == 1
+    named = f"{trace}: " if batch else ""
+    assert capsys.readouterr().err == (f"error: {named}3 data points cannot determine 6 free "
+                                       "parameters; a fit needs more data points than free "
+                                       "parameters\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("digits, reason", [(200, "has no finite chi-squared"),
                                              (400, "does not convert to floats")])
 def test_stats_counts_without_a_finite_chi2_are_refused(tmp_path, capsys, digits, reason):

@@ -24,7 +24,8 @@ from g4vspec.hamiltonian import (
     term_zeeman,
 )
 from g4vspec import analysis
-from g4vspec.spectrum import solve_manifold, sweep_field, synth_spectrum, transitions
+from g4vspec.spectrum import (solve_manifold, sweep_field, sweep_strain, synth_spectrum,
+                              transitions)
 from g4vspec.spinops import is_hermitian
 
 from conftest import random_emitter
@@ -538,10 +539,14 @@ def test_terms_reject_non_half_integer_spin():
     (lambda: jt_shifted_params(ManifoldParams(lambda_soc_ghz=1.0), 0, 10**400), "delta_dd_mhz"),
     (lambda: registry_lookup("119Sn").scaled_hyperfine(10**400), "hyperfine scale"),
     (lambda: flat_emitter(i=10**400), "nuclear_spin"),
+    (lambda: sweep_strain(registry_lookup("119Sn"), "gnd", [10**400]), "strain alpha_ghz"),
+    (lambda: solve_manifold(registry_lookup("119Sn"), "gnd", (0, 0, 0), None, 10**400),
+     "strain beta_ghz"),
 ], ids=["manifold-field", "registry-strain", "registry-q", "transitions-alpha",
         "transitions-field", "solve-manifold-field", "build-field", "sweep-magnitude",
         "kde-value", "kde-bandwidth", "stats-value", "stats-bin-width", "isotope-mass",
-        "synth-fwhm", "jt-shift-fc", "jt-shift-dd", "scaled-hyperfine", "nuclear-spin"])
+        "synth-fwhm", "jt-shift-fc", "jt-shift-dd", "scaled-hyperfine", "nuclear-spin",
+    "sweep-strain-alpha", "solve-manifold-beta"])
 def test_an_integer_beyond_the_float_range_is_refused_by_name(build, name):
     with pytest.raises(ValueError) as info:
         build()

@@ -158,6 +158,18 @@ def test_a_field_needs_three_components():
         build_hamiltonian(e, "gnd", [(0.0, 0.0, 1.0, 0.0)])
 
 
+@pytest.mark.parametrize("solve", [
+    lambda e, b: solve_manifold(e, "gnd", b),
+    lambda e, b: transitions(e, b),
+    lambda e, b: build_hamiltonian(e, "gnd", b),
+], ids=["solve_manifold", "transitions", "build_hamiltonian"])
+def test_a_ragged_field_stack_is_refused_by_name(solve):
+    """NumPy's own "inhomogeneous shape" error came out before."""
+    with pytest.raises(ValueError) as info:
+        solve(registry_lookup("117Sn"), [[0, 0, 1], [0, 0]])
+    assert str(info.value) == ("magnetic field needs 3 components per point, got ragged or "
+                               "non-numeric points")
+
 
 @pytest.mark.parametrize("b, alpha, beta, message", [
     ((0.0, float("nan"), 0.0), None, None, "magnetic field component must be finite, got nan"),
