@@ -23,18 +23,17 @@ and gives the first-order change of the lines along a change of the
 Hamiltonian without solving again.
 
 Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
-Hamiltonian is real in the product basis (see `hamiltonian`).  Real
-points are built and diagonalized in float64, the others in complex128.
-`solve_manifold` returns complex128, the real points cast exactly, and
-solves a stack that mixes both kinds (only a caller's own) as one stack
-per kind, so that each point keeps its one-point bits.  The table path
-keeps a stack of real points in float64, its tables, J^2 labels,
-reference lines and line slopes too, and any other stack in complex128;
-`_like` gives J^2 or a dH in the dtype of the vectors.  `sweep_field` and
-the rows of a field-map fit are solved in the real frame (`_real_frame`),
-which changes no spectrum, so each stack they solve is of one kind,
-float64 exactly when beta = 0.  One-point `transitions` solves at the
-field as given.
+Hamiltonian is real in the product basis (see `hamiltonian`).
+`solve_manifold` returns a stack in its own dtype: float64 when every point
+is real, complex128 otherwise.  A stack that mixes both kinds (only a
+caller's own) is solved one kind at a time, so that each point keeps its
+one-point bits, and comes back in complex128, the real points cast exactly.
+The tables, J^2 labels, reference lines and line slopes of a stack keep its
+dtype; `_like` gives J^2 or a dH in the dtype of the vectors.
+`sweep_field` and the rows of a field-map fit are solved in the real frame
+(`_real_frame`), which changes no spectrum, so each stack they solve is of
+one kind, float64 exactly when beta = 0.  One-point `transitions` solves at
+the field as given.
 """
 from dataclasses import dataclass, field, replace
 
@@ -145,48 +144,33 @@ def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(op.real) if a.dtype == np.float64 else op
 
 
-def _solve(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz, real: bool):
-    """solve_manifold of points all of one kind, in that kind's dtype."""
-    if real:
-        h = _build_real(emitter, manifold, b, alpha_ghz)
-    else:
-        h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
-    return eigh(h, degeneracy_operator=_like(jsq_operator(emitter.nuclear_spin), h))
-
-
 def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
                    alpha_ghz=None, beta_ghz=None) -> EigenSystem:
     """Diagonalize one manifold with the degenerate-subspace basis pinned
     by the total angular momentum J^2 (reproducible <J^2> labels).
 
-    An (n, 3) field and/or n strains are solved as one stack per kind of
-    point, in one `eigh` each: real points (B_y = 0 and beta = 0) in
-    float64, the others in complex128.  The result is complex128, the
-    real points cast exactly."""
+    An (n, 3) field and/or n strains are solved as one stack, in one `eigh`:
+    in float64 when every point is real (B_y = 0 and beta = 0), else in
+    complex128.  A stack that mixes both kinds is solved one kind at a time
+    and comes back in complex128, its real points cast exactly."""
     real = _real_points(emitter, b, beta_ghz)
-    if real.all() or not real.any():
-        es = _solve(emitter, manifold, b, alpha_ghz, beta_ghz, bool(real.all()))
-        return EigenSystem(es.values, es.vectors.astype(complex, copy=False))
-    values = np.empty((real.size, emitter.dim))
-    vectors = np.empty((real.size, emitter.dim, emitter.dim), dtype=complex)
+    if real.all():
+        h = _build_real(emitter, manifold, b, alpha_ghz)
+    elif not real.any():
+        h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
+    else:
+        values = np.empty((real.size, emitter.dim))
+        vectors = np.empty((real.size, emitter.dim, emitter.dim), dtype=complex)
 
-    def cut(x, ndim):  # a per-point input at rows; one that all points share as it is
-        return np.asarray(x, dtype=float)[rows] if np.ndim(x) > ndim else x
+        def cut(x, ndim):  # a per-point input at rows; one that all points share as it is
+            return np.asarray(x, dtype=float)[rows] if np.ndim(x) > ndim else x
 
-    for kind in (True, False):
-        rows = np.flatnonzero(real == kind)
-        es = _solve(emitter, manifold, cut(b, 1), cut(alpha_ghz, 0), cut(beta_ghz, 0), kind)
-        values[rows], vectors[rows] = es.values, es.vectors
-    return EigenSystem(values, vectors)
-
-
-def _solve_stack(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz) -> EigenSystem:
-    """solve_manifold in the stack's dtype: float64 vectors, taken out of
-    their exact complex cast, when every point is real."""
-    es = solve_manifold(emitter, manifold, b, alpha_ghz, beta_ghz)
-    if _real_points(emitter, b, beta_ghz).all():
-        return EigenSystem(es.values, np.ascontiguousarray(es.vectors.real))
-    return es
+        for kind in (True, False):
+            rows = np.flatnonzero(real == kind)
+            es = solve_manifold(emitter, manifold, cut(b, 1), cut(alpha_ghz, 0), cut(beta_ghz, 0))
+            values[rows], vectors[rows] = es.values, es.vectors
+        return EigenSystem(values, vectors)
+    return eigh(h, degeneracy_operator=_like(jsq_operator(emitter.nuclear_spin), h))
 
 
 def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations=()):
@@ -206,7 +190,7 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations
     dhs = [f(neutral) for f in perturbations]
 
     def mean_and_slopes(manifold, m):
-        es = _solve_stack(neutral, manifold, b, alpha_ghz, beta_ghz)
+        es = solve_manifold(neutral, manifold, b, alpha_ghz, beta_ghz)
         v = es.vectors[..., :2]
         return es.values[:, :2].mean(axis=1), [
             0.5 * np.einsum("kij,kij->k", v.conj(), _like(dh[m], v) @ v).real for dh in dhs]
@@ -284,8 +268,8 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
                          emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz)
     beta = _no_overflow("strain beta_ghz", float,
                         emitter.strain_beta_ghz if beta_ghz is None else beta_ghz)
-    es_g = _solve_stack(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
-    es_e = _solve_stack(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
+    es_g = solve_manifold(emitter, "gnd", b_stack, alpha_ghz, beta_ghz)
+    es_e = solve_manifold(emitter, "exc", b_stack, alpha_ghz, beta_ghz)
     _check_branch_gaps(emitter, es_g.values, es_e.values)
     ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)[0] if e_ref is None else e_ref
 
@@ -416,7 +400,7 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)
-    es = _solve_stack(emitter, manifold, (0.0, 0.0, 0.0), alphas, None)
+    es = solve_manifold(emitter, manifold, (0.0, 0.0, 0.0), alphas, None)
     low = es.values[:, :n_low]
     return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
                       jsq=_jsq_labels(es, _like(jsq_operator(emitter.nuclear_spin),

@@ -14,9 +14,9 @@ from g4vspec import analysis, spectrum
 from g4vspec.hamiltonian import (_IMAGINARY, _build_real, _operators, _real_operators,
                                  build_hamiltonian, jsq_operator, registry_labels,
                                  registry_lookup)
-from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _solve,
-                              _solve_transitions, merge_lines, solve_manifold, sweep_field,
-                              synth_spectrum, transitions)
+from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _solve_transitions,
+                              merge_lines, solve_manifold, sweep_field, synth_spectrum,
+                              transitions)
 from g4vspec.spinops import CLUSTER_TOL, eigh
 
 from conftest import _bits
@@ -121,17 +121,12 @@ def test_real_solves_match_the_complex_oracle(label):
     for alpha in (0.0, 35.0):
         for manifold in ("gnd", "exc"):
             h = build_hamiltonian(e, manifold, REAL_FIELDS, alpha, 0.0)
-            es = _solve(e, manifold, REAL_FIELDS, alpha, 0.0, True)
+            es = solve_manifold(e, manifold, REAL_FIELDS, alpha, 0.0)
             assert es.values.dtype == es.vectors.dtype == np.float64
             want = np.linalg.eigh(h)[0]
             assert (np.abs(es.values - want).max(axis=-1) <= _eigenvalue_bound(h)).all()
             ortho = np.swapaxes(es.vectors, -1, -2) @ es.vectors - np.eye(e.dim)
             assert np.abs(ortho).max() <= 2.0 * e.dim * EPS
-            # the public solver returns the same solve, cast exactly
-            public = solve_manifold(e, manifold, REAL_FIELDS, alpha, 0.0)
-            assert public.vectors.dtype == np.complex128 and not public.vectors.imag.any()
-            assert _bits(public.values) == _bits(es.values)
-            assert np.array_equal(public.vectors.real, es.vectors)
 
 
 @pytest.mark.parametrize("label", registry_labels())
@@ -181,7 +176,36 @@ def test_a_mixed_stack_gives_each_row_its_one_point_table(label):
     for k, b in enumerate(fields):
         alone = solve_manifold(e, "exc", b, None, 0.0)
         assert _bits(stacked.values[k]) == _bits(alone.values)
-        assert _bits(stacked.vectors[k]) == _bits(alone.vectors)
+        assert _bits(stacked.vectors[k]) == _bits(alone.vectors.astype(complex))
+
+
+@pytest.mark.parametrize("label", ["73Ge", "117Sn", "29Si"])
+def test_solve_manifold_returns_the_dtype_of_its_stack(label):
+    """float64 for a stack of real points, complex128 for a stack of
+    complex ones and for one that mixes both kinds, by field or by beta; in
+    a mixed stack each real slice is the exact complex cast of its one-point
+    float64 solve."""
+    e = registry_lookup(label, strain_alpha_ghz=20.0)
+    real = [(0.0, 0.0, 0.0), (0.05, 0.0, 0.08), (0.01, 0.0, 0.0)]
+    off_plane = [(0.02, 0.01, 0.05), (0.0, -0.03, 0.0)]
+    mixed = [real[0], off_plane[0], real[1], off_plane[1], real[2]]
+    for manifold in ("gnd", "exc"):
+        for b, beta, dtype in ((real, 0.0, np.float64), (real[1], 0.0, np.float64),
+                               (off_plane, 0.0, np.complex128), (real, 1.5, np.complex128),
+                               (mixed, 0.0, np.complex128)):
+            es = solve_manifold(e, manifold, b, None, beta)
+            assert es.values.dtype == np.float64 and es.vectors.dtype == dtype
+        betas = [0.0, 1.5, 0.0]
+        stacks = ((solve_manifold(e, manifold, mixed, None, 0.0), [(b, 0.0) for b in mixed]),
+                  (solve_manifold(e, manifold, real[1], None, betas),
+                   [(real[1], beta) for beta in betas]))
+        for es, points in stacks:
+            for k, (b, beta) in enumerate(points):
+                one = solve_manifold(e, manifold, b, None, beta)
+                is_real = b[1] == 0.0 and beta == 0.0
+                assert one.vectors.dtype == (np.float64 if is_real else np.complex128)
+                assert _bits(es.values[k]) == _bits(one.values)
+                assert _bits(es.vectors[k]) == _bits(one.vectors.astype(complex))
 
 
 def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
