@@ -168,8 +168,8 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
     After a round in which any pending problem moved, the Jacobian is taken
     for every pending problem: one that did not move gets the bits it had.
     The cap is the module's MAX_ITERATIONS, read at call time.  A start
-    whose residual is not finite is refused with a TraceError naming the
-    first such problem.
+    whose residual or Jacobian is not finite is refused with a TraceError
+    naming the first such problem.
     """
     p = np.array(p0, dtype=float)
     single = p.ndim == 1
@@ -178,20 +178,25 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
         residual_fn = lambda q, rows: fn(q[0])[None]
         jac = lambda q, rows: fn_jac(q[0])[None]
     k, n_par = p.shape
-    everything = slice(None)
-    with np.errstate(all="ignore"):  # a non-finite start is refused just below
-        r = residual_fn(p, everything)
-    finite = np.isfinite(r).all(axis=1)
-    if not finite.all():
-        raise TraceError(int(np.argmin(finite)), "the fit cannot start: its residual at the "
-                                                 "initial parameters is not finite")
-    m = r.shape[1]
 
     def normal_equations(p, r, rows):
         # J^T r and J^T J at p; the Jacobian itself is not kept.
         j = jac(p, rows)
         jt = j.transpose(0, 2, 1)
         return (jt @ r[:, :, None])[..., 0], jt @ j
+
+    def refuse_non_finite(finite, what):
+        if not finite.all():
+            raise TraceError(int(np.argmin(finite)), f"the fit cannot start: its {what} at the "
+                                                     "initial parameters is not finite")
+
+    everything = slice(None)
+    with np.errstate(all="ignore"):  # a non-finite start is refused just below
+        r = residual_fn(p, everything)
+        refuse_non_finite(np.isfinite(r).all(axis=1), "residual")
+        g, jtj = normal_equations(p, r, everything)
+    refuse_non_finite(np.isfinite(g).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2)), "Jacobian")
+    m = r.shape[1]
 
     # The loop works on the pending problems, at positions rows, and writes
     # each one's final state back here when it finishes.
@@ -203,11 +208,11 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
     sel = everything  # a view until one finishes; rows always, no accept fork: fits 9% slower
     mu = np.full(k, 1e-3)
     iters = np.ones(k, dtype=int)
-    n_moved = k  # pending problems whose p moved since the last refresh: all, at first
+    n_moved = 0  # pending problems whose p moved since the last refresh: none, at the start
     while rows.size:
         if n_moved:  # every pending problem; one that did not move gets the same bits
             g, jtj = normal_equations(p, r, sel)
-            diag = np.maximum(jtj.reshape(-1, n_par * n_par)[:, :: n_par + 1], 1e-300)
+        diag = np.maximum(jtj.reshape(-1, n_par * n_par)[:, :: n_par + 1], 1e-300)
         step = _solve_damped(jtj, diag, g, mu)
         trial = p + step
         r_trial = residual_fn(trial, sel)
@@ -238,8 +243,8 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
             if n_done == rows.size:
                 break
             keep = ~done
-            rows, p, r, cost, mu, iters, moved, g, jtj, diag = (
-                a[keep] for a in (rows, p, r, cost, mu, iters, moved, g, jtj, diag))
+            rows, p, r, cost, mu, iters, moved, g, jtj = (
+                a[keep] for a in (rows, p, r, cost, mu, iters, moved, g, jtj))
             n_moved = np.count_nonzero(moved)
             sel = rows
         iters += moved
@@ -263,15 +268,21 @@ def _report(model, names, seed, p, cov, rms, converged, iters) -> FitResult:
                      converged=bool(converged), n_iterations=int(iters), seed=seed)
 
 
+def _check_points(points, names):
+    """A TraceError naming the first problem unless points data points
+    outnumber the free parameters names."""
+    if points <= len(names):
+        raise TraceError(0, f"{points} data points cannot determine {len(names)} free "
+                            "parameters; a fit needs more data points than free parameters")
+
+
 def _fit(model, names, residual, p0, seed, jac, points):
     """Minimize residual from p0, one problem (n,) or a stack (k, n), and
     report the named parameters, their 1-sigma errors and the reported sign
     of each |.| parameter: one FitResult, or a list of k.  Each problem has
-    points data points, which must outnumber its free parameters (a
-    TraceError naming the first problem otherwise)."""
-    if points <= len(names):
-        raise TraceError(0, f"{points} data points cannot determine {len(names)} free "
-                            "parameters; a fit needs more data points than free parameters")
+    points data points, which must outnumber its free parameters
+    (`_check_points`)."""
+    _check_points(points, names)
     out = _levenberg_marquardt(residual, p0, jac=jac)
     if np.ndim(p0) == 1:
         return _report(model, names, seed, *out)
@@ -494,6 +505,7 @@ def _fit_peaks(data, model, init, seed):
     for i, trace in enumerate(traces):
         try:
             x, y = _xy(trace, i)
+            _check_points(x.size, names)
             if np.ptp(y) == 0.0:
                 raise ValueError("trace is degenerate (constant signal), nothing to fit")
             start = _seed_peaks(x, y) if init is None else init

@@ -485,6 +485,8 @@ def synth_dataset(emitter: EmitterModel, out_dir, *, n_emitters: int, seed: int,
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     if type(n_emitters) is bool or not isinstance(n_emitters, numbers.Integral) or n_emitters < 1:
         raise ValueError(f"n_emitters must be an integer >= 1, got {n_emitters!r}")
+    if type(seed) is bool or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     base_aple = a_ple(emitter) * a_ple_scale

@@ -385,6 +385,8 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
     grid = np.ascontiguousarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("frequency grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("frequency grid must be strictly increasing")
     fwhm_mhz = _no_overflow("fwhm_mhz", float, fwhm_mhz)
@@ -396,7 +398,7 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
 
 def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> LevelSweep:
     """Lower-branch levels (relative to their mean) vs strain alpha at B = 0."""
-    alphas = _no_overflow("strain alpha_ghz", np.asarray, alpha_values_ghz, float)
+    alphas = _no_overflow("strain alpha_ghz", np.asarray, alpha_values_ghz, float).reshape(-1)
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)

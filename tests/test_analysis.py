@@ -741,10 +741,16 @@ _TRIPLET_INIT = {"f_ch1": 0.0, "a_ple": 1.0, "delta": 1.0, "fwhm": 1.0, "amplitu
     (lambda t: fit_full_model(t, ("a_ple_scale", "fwhm", "amplitude"),
                               registry_lookup("117Sn")), 0, 3),
     (lambda t: fit_full_model(t, ("a_ple_scale", "fwhm"), registry_lookup("117Sn")), 0, 2),
-], ids=["triplet-3", "single-4", "gaussian-2", "full-2", "full-empty", "full-empty-no-amplitude"])
+    (lambda t: fit_lorentzians(t, "single"), 0, 4),
+    (lambda t: fit_lorentzians(t, "triplet211"), 0, 6),
+    (lambda t: fit_gaussian(t), 0, 4),
+], ids=["triplet-3", "single-4", "gaussian-2", "full-2", "full-empty", "full-empty-no-amplitude",
+        "single-empty", "triplet-empty", "gaussian-empty"])
 def test_a_fit_with_no_more_data_points_than_free_parameters_is_refused(fit, points, n_free):
     """Such fits reported converged, with standard errors of 0.0, or (an
-    empty trace) a NaN rms with a RuntimeWarning or NumPy's zero-size error."""
+    empty trace) a NaN rms with a RuntimeWarning or NumPy's zero-size error;
+    a peak fit of an empty trace without init met that error in peak
+    seeding."""
     grid = np.arange(float(points))
     with pytest.raises(analysis.TraceError) as info:
         fit(SpectrumTrace(grid, 1.0 + lorentz_peak(grid, 1.0, 2.0)))
@@ -848,6 +854,26 @@ def test_a_fit_from_a_non_finite_start_is_refused():
         fit_lorentzians(trace, "single", init=start)
     # the same start one grid step off the peak is finite and fits
     assert fit_lorentzians(trace, "single", init=dict(start, f0=0.5, fwhm=1.0)).converged
+
+
+@pytest.mark.parametrize("fit", [
+    lambda t: fit_lorentzians(t, "single", init={"f0": 0.0, "fwhm": 1e200, "amplitude": 1.0,
+                                                 "baseline": 0.0}),
+    lambda t: fit_lorentzians(t, "triplet211", init=dict(_TRIPLET_INIT, fwhm=1e200)),
+    lambda t: fit_gaussian(t, init={"center": 0.5, "sigma": 0.0, "amplitude": 1.0,
+                                    "baseline": 0.0}),
+    lambda t: fit_full_model(t, ("fwhm", "amplitude"), registry_lookup("117Sn"),
+                             init={"fwhm": 1e200}),
+], ids=["single", "triplet", "gaussian", "full"])
+def test_a_fit_whose_start_has_a_non_finite_jacobian_is_refused(fit):
+    """Above |fwhm| ~ 2.7e154 MHz hw^2 overflows: the residual at the start
+    is finite, but d/dfwhm is 0 * -inf; a zero-width Gaussian off the grid
+    has d/dcenter 0/0.  Such starts ended in NumPy warnings and "SVD did not
+    converge", or in a NaN width."""
+    grid = np.arange(-50.0, 51.0, 1.0)
+    with pytest.raises(analysis.TraceError, match="^the fit cannot start: its Jacobian at the "
+                                                  "initial parameters is not finite$"):
+        fit(SpectrumTrace(grid, 1.0 / (1.0 + grid**2)))
 
 
 # --- closed-form Jacobians of the peak models ---
@@ -1204,6 +1230,12 @@ def test_a_stack_with_a_non_finite_start_is_refused_naming_the_problem():
         _levenberg_marquardt(lambda p, rows: np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]),
                              np.zeros((3, 2)), jac=lambda p, rows: np.eye(2)[None].repeat(3, 0))
     assert info.value.index == 1
+    jacobians = np.eye(2)[None].repeat(3, 0)
+    jacobians[2, 0, 1] = np.inf
+    with pytest.raises(analysis.TraceError, match="its Jacobian at the initial") as info:
+        _levenberg_marquardt(lambda p, rows: np.ones((3, 2)), np.zeros((3, 2)),
+                             jac=lambda p, rows: jacobians[rows])
+    assert info.value.index == 2
     # a start whose peak sits on a grid point of the second trace only
     zero_width = {"f0": 0.0, "fwhm": 0.0, "amplitude": 1.0, "baseline": 0.0}
     off_grid = np.arange(-50.5, 50.0, 1.0)

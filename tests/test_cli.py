@@ -766,6 +766,32 @@ def test_a_fit_with_fewer_points_than_parameters_is_an_error_line(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["trace", "batch", "full"])
+def test_a_start_with_a_non_finite_jacobian_is_an_error_line(tmp_path, capsys, source):
+    """A start of fwhm 1e200 printed NumPy RuntimeWarnings, then "error: SVD
+    did not converge" (single) or "fwhm must be positive and finite, got
+    nan" (full)."""
+    import warnings
+
+    trace = tmp_path / "t.csv"
+    grid = np.arange(-50.0, 51.0, 1.0)
+    dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
+    out = tmp_path / "r.json"
+    single = ["--model", "single", "--init",
+              '{"f0": 0, "fwhm": 1e200, "amplitude": 1, "baseline": 0}']
+    argv = {"trace": ["--trace", str(trace), *single],
+            "batch": ["--batch", str(trace), *single],
+            "full": ["--trace", str(trace), "--model", "full", "--emitter", "117Sn", "--free",
+                     "fwhm", "--init", '{"fwhm": 1e200}']}[source]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["fit", *argv, "--out", str(out)]) == 1
+    named = f"{trace}: " if source == "batch" else ""
+    assert capsys.readouterr().err == (f"error: {named}the fit cannot start: its Jacobian at the "
+                                       "initial parameters is not finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("digits, reason", [(200, "has no finite chi-squared"),
                                              (400, "does not convert to floats")])
 def test_stats_counts_without_a_finite_chi2_are_refused(tmp_path, capsys, digits, reason):
@@ -840,6 +866,7 @@ def _non_finite_case(tmp_path, case):
         "synth jitter-offset nan": synth + ["--fwhm", "30", "--jitter-offset", "nan"],
         "synth n negative": synth + ["--fwhm", "30", "--n", "-3"],
         "synth n zero": synth + ["--fwhm", "30", "--n", "0"],
+        "synth seed negative": synth + ["--fwhm", "30", "--seed", "-1"],
         "simulate grid max inf": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:inf:1",
                                   "--out", str(out)],
         "simulate grid step nan": ["simulate", "117Sn", "--fwhm", "30", "--grid", "0:1:nan",
@@ -889,6 +916,7 @@ def _non_finite_case(tmp_path, case):
     ("synth jitter-offset nan", "jitter_offset_mhz must be >= 0 and finite, got nan"),
     ("synth n negative", "n_emitters must be an integer >= 1, got -3"),
     ("synth n zero", "n_emitters must be an integer >= 1, got 0"),
+    ("synth seed negative", "seed must be a non-negative integer, got -1"),
     ("simulate grid max inf", "grid max must be finite, got inf"),
     ("simulate grid step nan", "grid step must be finite, got nan"),
     ("simulate grid too many points", "grid spec '0:1e12:1' gives 1e+12 points, more than the "

@@ -202,6 +202,26 @@ def test_sweep_strain_monotone_axis_required():
         sweep_strain(e, "gnd", [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("alphas", [5.0, [[0.0, 5.0], [10.0, 15.0]]], ids=["scalar", "2-d"])
+def test_sweep_strain_reads_any_shape_of_strains_as_a_flat_axis(alphas):
+    """A scalar strain raised IndexError and a 2-D array NumPy's broadcast
+    error; strains are read flat, as sweep_field reads its magnitudes."""
+    e = registry_lookup("117Sn")
+    sweep = sweep_strain(e, "gnd", alphas)
+    flat = np.reshape(alphas, -1)
+    assert sweep.axis.tolist() == flat.tolist()
+    assert sweep.levels.tolist() == sweep_strain(e, "gnd", flat.tolist()).levels.tolist()
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [math.nan, 1.0],
+                                  [-math.inf, 0.0, 1.0]])
+def test_synth_refuses_a_grid_point_that_is_not_finite(grid):
+    """[nan] gave a NaN signal and [0, inf] a 0 at inf, without a word;
+    [nan, 1] was refused as not strictly increasing."""
+    with pytest.raises(ValueError, match="^frequency grid must be finite$"):
+        synth_spectrum(transitions(registry_lookup("117Sn")), 10.0, grid)
+
+
 def test_delta_grows_monotonically_with_strain():
     e = registry_lookup("117Sn")
     lam = e.gnd.lambda_soc_ghz

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,22 @@ def test_eigh_values_invariant_under_unitary_conjugation(rng):
     es2 = eigh(q @ h @ q.conj().T)
     scale = max(1.0, np.abs(es1.values).max())
     assert np.abs(es1.values - es2.values).max() < 1e-8 * scale
+
+
+@pytest.mark.parametrize("dop, got", [
+    (np.diag([1.0, np.nan, 2.0]), "a non-finite entry"),
+    (np.diag([1.0, 2.0, np.inf]).astype(complex), "a non-finite entry"),
+    (np.eye(2), "shape (2, 2)"),
+    (np.eye(3)[None].repeat(4, 0), "shape (4, 3, 3)"),
+    (np.ones(3), "shape (3,)"),
+], ids=["nan", "complex-inf", "too-small", "stacked", "vector"])
+def test_eigh_refuses_a_degeneracy_operator_that_is_not_a_finite_square_matrix(dop, got):
+    """A NaN gave NaN eigenvectors without a word, and a wrong shape
+    NumPy's matmul error."""
+    h = np.zeros((4, 3, 3))  # every cluster degenerate: the operator would be used
+    with pytest.raises(ValueError, match=r"^degeneracy_operator must be a finite \(3, 3\) "
+                                         rf"matrix, got {re.escape(got)}$"):
+        eigh(h, degeneracy_operator=dop)
 
 
 def test_eigh_rejects_non_hermitian(rng):
