@@ -6,6 +6,14 @@ import pytest
 from g4vspec import ManifoldParams, EmitterModel
 
 
+def pytest_configure(config):
+    # A cast that drops an imaginary part fails the suite, as a RuntimeWarning
+    # does (pyproject.toml).  NumPy 1.25 moved the class to numpy.exceptions
+    # and NumPy 2 dropped the old name, so the filter names it as it is found.
+    warning = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))
