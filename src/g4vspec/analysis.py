@@ -276,13 +276,11 @@ def _check_points(points, names):
                             "parameters; a fit needs more data points than free parameters")
 
 
-def _fit(model, names, residual, p0, seed, jac, points):
+def _fit(model, names, residual, p0, seed, jac):
     """Minimize residual from p0, one problem (n,) or a stack (k, n), and
     report the named parameters, their 1-sigma errors and the reported sign
-    of each |.| parameter: one FitResult, or a list of k.  Each problem has
-    points data points, which must outnumber its free parameters
-    (`_check_points`)."""
-    _check_points(points, names)
+    of each |.| parameter: one FitResult, or a list of k.  The callers check
+    each problem's point count (`_check_points`)."""
     out = _levenberg_marquardt(residual, p0, jac=jac)
     if np.ndim(p0) == 1:
         return _report(model, names, seed, *out)
@@ -520,7 +518,7 @@ def _fit_peaks(data, model, init, seed):
             x, y, p0 = np.array(xs), np.array(ys), np.array(starts, dtype=float)
             try:
                 stack = _fit(model, names, lambda p, rows: fn(p, x[rows]) - y[rows], p0, seed,
-                             jac=lambda p, rows: jac(p, x[rows]), points=size)
+                             jac=lambda p, rows: jac(p, x[rows]))
             except TraceError as exc:
                 raise TraceError(at[exc.index], str(exc)) from None
             for i, res in zip(at, stack):
@@ -593,6 +591,75 @@ def _trace_field(meta, index):
     return (0.0, 0.0, 0.0)
 
 
+def _map_model(emitter, fields, grids, free, fixed):
+    """(signal, jacobian, last) of a map's rows at the real-frame fields, on
+    the grids: the rows' model signal, concatenated, and its Jacobian at the
+    values of free (fixed holds the others), and the last Jacobian taken."""
+    # What one unit of each free table parameter adds to the Hamiltonians.
+    moved = {name: _TABLE_PARAMS[name][2](emitter) for name in free if name in _TABLE_PARAMS}
+    # The rows solved at each tuple of table values, tables with their
+    # eigensystems and the reference slopes along moved, stay only while a
+    # Jacobian may still be taken there: at the key of the last Jacobian and
+    # at the last key a residual solved, which the core may accept next.
+    # Reference lines and their slopes stay for each coupling-free emitter.
+    solved = {}
+    ref_lines = {}
+    jac_key = jac_last = None
+
+    def params(values):
+        p = dict(fixed)
+        p.update(zip(free, values))
+        return p
+
+    def rows_at(p):
+        key = tuple(float(p[name]) for name in _TABLE_PARAMS)
+        if key not in solved:
+            at = emitter
+            for v, (_, set_to, _) in zip(key, _TABLE_PARAMS.values()):
+                at = set_to(at, v)
+            bare = at.without_couplings()
+            if bare not in ref_lines:
+                ref_lines[bare] = _reference_line(bare, fields, None, None,
+                                                  [_TABLE_PARAMS[n][2] for n in moved])
+            for old in [k for k in solved if k != jac_key]:
+                del solved[old]
+            line, ref_slopes = ref_lines[bare]
+            solved[key] = (_solve_transitions(at, fields, None, None, line), ref_slopes)
+        return key, solved[key]
+
+    def signal(values):
+        p = params(values)
+        _, ((tables, _), _) = rows_at(p)
+        fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
+        unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
+                for grid, table in zip(grids, tables)]
+        return np.concatenate([p["amplitude"] * sig for sig in unit])
+
+    def jacobian(values):
+        # Every column from the rows the residual at these values solved.
+        nonlocal jac_key, jac_last
+        p = params(values)
+        jac_key, (rows, ref_slopes) = rows_at(p)
+        perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
+        slopes = dict(zip(moved, _line_slopes(*rows, perturbations))) if moved else {}
+        j = np.empty((sum(grid.size for grid in grids), len(free)))
+        start = 0
+        for k, (grid, table) in enumerate(zip(grids, rows[0])):
+            # Each column's (peak, center, width) profile weights, per unit amplitude.
+            terms = {"amplitude": (table.intensity,), "freq_offset": (None, table.intensity),
+                     "fwhm": (None, None, _sign(p["fwhm"]) * table.intensity),
+                     **{name: slopes[name][k] for name in slopes}}
+            j[start:start + grid.size] = kernels.lorentzian_sums(
+                table.freq_mhz + p["freq_offset"], abs(p["fwhm"]), grid,
+                [terms[name] for name in free]).T
+            start += grid.size
+        j[:, [name != "amplitude" for name in free]] *= p["amplitude"]
+        jac_last = j
+        return j
+
+    return signal, jacobian, lambda: jac_last
+
+
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
                    seed: int | None = None) -> FitResult:
     """Least-squares fit of the Hamiltonian-model spectrum to data.
@@ -603,11 +670,12 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     subset of {a_ple_scale, strain_alpha, fwhm, amplitude, freq_offset};
     a_ple_scale multiplies the hyperfine couplings of both manifolds by a
     single factor (a spectrum near the C line constrains only that
-    combination).  The derived a_ple_mhz is included in the report.
+    combination).  The derived a_ple_mhz is included in the report.  The
+    map's points are counted before anything is solved.
 
-    a_ple_scale and strain_alpha change the line tables; `_TABLE_PARAMS`
-    says how.  A fit keeps two dicts while it runs: the solved rows at each
-    tuple of their values, all rows solved as one stack per manifold in the
+    The model is `_map_model`'s.  a_ple_scale and strain_alpha change the
+    line tables; `_TABLE_PARAMS` says how.  It keeps two dicts: the rows
+    solved at each tuple of their values, as one stack per manifold in the
     real frame (`spectrum._real_frame`, as `sweep_field` solves its rows),
     and the reference lines of each coupling-free emitter those values give.
 
@@ -642,89 +710,24 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
         grids.append(grid)
         signals.append(y)
         fields.append(_trace_field(getattr(t, "meta", {}) or {}, i))
-    fields = _real_frame(fields)
+    y_all = np.concatenate(signals)
+    _check_points(y_all.size, free)
 
     defaults = {name: value(emitter) for name, (value, _, _) in _TABLE_PARAMS.items()}
     defaults.update(fwhm=50.0, amplitude=1.0, freq_offset=0.0)
     if init:
         defaults.update(init)
-
-    y_all = np.concatenate(signals)
-
-    # What one unit of each free table parameter adds to the Hamiltonians.
-    moved = {name: _TABLE_PARAMS[name][2](emitter) for name in free if name in _TABLE_PARAMS}
-    # The rows solved at each tuple of table values, tables with their
-    # eigensystems and the reference slopes along moved, stay only while a
-    # Jacobian may still be taken there: at the key of the last Jacobian and
-    # at the last key a residual solved, which the core may accept next.
-    # Reference lines and their slopes stay for each coupling-free emitter.
-    solved = {}
-    ref_lines = {}
-    jac_key = jac_last = None
-
-    def params(values):
-        p = dict(defaults)
-        p.update(zip(free, values))
-        return p
-
-    def rows_at(p):
-        key = tuple(float(p[name]) for name in _TABLE_PARAMS)
-        if key not in solved:
-            at = emitter
-            for v, (_, set_to, _) in zip(key, _TABLE_PARAMS.values()):
-                at = set_to(at, v)
-            bare = at.without_couplings()
-            if bare not in ref_lines:
-                ref_lines[bare] = _reference_line(bare, fields, None, None,
-                                                  [_TABLE_PARAMS[n][2] for n in moved])
-            for old in [k for k in solved if k != jac_key]:
-                del solved[old]
-            line, ref_slopes = ref_lines[bare]
-            solved[key] = (_solve_transitions(at, fields, None, None, line), ref_slopes)
-        return key, solved[key]
-
-    def model_signal(values):
-        p = params(values)
-        _, ((tables, _), _) = rows_at(p)
-        fwhm, offset = abs(p["fwhm"]), p["freq_offset"]
-        unit = [kernels.lorentzian_sum(table.freq_mhz + offset, table.intensity, fwhm, grid)
-                for grid, table in zip(grids, tables)]
-        return np.concatenate([p["amplitude"] * sig for sig in unit])
-
-    def jacobian(values):
-        # Every column from the rows the residual at these values solved.
-        nonlocal jac_key, jac_last
-        p = params(values)
-        jac_key, (rows, ref_slopes) = rows_at(p)
-        perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
-        slopes = dict(zip(moved, _line_slopes(*rows, perturbations))) if moved else {}
-        j = np.empty((y_all.size, len(free)))
-        start = 0
-        for k, (grid, table) in enumerate(zip(grids, rows[0])):
-            # Each column's (peak, center, width) profile weights, per unit amplitude.
-            terms = {"amplitude": (table.intensity,), "freq_offset": (None, table.intensity),
-                     "fwhm": (None, None, _sign(p["fwhm"]) * table.intensity),
-                     **{name: slopes[name][k] for name in slopes}}
-            j[start:start + grid.size] = kernels.lorentzian_sums(
-                table.freq_mhz + p["freq_offset"], abs(p["fwhm"]), grid,
-                [terms[name] for name in free]).T
-            start += grid.size
-        j[:, [name != "amplitude" for name in free]] *= p["amplitude"]
-        jac_last = j
-        return j
-
+    fixed = {name: value for name, value in defaults.items() if name not in free}
+    signal, jacobian, last = _map_model(emitter, _real_frame(fields), grids, free, fixed)
+    p0 = np.array([defaults[n] for n in free], dtype=float)
     if "amplitude" in free and (init is None or "amplitude" not in init):
         # Deterministic scale seed: match the peak of the unit model.
-        probe = model_signal([defaults[n] for n in free])
-        top = float(probe.max(initial=0.0))  # 0 for an empty trace, which _fit refuses
+        top = float(signal(p0).max())
         if top > 0:
-            defaults["amplitude"] = float(y_all.max()) / top
-
-    p0 = np.array([defaults[n] for n in free], dtype=float)
-    res = _fit("full", free, lambda v: model_signal(v) - y_all, p0, seed, jac=jacobian,
-               points=y_all.size)
+            p0[free.index("amplitude")] = float(y_all.max()) / top
+    res = _fit("full", free, lambda v: signal(v) - y_all, p0, seed, jac=jacobian)
     # The core takes its last Jacobian at the optimum, for the covariance.
-    res = replace(res, cond_jtj=float(np.linalg.cond(jac_last.T @ jac_last)))
+    res = replace(res, cond_jtj=float(np.linalg.cond(last().T @ last())))
     scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])
     res.params["a_ple_mhz"] = scale * a_ple(emitter)
     if "a_ple_scale" in res.std_errs:

@@ -517,6 +517,44 @@ def _full_model_problem(calls, data, base, init):
     return cores[-1]
 
 
+@pytest.mark.parametrize("free, init", [
+    (analysis.FULL_MODEL_FREE, {"a_ple_scale": 1.0, "strain_alpha": 20.0, "fwhm": 50.0,
+                                "freq_offset": 3.0}),
+    (("a_ple_scale", "fwhm", "amplitude"), {"strain_alpha": 20.0, "freq_offset": 3.0}),
+], ids=["all-free", "some-fixed"])
+def test_the_map_model_built_afresh_is_what_the_fit_hands_its_core(calls, free, init):
+    """_map_model's signal and Jacobian, built again from the arguments the
+    fit built it with and called at the fit's start, give the residual and
+    Jacobian the fit hands the LM core there, bit for bit; last() is the
+    Jacobian taken last."""
+    base, traces, _ = _ge_map_with_zero_field_row()
+    built = calls(analysis, "_map_model")
+    cores = calls(analysis, "_levenberg_marquardt")
+    fit_full_model(traces, free, base, init=init)
+    assert len(built) == len(cores) == 1
+    p, residual, jac = cores[0]["p0"], cores[0]["residual_fn"], cores[0]["jac"]
+    signal, jacobian, last = analysis._map_model(**built[0])
+    y = np.concatenate([t.signal for t in traces])
+    assert _bits(signal(p) - y) == _bits(residual(p))
+    j = jacobian(p)
+    assert last() is j
+    assert _bits(j) == _bits(jac(p))
+
+
+def test_a_map_with_no_more_points_than_free_parameters_is_refused_before_any_solve(calls):
+    """Its points are counted over the whole map; the fit solved the map
+    four times, for the amplitude seed and the core's start, before
+    refusing it."""
+    grid = np.arange(3.0)
+    signal = 1.0 + lorentz_peak(grid, 1.0, 2.0)
+    traces = [SpectrumTrace(grid[:1], signal[:1], {"b_tesla": (0.0, 0.0, 0.0)}),
+              SpectrumTrace(grid[1:], signal[1:], {"b_tesla": (0.0, 0.0, 0.02)})]
+    solves = calls(spectrum, "solve_manifold")
+    with pytest.raises(analysis.TraceError, match="^3 data points cannot determine 3 free "):
+        fit_full_model(traces, ("a_ple_scale", "fwhm", "amplitude"), registry_lookup("117Sn"))
+    assert solves == []
+
+
 def _ge_map_with_zero_field_row():
     base = registry_lookup("73Ge")
     gen = dataclasses.replace(base.scaled_hyperfine(1.2), strain_alpha_ghz=30.0)
