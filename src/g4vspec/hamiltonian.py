@@ -73,11 +73,15 @@ MANIFOLDS = ("gnd", "exc")
 
 
 def _no_overflow(name, fn, *args):
-    """fn(*args); an integer beyond the float range is a ValueError naming it."""
+    """fn(*args), a conversion of the value args[0]; an integer beyond the
+    float range, or a value that is not a real number, is a ValueError
+    naming it."""
     try:
         return fn(*args)
     except OverflowError:
         raise ValueError(f"{name} is an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {args[0]!r}") from None
 
 
 def _finite(name, value):

@@ -551,3 +551,29 @@ def test_an_integer_beyond_the_float_range_is_refused_by_name(build, name):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == f"{name} is an integer too large for a float"
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (lambda: ManifoldParams(lambda_soc_ghz=None), "lambda_soc_ghz", None),
+    (lambda: registry_lookup("117Sn", strain_alpha_ghz="x"), "strain_alpha_ghz", "x"),
+    (lambda: registry_lookup("117Sn", q_gnd="x"), "q_gnd", "x"),
+    (lambda: flat_emitter(i=None), "nuclear_spin", None),
+    (lambda: transitions(registry_lookup("117Sn"), alpha_ghz=[1.0, 2.0]), "strain alpha_ghz",
+     [1.0, 2.0]),
+    (lambda: analysis.isotope_shift_ratio(None, 1, 2, 3), "atomic mass", None),
+    (lambda: analysis.kde([1, 2], None), "bandwidth", None),
+    (lambda: analysis.ensemble_stats([1, 2], None), "bin_width", None),
+    (lambda: synth_spectrum(transitions(registry_lookup("117Sn")), None, [0.0, 1.0]),
+     "fwhm_mhz", None),
+    (lambda: jt_shifted_params(ManifoldParams(lambda_soc_ghz=1.0), None, 0), "delta_fc_mhz",
+     None),
+    (lambda: registry_lookup("117Sn").scaled_hyperfine(None), "hyperfine scale", None),
+], ids=["manifold-none", "registry-strain-text", "registry-q-text", "nuclear-spin-none",
+        "transitions-alpha-list", "isotope-mass-none", "kde-bandwidth-none",
+        "stats-bin-width-none", "synth-fwhm-none", "jt-shift-none", "scaled-hyperfine-none"])
+def test_a_value_that_is_not_a_real_number_is_refused_by_name(build, name, value):
+    """Each raised a TypeError from float() or math.isfinite, or (q_gnd)
+    NumPy's "could not convert string to float"."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
