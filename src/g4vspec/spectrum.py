@@ -40,8 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_real, _fields, _no_overflow, a_parallel, a_perp,
-                          build_hamiltonian, jsq_operator)
+from .hamiltonian import (EmitterModel, _build_real, _fields, _no_overflow, _per_point, a_parallel,
+                          a_perp, build_hamiltonian, jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
 __all__ = [
@@ -399,6 +399,7 @@ def synth_spectrum(table: TransitionTable, fwhm_mhz: float, grid) -> SpectrumTra
 def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> LevelSweep:
     """Lower-branch levels (relative to their mean) vs strain alpha at B = 0."""
     alphas = _no_overflow("strain alpha_ghz", np.asarray, alpha_values_ghz, float).reshape(-1)
+    _per_point("strain alpha_ghz", alphas)  # a non-finite strain is refused as one strain is
     if alphas.size > 1 and not (np.all(np.diff(alphas) > 0) or np.all(np.diff(alphas) < 0)):
         raise ValueError("alpha_values_ghz must be monotone")
     n_low = lower_branch_size(emitter)

@@ -164,21 +164,30 @@ def eigh(h, degeneracy_operator=None) -> EigenSystem:
     Real input, with a real degeneracy operator or none, is solved in
     float64 (real symmetric) and gives float64 vectors; anything else is
     solved in complex128.  A degeneracy operator that is not a finite
-    (d, d) matrix is refused.
+    (d, d) matrix of numbers is refused.
     """
-    real = not (np.iscomplexobj(h) or np.iscomplexobj(degeneracy_operator))
+    dop = got = None
+    if degeneracy_operator is not None:
+        try:
+            dop = np.asarray(degeneracy_operator,
+                             dtype=complex if np.iscomplexobj(degeneracy_operator) else float)
+        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, too large
+            got = repr(degeneracy_operator)
+    real = not (np.iscomplexobj(h) or np.iscomplexobj(dop))
     h = np.asarray(h, dtype=float if real else complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("eigh expects a square matrix or a stack of them")
     require_hermitian(h)
-    if degeneracy_operator is not None:
-        dop = np.asarray(degeneracy_operator, dtype=h.dtype)
-        if dop.shape != h.shape[-2:] or not np.isfinite(dop).all():
-            got = f"shape {dop.shape}" if dop.shape != h.shape[-2:] else "a non-finite entry"
-            raise ValueError(f"degeneracy_operator must be a finite {h.shape[-2:]} matrix, "
-                             f"got {got}")
+    if dop is not None:
+        dop = dop.astype(h.dtype, copy=False)
+        if dop.shape != h.shape[-2:]:
+            got = f"shape {dop.shape}"
+        elif not np.isfinite(dop).all():
+            got = "a non-finite entry"
+    if got:
+        raise ValueError(f"degeneracy_operator must be a finite {h.shape[-2:]} matrix, got {got}")
     values, vectors = np.linalg.eigh(h)
-    if degeneracy_operator is not None and values.size:
+    if dop is not None and values.size:
         d = values.shape[-1]
         vectors = vectors.copy()
         flat = vectors.reshape(-1, d, d)  # a view: the rotations below write into vectors

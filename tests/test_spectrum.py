@@ -200,6 +200,9 @@ def test_sweep_strain_monotone_axis_required():
     e = registry_lookup("117Sn")
     with pytest.raises(ValueError, match="monotone"):
         sweep_strain(e, "gnd", [0.0, 2.0, 1.0])
+    # a NaN among them was refused as not monotone, not as non-finite
+    with pytest.raises(ValueError, match="^strain alpha_ghz must be finite, got nan$"):
+        sweep_strain(e, "gnd", [0.0, math.nan])
 
 
 @pytest.mark.parametrize("alphas", [5.0, [[0.0, 5.0], [10.0, 15.0]]], ids=["scalar", "2-d"])

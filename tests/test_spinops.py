@@ -124,10 +124,12 @@ def test_eigh_values_invariant_under_unitary_conjugation(rng):
     (np.eye(2), "shape (2, 2)"),
     (np.eye(3)[None].repeat(4, 0), "shape (4, 3, 3)"),
     (np.ones(3), "shape (3,)"),
-], ids=["nan", "complex-inf", "too-small", "stacked", "vector"])
+    ("ab", "'ab'"),
+    ([[1, 2], [3]], "[[1, 2], [3]]"),
+], ids=["nan", "complex-inf", "too-small", "stacked", "vector", "text", "ragged"])
 def test_eigh_refuses_a_degeneracy_operator_that_is_not_a_finite_square_matrix(dop, got):
-    """A NaN gave NaN eigenvectors without a word, and a wrong shape
-    NumPy's matmul error."""
+    """A NaN gave NaN eigenvectors without a word, a wrong shape NumPy's
+    matmul error, and text or a ragged list NumPy's conversion error."""
     h = np.zeros((4, 3, 3))  # every cluster degenerate: the operator would be used
     with pytest.raises(ValueError, match=r"^degeneracy_operator must be a finite \(3, 3\) "
                                          rf"matrix, got {re.escape(got)}$"):
