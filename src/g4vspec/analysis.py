@@ -398,9 +398,15 @@ def _check_init(init, names, complete):
 
 def _xy(trace, index):
     """A trace's grid and signal as float arrays; a TraceError naming the
-    trace's position unless they have one length."""
+    trace's position unless it has them, 1-D and of one length."""
+    if not (hasattr(trace, "freq_mhz") and hasattr(trace, "signal")):
+        raise TraceError(index, f"trace {index}: expected a trace with freq_mhz and signal, got "
+                                f"{type(trace).__name__}")
     x = np.asarray(trace.freq_mhz, dtype=float)
     y = np.asarray(trace.signal, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise TraceError(index, f"trace {index}: freq_mhz and signal must be 1-D, got shapes "
+                                f"{x.shape} and {y.shape}")
     if x.shape != y.shape:
         raise TraceError(index, f"trace {index}: freq_mhz has {x.size} values but signal has "
                                 f"{y.size}")

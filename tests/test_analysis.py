@@ -877,6 +877,33 @@ def test_fits_name_a_trace_whose_grid_and_signal_lengths_differ(fit):
         fit(_mismatched(grid))
 
 
+@pytest.mark.parametrize("fit", [
+    lambda traces: fit_lorentzians(traces, "single"),
+    lambda traces: fit_lorentzians(traces, "triplet211"),
+    fit_gaussian,
+    lambda traces: fit_full_model(traces, ("fwhm",), registry_lookup("117Sn")),
+], ids=["single", "triplet", "gaussian", "full"])
+def test_fits_name_a_trace_that_is_not_a_1d_trace(fit):
+    """A dict, a number or a path raised AttributeError; a 2-D trace met
+    NumPy's "kth out of bounds" in a peak fit, "expected a 1-D array" in
+    the full model."""
+    grid = np.arange(-100.0, 100.0, 2.0)
+    good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    square = SpectrumTrace(np.tile(grid, (100, 1)), np.tile(good.signal, (100, 1)))
+    for bad, message in [
+            ({"freq_mhz": grid, "signal": good.signal}, "expected a trace with freq_mhz and "
+                                                        "signal, got dict"),
+            (2, "expected a trace with freq_mhz and signal, got int"),
+            (square, "freq_mhz and signal must be 1-D, got shapes (100, 100) and (100, 100)")]:
+        with pytest.raises(analysis.TraceError) as info:
+            fit([good, bad])
+        assert info.value.index == 1
+        assert str(info.value) == f"trace 1: {message}"
+    with pytest.raises(analysis.TraceError, match="^trace 0: expected a trace with freq_mhz and "
+                                                  "signal, got str$"):
+        fit("trace.csv")
+
+
 @pytest.mark.parametrize("data", [[], ()])
 def test_full_model_fit_of_no_traces_is_refused(data):
     with pytest.raises(ValueError, match="^fit_full_model needs at least one trace$"):
