@@ -399,11 +399,12 @@ def _check_init(init, names, complete):
 def _xy(trace, index):
     """A trace's grid and signal as float arrays; a TraceError naming the
     trace's position unless it has them, 1-D and of one length."""
-    if not (hasattr(trace, "freq_mhz") and hasattr(trace, "signal")):
+    try:
+        x = np.asarray(trace.freq_mhz, dtype=float)
+        y = np.asarray(trace.signal, dtype=float)
+    except AttributeError:  # not a trace
         raise TraceError(index, f"trace {index}: expected a trace with freq_mhz and signal, got "
-                                f"{type(trace).__name__}")
-    x = np.asarray(trace.freq_mhz, dtype=float)
-    y = np.asarray(trace.signal, dtype=float)
+                                f"{type(trace).__name__}") from None
     if x.ndim != 1 or y.ndim != 1:
         raise TraceError(index, f"trace {index}: freq_mhz and signal must be 1-D, got shapes "
                                 f"{x.shape} and {y.shape}")
