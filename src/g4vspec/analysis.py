@@ -25,9 +25,12 @@ than machine epsilon times |p| (without that, a noise-free trace can keep
 shrinking a residual of 1e-150 until the cap), or after MAX_ITERATIONS
 (200) iterations.  Only improving steps are ever accepted, a start whose
 residual is not finite is refused, and everything is deterministic for
-identical inputs.  A fit needs more data points than free parameters.  A
-full-model fit solves all rows of a field map as one stack per manifold, in
-the real frame, and reuses row tables and reference lines within the fit.
+identical inputs.  A fit needs more data points than free parameters,
+counted before anything is solved.  One builder, `_map_model`, holds the
+full model of a field map, its signal and analytic Jacobian: it solves all
+rows as one stack per manifold, in the real frame, and reuses row tables
+and reference lines within the fit.  `fit_full_model` is its input checks,
+that builder and `_fit`.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
