@@ -279,9 +279,8 @@ def validate_fit_report(doc: dict) -> dict:
 # CSV formats
 
 def _increasing_grid(path, freqs, linenos) -> np.ndarray:
-    """freqs as an array; raises at the first file line whose frequency
-    does not exceed the one before it."""
-    freqs = np.asarray(freqs)
+    """freqs, an array; raises at the first file line whose frequency does
+    not exceed the one before it."""
     bad = np.nonzero(np.diff(freqs) <= 0)[0]
     if bad.size:
         raise ValueError(
@@ -292,37 +291,38 @@ def _increasing_grid(path, freqs, linenos) -> np.ndarray:
 
 def _read_rows(path, header):
     """Data rows of a CSV whose line 1 is `header`, as (file line numbers,
-    one list of floats per column).  Blank lines are skipped; every other
+    one float64 array per column).  Blank lines are skipped; every other
     line must hold one finite number per header column."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header '{header}'")
-    ncols = header.count(",") + 1
-    linenos, body = range(2, len(lines) + 1), lines[1:]
-    if not all(map(str.strip, body)):
-        kept = [(n, raw) for n, raw in zip(linenos, body) if raw.strip()]
-        linenos, body = [n for n, _ in kept], [raw for _, raw in kept]
-    if not body:
-        return linenos, [[] for _ in range(ncols)]
-    # One parse of the whole body: a per-row loop costs 1.5-3x as much.
-    if set(map(str.count, body, itertools.repeat(","))) == {ncols - 1}:
+    ncols, body = header.count(",") + 1, lines[1:]
+    # One C parse.  It rounds as `float` does; blank lines, '_' and non-ASCII digits
+    # fail it or the shape check, but it strips \x1f, which `float` refuses.
+    if body and body[-1] and "\x1f" not in text:
         with contextlib.suppress(ValueError):
-            values = list(map(float, ",".join(body).split(",")))
-            if all(map(math.isfinite, values)):
-                return linenos, [values[k::ncols] for k in range(ncols)]
-    # Bad input: name the first bad line, checking its field count, then
-    # its numbers, then their finiteness.
-    for lineno, raw in zip(linenos, body):
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if table.shape == (len(body), ncols) and np.isfinite(table).all():
+                return range(2, len(lines) + 1), table.T.copy()
+    # Any other file: parse line by line, naming the first bad line by its
+    # field count, then its numbers, then their finiteness.
+    linenos, rows = [], []
+    for lineno, raw in enumerate(body, start=2):
+        if not raw.strip():
+            continue
         cells = raw.split(",")
         if len(cells) != ncols:
             raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(cells)}")
         try:
-            row = [float(c) for c in cells]
+            rows.append([float(c) for c in cells])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
-        if not all(map(math.isfinite, row)):
+        if not all(map(math.isfinite, rows[-1])):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
+        linenos.append(lineno)
+    return linenos, np.array(rows, dtype=float).reshape(-1, ncols).T.copy()
 
 
 def _write_csv(path, columns, blocks, formats=None) -> None:
@@ -364,7 +364,7 @@ def ingest_csv(path) -> MeasuredTrace:
         raise ValueError(f"{path}: need at least 3 data rows, got {len(freqs)}")
     stem = os.path.splitext(os.path.basename(path))[0]
     return MeasuredTrace(freq_mhz=_increasing_grid(path, freqs, linenos),
-                         signal=np.asarray(signal), source=path, emitter_id=stem)
+                         signal=signal, source=path, emitter_id=stem)
 
 
 def write_spectrum_csv(path, trace) -> None:
@@ -386,12 +386,12 @@ def read_map_csv(path) -> list:
     """
     path = os.fspath(path)
     linenos, (fields, freqs, signal) = _read_rows(path, "b_tesla,freq_mhz,intensity")
-    if not fields:
+    if not fields.size:
         raise ValueError(f"{path}: no data rows")
     traces = []
     block_end = {}  # field value -> last line of its block
     j = 0
-    for b, block in itertools.groupby(fields):
+    for b, block in itertools.groupby(fields.tolist()):
         k, j = j, j + len(list(block))
         if b in block_end:
             raise ValueError(
