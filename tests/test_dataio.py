@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
+import itertools
 import json
+import math
 import re
 import warnings
 from importlib import resources
@@ -6,12 +10,14 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g4vspec import dataio
 from g4vspec.hamiltonian import registry_lookup
 from g4vspec.spectrum import synth_spectrum, transitions
+
+from conftest import _bits
 
 
 # --- formatting and grids ---
@@ -347,6 +353,137 @@ def test_map_csv_non_finite_rejected(tmp_path, row):
     with pytest.raises(ValueError) as info:
         dataio.read_map_csv(p)
     assert str(info.value) == f"{p}: line 3: non-finite value"
+
+
+def _joined_read_rows(path, header):
+    """The spectrum and map row reader before the C parse, as an oracle: one
+    join, split and map(float) over the body, and a per-line pass that names
+    the first bad line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}: expected header '{header}'")
+    ncols = header.count(",") + 1
+    linenos, body = range(2, len(lines) + 1), lines[1:]
+    if not all(map(str.strip, body)):
+        kept = [(n, raw) for n, raw in zip(linenos, body) if raw.strip()]
+        linenos, body = [n for n, _ in kept], [raw for _, raw in kept]
+    if not body:
+        return linenos, [[] for _ in range(ncols)]
+    if set(map(str.count, body, itertools.repeat(","))) == {ncols - 1}:
+        with contextlib.suppress(ValueError):
+            values = list(map(float, ",".join(body).split(",")))
+            if all(map(math.isfinite, values)):
+                return linenos, [values[k::ncols] for k in range(ncols)]
+    for lineno, raw in zip(linenos, body):
+        cells = raw.split(",")
+        if len(cells) != ncols:
+            raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(cells)}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value in {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+
+
+def _read_outcome(read, path, header):
+    """(line numbers, (dtype, shape, bytes) of each column as float64), or
+    the message of the ValueError raised."""
+    try:
+        linenos, columns = read(path, header)
+    except ValueError as exc:
+        return str(exc)
+    return list(linenos), [_bits(np.asarray(c, dtype=np.float64)) for c in columns]
+
+
+# Cells and lines that either reader may refuse, or that only `float` accepts.
+_ODD_CELLS = st.sampled_from(["1_000", "\u0661\u0662", "nan", "-inf", "inf", "1e400", "", "abc",
+                              "0x10", "+.5", "-0", "1e-400", "1d0", "1,5"])
+_PADS = st.sampled_from(["", "", " ", "\t", "  ", "\x1f", "\xa0", "\u3000"])
+_ODD_LINES = st.sampled_from(["", " ", "\t", "\x1f", "\xa0 ", ","])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+
+
+@st.composite
+def _csv_files(draw):
+    """(header, text) of a spectrum or map CSV.  Half the files are plain:
+    finite numbers written by repr, %.9g or %.17e, LF line breaks.  The
+    others mix in padded or odd cells, blank and whitespace-only lines,
+    wrong field counts, trailing commas, and CRLF, CR and \\x0c breaks."""
+    header = draw(st.sampled_from(["freq_mhz,intensity", "b_tesla,freq_mhz,intensity"]))
+    ncols = header.count(",") + 1
+    odd = draw(st.booleans())
+
+    def cell():
+        if odd and draw(st.integers(0, 3)) == 0:
+            text = draw(_ODD_CELLS)
+        else:
+            x = draw(st.floats(allow_nan=False, allow_infinity=False))
+            text = draw(st.sampled_from([repr, "%.9g".__mod__, "%.17e".__mod__]))(x)
+        return draw(_PADS) + text + draw(_PADS) if odd else text
+
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 12)) if odd else 12
+        if kind == 0:
+            lines.append(draw(_ODD_LINES))
+        else:
+            n = ncols + (draw(st.sampled_from([-1, 1])) if kind == 1 else 0)
+            lines.append(",".join(cell() for _ in range(n)) + ("," if kind == 2 else ""))
+    breaks = [draw(_BREAKS) if odd else "\n" for _ in lines]
+    if odd and draw(st.booleans()):
+        breaks[-1] = ""
+    return header, "".join(map(str.__add__, lines, breaks))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv=_csv_files())
+def test_read_rows_gives_the_joined_parse_bit_for_bit(tmp_path, csv):
+    header, text = csv
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(_joined_read_rows, str(path), header)
+    got = _read_outcome(dataio._read_rows, str(path), header)
+    assert got == want
+    if not isinstance(got, str):
+        assert len(got[1]) == header.count(",") + 1
+
+
+def test_a_plain_spectrum_or_map_file_is_parsed_without_the_per_line_loop(tmp_path,
+                                                                           monkeypatch):
+    """A workload's spectrum file and a written map file take the C parse
+    alone.  Only the per-line loop calls `float`, which is shadowed here to
+    fail, so a C parse that always fell back would fail this test even
+    though it passes the oracle test above."""
+    emitter = dataclasses.replace(registry_lookup("119Sn"), strain_alpha_ghz=55.0)
+    grid = dataio.parse_grid("-500:1100:4")
+    dataio.synth_dataset(emitter, tmp_path / "d", n_emitters=1, seed=1, noise_sigma=0.05,
+                         fwhm_mhz=35.0, grid=grid, truth_path=tmp_path / "truth.json",
+                         a_ple_scale=1.3409, jitter_aple_mhz=40.0)
+    spectrum = tmp_path / "d" / "emitter_0000.csv"
+    map_path = tmp_path / "map.csv"
+    dataio.write_map_csv(map_path, [
+        dataio.MeasuredTrace(grid, synth_spectrum(transitions(emitter, (0.0, 0.0, b)), 35.0,
+                                                  grid).signal, "", meta={"b_mag_tesla": b})
+        for b in (0.0, 0.05, 0.1)])
+    files = [(str(spectrum), "freq_mhz,intensity"), (str(map_path), "b_tesla,freq_mhz,intensity")]
+    want = [_read_outcome(_joined_read_rows, path, header) for path, header in files]
+
+    def no_loop(cell):
+        raise AssertionError(f"the per-line loop parsed {cell!r}")
+
+    monkeypatch.setattr(dataio, "float", no_loop, raising=False)
+    assert [_read_outcome(dataio._read_rows, path, header) for path, header in files] == want
+    trace = dataio.ingest_csv(spectrum)
+    assert _bits(trace.signal) == want[0][1][1]
+    fields = [t.meta["b_mag_tesla"] for t in dataio.read_map_csv(map_path)]
+    assert fields == [0.0, 0.05, 0.1] and {type(b) for b in fields} == {float}
+    with spectrum.open("a") as fh:  # a trailing blank line sends the file to the loop
+        fh.write("\n")
+    with pytest.raises(AssertionError, match="^the per-line loop parsed"):
+        dataio.ingest_csv(spectrum)
 
 
 def test_values_csv_round_trip(tmp_path):
