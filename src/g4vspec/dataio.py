@@ -289,12 +289,20 @@ def _increasing_grid(path, freqs, linenos) -> np.ndarray:
     return freqs
 
 
+def _read_text(path) -> str:
+    """A CSV file's text; a ValueError naming the file unless it is UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_rows(path, header):
     """Data rows of a CSV whose line 1 is `header`, as (file line numbers,
     one float64 array per column).  Blank lines are skipped; every other
     line must hold one finite number per header column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header '{header}'")
@@ -428,8 +436,8 @@ def read_values_csv(path, column: str | None = None) -> np.ndarray:
     column names, refused if it holds only numbers; picks `column` by header
     name when given, else the only column.  Blank lines are skipped."""
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    lines = _read_text(path).splitlines()
+    lines = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     lineno, raw = lines[0]

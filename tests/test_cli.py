@@ -545,6 +545,42 @@ def test_values_with_non_finite_entry_name_file_and_line(tmp_path, capsys, value
     assert not stats_out.exists()
 
 
+def _add_a_byte_that_is_not_utf8(path):
+    """Puts a 0xff byte at the start of the file's second line; returns the
+    UTF-8 decoder's message for the result."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    data = head + b"\n\xff" + rest
+    path.write_bytes(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", ["fit --batch", "fit --map", "stats --values"])
+def test_a_csv_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    if command == "fit --batch":
+        grid = np.arange(-100.0, 100.0, 2.0)
+        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+        for path in paths:
+            dataio.write_spectrum_csv(path, dataio.MeasuredTrace(
+                grid, lorentz_peak(grid, 0.0, 20.0), ""))
+        bad = paths[1]
+        argv = ["fit", "--batch", str(tmp_path / "*.csv"), "--model", "triplet"]
+    elif command == "fit --map":
+        bad = _small_map(tmp_path)
+        argv = ["fit", "--map", str(bad), "--model", "full", "--emitter", "117Sn"]
+    else:
+        bad = tmp_path / "v.csv"
+        dataio.write_values_csv(bad, [1.0, 2.0, 3.0])
+        argv = ["stats", "--values", str(bad)]
+    message = _add_a_byte_that_is_not_utf8(bad)
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, column, want", [
     ("a,b\n1,2,3\n", "b", "line 2: expected 2 fields, got 3"),
     ("a,b\n1,2\n3\n", "b", "line 3: expected 2 fields, got 1"),
