@@ -401,13 +401,16 @@ def _check_init(init, names, complete):
 
 def _xy(trace, index):
     """A trace's grid and signal as float arrays; a TraceError naming the
-    trace's position unless it has them, 1-D and of one length."""
+    trace's position unless it has them, real, 1-D and of one length."""
     try:
-        x = np.asarray(trace.freq_mhz, dtype=float)
-        y = np.asarray(trace.signal, dtype=float)
+        x, y = np.asarray(trace.freq_mhz), np.asarray(trace.signal)
     except AttributeError:  # not a trace
         raise TraceError(index, f"trace {index}: expected a trace with freq_mhz and signal, got "
                                 f"{type(trace).__name__}") from None
+    if x.dtype.kind in "cSU" or y.dtype.kind in "cSU":  # complex or text
+        raise TraceError(index, f"trace {index}: freq_mhz and signal must be real numbers, got "
+                                f"{x.dtype} and {y.dtype}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise TraceError(index, f"trace {index}: freq_mhz and signal must be 1-D, got shapes "
                                 f"{x.shape} and {y.shape}")

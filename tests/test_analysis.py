@@ -904,6 +904,30 @@ def test_fits_name_a_trace_that_is_not_a_1d_trace(fit):
         fit("trace.csv")
 
 
+@pytest.mark.parametrize("fit", [
+    lambda traces: fit_lorentzians(traces, "single"),
+    lambda traces: fit_lorentzians(traces, "triplet211"),
+    fit_gaussian,
+    lambda traces: fit_full_model(traces, ("fwhm",), registry_lookup("117Sn")),
+], ids=["single", "triplet", "gaussian", "full"])
+def test_fits_name_a_trace_that_is_not_real(fit):
+    """Text ended in NumPy's "could not convert string to float", bare from
+    the full model; a complex signal was fitted on its real part, with only a
+    ComplexWarning (an error in this suite)."""
+    grid = np.arange(-100.0, 100.0, 2.0)
+    good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
+    for bad, dtypes in [(SpectrumTrace(grid, ["a"] * grid.size), "float64 and <U1"),
+                        (SpectrumTrace(grid.astype(str), good.signal), "<U32 and float64"),
+                        (SpectrumTrace(grid, good.signal * (1 + 1j)), "float64 and complex128")]:
+        with pytest.raises(analysis.TraceError) as info:
+            fit([good, bad])
+        assert info.value.index == 1
+        assert str(info.value) == f"trace 1: freq_mhz and signal must be real numbers, got {dtypes}"
+    with pytest.raises(analysis.TraceError, match="^trace 0: freq_mhz and signal must be real "
+                                                  "numbers, got float64 and <U1$"):
+        fit(SpectrumTrace(grid, ["a"] * grid.size))
+
+
 @pytest.mark.parametrize("data", [[], ()])
 def test_full_model_fit_of_no_traces_is_refused(data):
     with pytest.raises(ValueError, match="^fit_full_model needs at least one trace$"):
