@@ -2,17 +2,18 @@
 seeded synthetic-data generator.
 
 Each format is defined once.  `_read_rows` reads the spectrum and map
-CSVs (header, blank lines, field count, finite numbers); `read_values_csv`
-picks one column of a ragged CSV.  `_write_csv` writes every CSV, at 9
-significant digits with '.' decimal separator and LF line endings, so
-repeated runs diff clean; it formats a whole file with one `%` call over
-one template.  `_MANIFOLD_KEYS` and `_TOP_KEYS` map
-emitter-file keys to `EmitterModel` fields both ways.  File writes are
-whole-file atomic (temp file + rename).  Emitter files are checked
-against their packaged JSON schema when read; fit reports are built to
-match theirs, and `validate_fit_report` checks reports from elsewhere.
-Each validator is compiled once, on first use, so importing this module
-does not import jsonschema.
+CSVs (header, blank lines, field count, finite numbers) in one NumPy C
+parse, or line by line if that parse refuses the file; `read_values_csv`
+picks one column of a ragged CSV.  Both name a file that is not UTF-8.
+`_write_csv` writes every CSV, at 9 significant digits with '.' decimal
+separator and LF line endings, so repeated runs diff clean; it formats a
+whole file with one `%` call over one template.  `_MANIFOLD_KEYS` and
+`_TOP_KEYS` map emitter-file keys to `EmitterModel` fields both ways.
+File writes are whole-file atomic (temp file + rename).  Emitter files
+are checked against their packaged JSON schema when read; fit reports
+are built to match theirs, and `validate_fit_report` checks reports from
+elsewhere.  Each validator is compiled once, on first use, so importing
+this module does not import jsonschema.
 """
 import contextlib
 import dataclasses
