@@ -407,10 +407,13 @@ def _xy(trace, index):
     except AttributeError:  # not a trace
         raise TraceError(index, f"trace {index}: expected a trace with freq_mhz and signal, got "
                                 f"{type(trace).__name__}") from None
-    if x.dtype.kind in "cSU" or y.dtype.kind in "cSU":  # complex or text
+    try:
+        if x.dtype.kind in "cSU" or y.dtype.kind in "cSU":  # complex or text
+            raise TypeError
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    except (TypeError, ValueError):  # or an object array holding either
         raise TraceError(index, f"trace {index}: freq_mhz and signal must be real numbers, got "
-                                f"{x.dtype} and {y.dtype}")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+                                f"{x.dtype} and {y.dtype}") from None
     if x.ndim != 1 or y.ndim != 1:
         raise TraceError(index, f"trace {index}: freq_mhz and signal must be 1-D, got shapes "
                                 f"{x.shape} and {y.shape}")

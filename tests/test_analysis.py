@@ -913,12 +913,17 @@ def test_fits_name_a_trace_that_is_not_a_1d_trace(fit):
 def test_fits_name_a_trace_that_is_not_real(fit):
     """Text ended in NumPy's "could not convert string to float", bare from
     the full model; a complex signal was fitted on its real part, with only a
-    ComplexWarning (an error in this suite)."""
+    ComplexWarning (an error in this suite), and an object array of complex
+    numbers raised float()'s TypeError."""
     grid = np.arange(-100.0, 100.0, 2.0)
     good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
     for bad, dtypes in [(SpectrumTrace(grid, ["a"] * grid.size), "float64 and <U1"),
                         (SpectrumTrace(grid.astype(str), good.signal), "<U32 and float64"),
-                        (SpectrumTrace(grid, good.signal * (1 + 1j)), "float64 and complex128")]:
+                        (SpectrumTrace(grid, good.signal * (1 + 1j)), "float64 and complex128"),
+                        (SpectrumTrace(grid, np.array(["a"] * grid.size, dtype=object)),
+                         "float64 and object"),
+                        (SpectrumTrace(grid, (good.signal * 1j).astype(object)),
+                         "float64 and object")]:
         with pytest.raises(analysis.TraceError) as info:
             fit([good, bad])
         assert info.value.index == 1
