@@ -27,9 +27,11 @@ elementwise expression, broadcast over a leading axis.
 Dtype rule: the public builders return complex128.  In the product basis
 every operator is real except sy_orb, S_y and I_y, which enter only
 through beta and B_y.  A point with B_y = 0 and beta = 0 is therefore a
-real symmetric matrix, and the solver builds it with `_build_real`: the
-same terms in the same order from float64 copies of the real operators,
-which equal the real part of build_hamiltonian bit for bit.
+real symmetric matrix.  `_build_stack`, the solver's builder, is the one
+place that applies this rule: when every point of a stack is real it
+builds the same terms in the same order from float64 copies of the real
+operators, which equal the real part of build_hamiltonian bit for bit;
+otherwise it returns build_hamiltonian's complex128.
 """
 import dataclasses
 import math
@@ -267,8 +269,8 @@ def _soc(params, ops):
 def _strain(alpha_ghz, beta_ghz, ops):
     alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
     beta_ghz = _per_point("strain beta_ghz", beta_ghz)
-    if ops.strain_y is None:
-        return -alpha_ghz * GHZ * ops.strain_x
+    if ops.strain_y is None:  # beta is 0 at every point; a stack of them sets the shape
+        return -alpha_ghz * GHZ * ops.strain_x - 0.0 * beta_ghz
     return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
 
 
@@ -380,11 +382,14 @@ def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     return _build(emitter, manifold, b, alpha_ghz, beta_ghz, _operators(emitter.nuclear_spin))
 
 
-def _build_real(emitter: EmitterModel, manifold: str, b, alpha_ghz) -> np.ndarray:
-    """build_hamiltonian at points with B_y = 0 and beta = 0, in float64.
-
-    The caller guarantees both zeros: B_y and beta are not read."""
-    return _build(emitter, manifold, b, alpha_ghz, 0.0, _real_operators(emitter.nuclear_spin))
+def _build_stack(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz) -> np.ndarray:
+    """build_hamiltonian in float64, its real part bit for bit, when every
+    point is real (B_y = 0 and beta = 0); otherwise its complex128."""
+    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
+    if ((_fields(b)[..., 1] == 0.0)
+            & (_no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)).all():
+        return _build(emitter, manifold, b, alpha_ghz, beta, _real_operators(emitter.nuclear_spin))
+    return build_hamiltonian(emitter, manifold, b, alpha_ghz, beta_ghz)
 
 
 def a_parallel(params: ManifoldParams) -> float:

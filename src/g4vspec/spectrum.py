@@ -16,20 +16,21 @@ fields and/or strains.  Tables along a field axis (`sweep_field`, the rows
 of a field-map fit) solve each manifold and the coupling-free reference
 once for the stack; a caller that already holds the reference lines (a
 fit, which keeps them per coupling-free emitter) passes them in.  Every
-number is bit-identical to a one-point solve.  `_solve_transitions`
-returns a stack's tables, one per point, and both manifolds' eigensystems
-as the stack they were solved as; `_line_slopes` takes that pair as it is
-and gives the first-order change of the lines along a change of the
-Hamiltonian without solving again.
+number of a stack of one kind is bit-identical to a one-point solve.
+`_solve_transitions` returns a stack's tables, one per point, and both
+manifolds' eigensystems as the stack they were solved as; `_line_slopes`
+takes that pair as it is and gives the first-order change of the lines
+along a change of the Hamiltonian without solving again.
 
 Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
 Hamiltonian is real in the product basis (see `hamiltonian`).
-`solve_manifold` returns a stack in its own dtype: float64 when every point
-is real, complex128 otherwise.  A stack that mixes both kinds (only a
-caller's own) is solved one kind at a time, so that each point keeps its
-one-point bits, and comes back in complex128, the real points cast exactly.
-The tables, J^2 labels, reference lines and line slopes of a stack keep its
-dtype; `_like` gives J^2 or a dH in the dtype of the vectors.
+`solve_manifold` solves a stack in the dtype `hamiltonian._build_stack`
+builds it in: float64 when every point is real, complex128 otherwise.  A
+stack that mixes both kinds (only a caller's own) is complex128 throughout,
+so its real points keep their one-point tables only to eigensolver
+rounding, not bit for bit.  The tables, J^2 labels, reference lines and
+line slopes of a stack keep its dtype; `_like` gives J^2 or a dH in the
+dtype of the vectors.
 `sweep_field` and the rows of a field-map fit are solved in the real frame
 (`_real_frame`), which changes no spectrum, so each stack they solve is of
 one kind, float64 exactly when beta = 0.  One-point `transitions` solves at
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_real, _fields, _no_overflow, _per_point, a_parallel,
-                          a_perp, build_hamiltonian, jsq_operator)
+from .hamiltonian import (EmitterModel, _build_stack, _fields, _no_overflow, _per_point, a_parallel,
+                          a_perp, jsq_operator)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
 __all__ = [
@@ -130,14 +131,6 @@ def dipole_operator(i) -> np.ndarray:
     return np.eye(4 * spin_matrices(i).dim, dtype=complex)
 
 
-def _real_points(emitter: EmitterModel, b, beta_ghz) -> np.ndarray:
-    """Whether each point of one field (3,) or a stack (n, 3) is real, B_y = 0
-    and beta = 0; a field of another shape, a ragged stack too, is refused."""
-    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    return (_fields(b)[..., 1] == 0.0) & (
-        _no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)
-
-
 def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The operator op (J^2, or a dH real wherever a is) in the dtype of the
     array a: the float64 real part where a is float64, else op itself."""
@@ -149,27 +142,10 @@ def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     """Diagonalize one manifold with the degenerate-subspace basis pinned
     by the total angular momentum J^2 (reproducible <J^2> labels).
 
-    An (n, 3) field and/or n strains are solved as one stack, in one `eigh`:
-    in float64 when every point is real (B_y = 0 and beta = 0), else in
-    complex128.  A stack that mixes both kinds is solved one kind at a time
-    and comes back in complex128, its real points cast exactly."""
-    real = _real_points(emitter, b, beta_ghz)
-    if real.all():
-        h = _build_real(emitter, manifold, b, alpha_ghz)
-    elif not real.any():
-        h = build_hamiltonian(emitter, manifold, b, alpha_ghz=alpha_ghz, beta_ghz=beta_ghz)
-    else:
-        values = np.empty((real.size, emitter.dim))
-        vectors = np.empty((real.size, emitter.dim, emitter.dim), dtype=complex)
-
-        def cut(x, ndim):  # a per-point input at rows; one that all points share as it is
-            return np.asarray(x, dtype=float)[rows] if np.ndim(x) > ndim else x
-
-        for kind in (True, False):
-            rows = np.flatnonzero(real == kind)
-            es = solve_manifold(emitter, manifold, cut(b, 1), cut(alpha_ghz, 0), cut(beta_ghz, 0))
-            values[rows], vectors[rows] = es.values, es.vectors
-        return EigenSystem(values, vectors)
+    An (n, 3) field and/or n strains are solved as one stack, in one `eigh`,
+    in the dtype `hamiltonian._build_stack` gives it: float64 when every
+    point is real (B_y = 0 and beta = 0), else complex128."""
+    h = _build_stack(emitter, manifold, b, alpha_ghz, beta_ghz)
     return eigh(h, degeneracy_operator=_like(jsq_operator(emitter.nuclear_spin), h))
 
 

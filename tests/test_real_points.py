@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from g4vspec import analysis, spectrum
-from g4vspec.hamiltonian import (_IMAGINARY, _build_real, _operators, _real_operators,
+from g4vspec.hamiltonian import (_IMAGINARY, _build_stack, _operators, _real_operators,
                                  build_hamiltonian, jsq_operator, registry_labels,
                                  registry_lookup)
 from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _solve_transitions,
@@ -60,13 +60,30 @@ def test_real_operators_are_read_only_float64_copies_of_the_real_ones(i):
 
 @pytest.mark.parametrize("label", registry_labels())
 def test_real_build_is_the_real_part_of_the_complex_build_bit_for_bit(label):
+    """`_build_stack` is float64 exactly when every point is real, and then
+    the real part of `build_hamiltonian` bit for bit; otherwise it is
+    `build_hamiltonian` itself, also when a single row of a field stack has
+    B_y != 0 or a single beta of a beta stack is not 0."""
     e = registry_lookup(label, strain_alpha_ghz=12.5)
+    n = len(REAL_FIELDS)
+    off_row = REAL_FIELDS.copy()
+    off_row[2, 1] = 0.01
+    one_beta = np.zeros(n)
+    one_beta[1] = 1.5
     for manifold in ("gnd", "exc"):
-        for alpha in (None, 40.0, np.linspace(0.0, 60.0, len(REAL_FIELDS))):
-            h = build_hamiltonian(e, manifold, REAL_FIELDS, alpha, 0.0)
-            real = _build_real(e, manifold, REAL_FIELDS, alpha)
-            assert real.dtype == np.float64 and not h.imag.any()
-            assert _bits(real) == _bits(np.ascontiguousarray(h.real))
+        for alpha in (None, 40.0, np.linspace(0.0, 60.0, n)):
+            for b, beta, real in ((REAL_FIELDS, 0.0, True), (REAL_FIELDS[2], 0.0, True),
+                                  (REAL_FIELDS, None, True), (REAL_FIELDS[1], np.zeros(n), True),
+                                  (REAL_FIELDS, np.zeros(n), True), (off_row, 0.0, False),
+                                  (REAL_FIELDS[3], one_beta, False), (REAL_FIELDS, 2.0, False)):
+                h = build_hamiltonian(e, manifold, b, alpha, beta)
+                built = _build_stack(e, manifold, b, alpha, beta)
+                if real:
+                    assert built.dtype == np.float64 and not h.imag.any()
+                    assert _bits(built) == _bits(np.ascontiguousarray(h.real))
+                else:
+                    assert built.dtype == np.complex128 and h.imag.any()
+                    assert _bits(built) == _bits(h)
 
 
 def _eigenvalue_bound(h):
@@ -155,36 +172,58 @@ def test_real_tables_match_the_complex_oracle(label):
                 assert _bits(on_lines) == _bits(got[index])
 
 
+def _complex_solve(e, manifold, b, alpha, beta):
+    """The one-point complex128 solve: `eigh` of `build_hamiltonian`, J^2-pinned."""
+    return eigh(build_hamiltonian(e, manifold, b, alpha, beta),
+                degeneracy_operator=jsq_operator(e.nuclear_spin))
+
+
 @pytest.mark.parametrize("label", ["73Ge", "117Sn", "29Si", "120Sn"])
 def test_a_mixed_stack_gives_each_row_its_one_point_table(label):
+    """A stack that mixes real and complex points is solved in complex128
+    throughout: each slice is the one-point complex solve bit for bit, so
+    its complex rows keep their one-point tables bit for bit and its real
+    rows match their float64 one-point tables within the bounds of
+    `test_real_tables_match_the_complex_oracle`, line for merged line."""
     e = registry_lookup(label, strain_alpha_ghz=20.0)
+    n_low = e.dim // 2
     fields = [(0.0, 0.0, 0.0), (0.02, 0.01, 0.05), (0.05, 0.0, 0.08), (0.0, -0.03, 0.0),
               (0.0, 0.0, 0.1), (0.01, 0.0, 0.0)]
     tables, (es_g, es_e) = _solve_transitions(e, fields, None, 0.0)
+    assert es_g.vectors.dtype == es_e.vectors.dtype == np.complex128
     for b, table in zip(fields, tables):
         one = transitions(e, b, beta_ghz=0.0)
-        for name in ("freq_mhz", "intensity", "gnd_index", "exc_index", "jsq_gnd", "jsq_exc"):
-            assert _bits(getattr(table, name)) == _bits(getattr(one, name))
+        if b[1] != 0.0:
+            for name in ("freq_mhz", "intensity", "gnd_index", "exc_index", "jsq_gnd",
+                         "jsq_exc"):
+                assert _bits(getattr(table, name)) == _bits(getattr(one, name))
+        else:
+            assert one.freq_mhz.dtype == np.float64
+            _, _, freq_bound, vec_bound = _oracle_lines(e, b, None)
+            (got_freq, got_inten), (freq, inten) = merge_lines(table), merge_lines(one)
+            assert got_freq.shape == freq.shape
+            assert np.abs(got_freq - freq).max() <= freq_bound
+            assert np.abs(got_inten - inten).max() <= 4.0 * vec_bound / n_low
         assert table.meta == one.meta
     for k, b in enumerate(fields):
         for manifold, es in (("gnd", es_g), ("exc", es_e)):
-            alone = solve_manifold(e, manifold, b, None, 0.0)
+            alone = _complex_solve(e, manifold, b, None, 0.0)
             assert _bits(es.values[k]) == _bits(alone.values)
-            assert np.array_equal(es.vectors[k], alone.vectors)
+            assert _bits(es.vectors[k]) == _bits(alone.vectors)
     stacked = solve_manifold(e, "exc", fields, None, 0.0)
     assert stacked.vectors.dtype == np.complex128
     for k, b in enumerate(fields):
-        alone = solve_manifold(e, "exc", b, None, 0.0)
+        alone = _complex_solve(e, "exc", b, None, 0.0)
         assert _bits(stacked.values[k]) == _bits(alone.values)
-        assert _bits(stacked.vectors[k]) == _bits(alone.vectors.astype(complex))
+        assert _bits(stacked.vectors[k]) == _bits(alone.vectors)
 
 
 @pytest.mark.parametrize("label", ["73Ge", "117Sn", "29Si"])
 def test_solve_manifold_returns_the_dtype_of_its_stack(label):
-    """float64 for a stack of real points, complex128 for a stack of
-    complex ones and for one that mixes both kinds, by field or by beta; in
-    a mixed stack each real slice is the exact complex cast of its one-point
-    float64 solve."""
+    """float64 for a stack of real points, a stack of zero betas among
+    them, complex128 for a stack of complex ones and for one that mixes
+    both kinds, by field or by beta; each slice of a mixed stack is the
+    one-point complex solve bit for bit."""
     e = registry_lookup(label, strain_alpha_ghz=20.0)
     real = [(0.0, 0.0, 0.0), (0.05, 0.0, 0.08), (0.01, 0.0, 0.0)]
     off_plane = [(0.02, 0.01, 0.05), (0.0, -0.03, 0.0)]
@@ -195,6 +234,8 @@ def test_solve_manifold_returns_the_dtype_of_its_stack(label):
                                (mixed, 0.0, np.complex128)):
             es = solve_manifold(e, manifold, b, None, beta)
             assert es.values.dtype == np.float64 and es.vectors.dtype == dtype
+        zeros = solve_manifold(e, manifold, real[1], None, [0.0, 0.0])
+        assert zeros.vectors.dtype == np.float64 and zeros.values.shape == (2, e.dim)
         betas = [0.0, 1.5, 0.0]
         stacks = ((solve_manifold(e, manifold, mixed, None, 0.0), [(b, 0.0) for b in mixed]),
                   (solve_manifold(e, manifold, real[1], None, betas),
@@ -204,8 +245,9 @@ def test_solve_manifold_returns_the_dtype_of_its_stack(label):
                 one = solve_manifold(e, manifold, b, None, beta)
                 is_real = b[1] == 0.0 and beta == 0.0
                 assert one.vectors.dtype == (np.float64 if is_real else np.complex128)
-                assert _bits(es.values[k]) == _bits(one.values)
-                assert _bits(es.vectors[k]) == _bits(one.vectors.astype(complex))
+                alone = _complex_solve(e, manifold, b, None, beta)
+                assert _bits(es.values[k]) == _bits(alone.values)
+                assert _bits(es.vectors[k]) == _bits(alone.vectors)
 
 
 def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
