@@ -361,12 +361,21 @@ def _build(emitter, manifold, b, alpha_ghz, beta_ghz, ops):
     params = emitter.manifold(manifold)
     alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    h = _soc(params, ops)
-    h = h + _strain(alpha, beta, ops)
-    h = h + _zeeman(emitter, manifold, b, ops)
-    h = h + _hyperfine(params, ops)
-    h = h + _quadrupole(params, ops)
-    h = h + _ioc(params, ops)
+    with np.errstate(over="ignore", invalid="ignore"):  # a term beyond the float range
+        h = _soc(params, ops)                           # is refused just below
+        h = h + _strain(alpha, beta, ops)
+        h = h + _zeeman(emitter, manifold, b, ops)
+        h = h + _hyperfine(params, ops)
+        h = h + _quadrupole(params, ops)
+        h = h + _ioc(params, ops)
+    if not np.isfinite(h).all():
+        k = int(np.argmin(np.isfinite(h).all(axis=(-2, -1))))  # the first such point
+        b, alpha, beta = (x[k] if x.ndim > nd else x for x, nd in (
+            (_fields(b), 1), (np.asarray(alpha, float), 0), (np.asarray(beta, float), 0)))
+        where = f"point {k} of the stack, " if h.ndim == 3 and len(h) > 1 else ""
+        raise ValueError(f"{manifold}: the Hamiltonian is not finite at {where}B = "
+                         f"{tuple(b.tolist())} T, alpha = {alpha} GHz, beta = {beta} GHz: a term "
+                         "overflows the float range")
     return h
 
 

@@ -553,6 +553,33 @@ def test_an_integer_beyond_the_float_range_is_refused_by_name(build, name):
     assert str(info.value) == f"{name} is an integer too large for a float"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: transitions(registry_lookup("117Sn"), (0, 0, 1e308)),
+     "gnd: the Hamiltonian is not finite at B = (0.0, 0.0, 1e+308) T, alpha = 0.0 GHz, "
+     "beta = 0.0 GHz"),
+    (lambda: transitions(registry_lookup("117Sn"), alpha_ghz=1e306),
+     "gnd: the Hamiltonian is not finite at B = (0.0, 0.0, 0.0) T, alpha = 1e+306 GHz, "
+     "beta = 0.0 GHz"),
+    (lambda: sweep_strain(registry_lookup("117Sn"), "gnd", [0, 1e306]),
+     "gnd: the Hamiltonian is not finite at point 1 of the stack, B = (0.0, 0.0, 0.0) T, "
+     "alpha = 1e+306 GHz, beta = 0.0 GHz"),
+    (lambda: transitions(registry_lookup("117Sn", lambda_exc_ghz=1e306)),
+     "exc: the Hamiltonian is not finite at B = (0.0, 0.0, 0.0) T, alpha = 0.0 GHz, "
+     "beta = 0.0 GHz"),
+    (lambda: build_hamiltonian(registry_lookup("73Ge"), "exc", [(0, 0, 1), (0, -1e308, 0)],
+                               None, [2.0, 3.0]),
+     "exc: the Hamiltonian is not finite at point 1 of the stack, B = (0.0, -1e+308, 0.0) T, "
+     "alpha = 0.0 GHz, beta = 3.0 GHz"),
+], ids=["transitions-field", "transitions-alpha", "sweep-strain", "registry-lambda",
+        "build-stack"])
+def test_a_hamiltonian_beyond_the_float_range_is_refused_by_manifold_and_point(build, message):
+    """Each input is finite, but a term overflows: this printed NumPy's
+    overflow warnings, then "matrix is not finite" from the eigensolver."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{message}: a term overflows the float range"
+
+
 @pytest.mark.parametrize("build, name, value", [
     (lambda: ManifoldParams(lambda_soc_ghz=None), "lambda_soc_ghz", None),
     (lambda: registry_lookup("117Sn", strain_alpha_ghz="x"), "strain_alpha_ghz", "x"),

@@ -61,7 +61,8 @@ def test_each_stack_slice_equals_its_one_point_solve_bit_for_bit(case):
     for k, (b1, a1) in enumerate(points):
         h1 = build_hamiltonian(e, manifold, b1, a1, beta)
         # the one-point solve in the stack's own dtype
-        one = solve_manifold(e, manifold, b1, a1, beta) if real else eigh(h1, degeneracy_operator=jop)
+        one = (solve_manifold(e, manifold, b1, a1, beta) if real
+               else eigh(h1, degeneracy_operator=jop))
         assert _bits(h[k]) == _bits(h1)
         assert _bits(es.values[k]) == _bits(one.values)
         assert _bits(es.vectors[k]) == _bits(one.vectors)
