@@ -407,6 +407,9 @@ def _xy(trace, index):
     except AttributeError:  # not a trace
         raise TraceError(index, f"trace {index}: expected a trace with freq_mhz and signal, got "
                                 f"{type(trace).__name__}") from None
+    except ValueError:  # a ragged sequence
+        raise TraceError(index, f"trace {index}: freq_mhz and signal must be 1-D, got a ragged "
+                                "sequence") from None
     try:
         if x.dtype.kind in "cSU" or y.dtype.kind in "cSU":  # complex or text
             raise TypeError

@@ -886,7 +886,7 @@ def test_fits_name_a_trace_whose_grid_and_signal_lengths_differ(fit):
 def test_fits_name_a_trace_that_is_not_a_1d_trace(fit):
     """A dict, a number or a path raised AttributeError; a 2-D trace met
     NumPy's "kth out of bounds" in a peak fit, "expected a 1-D array" in
-    the full model."""
+    the full model; a ragged one NumPy's "inhomogeneous shape"."""
     grid = np.arange(-100.0, 100.0, 2.0)
     good = SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0))
     square = SpectrumTrace(np.tile(grid, (100, 1)), np.tile(good.signal, (100, 1)))
@@ -894,7 +894,9 @@ def test_fits_name_a_trace_that_is_not_a_1d_trace(fit):
             ({"freq_mhz": grid, "signal": good.signal}, "expected a trace with freq_mhz and "
                                                         "signal, got dict"),
             (2, "expected a trace with freq_mhz and signal, got int"),
-            (square, "freq_mhz and signal must be 1-D, got shapes (100, 100) and (100, 100)")]:
+            (square, "freq_mhz and signal must be 1-D, got shapes (100, 100) and (100, 100)"),
+            (SpectrumTrace(grid[:2], [[1.0, 2.0], [3.0]]), "freq_mhz and signal must be 1-D, "
+                                                           "got a ragged sequence")]:
         with pytest.raises(analysis.TraceError) as info:
             fit([good, bad])
         assert info.value.index == 1
