@@ -74,16 +74,19 @@ def fmt(x) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Atomic whole-file write: temp file in the same directory, then rename."""
+    """Atomic whole-file write: temp file in the same directory, then rename.
+    An OSError that names the temp file is raised again naming path."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -56,6 +56,22 @@ def test_simulate_at_an_overflowing_field_writes_the_zero_limit_without_a_warnin
     assert trace.freq_mhz.size == 21 and not trace.signal.any()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory at the path"])
+def test_an_output_that_cannot_be_written_is_named_as_given(tmp_path, capsys, where):
+    """The error named the temp file, '<out>.tmp.<pid>', not the output."""
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path / "x.csv"
+    if where == "directory at the path":
+        out.mkdir()
+    code = run_cli(["simulate", "117Sn", "--fwhm", "30", "--grid", "-10:10:1",
+                    "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: [Errno ")
+    assert err[0].endswith(f": {str(out)!r}") and ".tmp." not in err[0]
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if where == "missing directory"
+                                                      else ["x.csv"])
+
+
 def test_simulate_with_diagram(tmp_path):
     out = tmp_path / "sn.csv"
     diagram = tmp_path / "sn.json"
@@ -888,6 +904,8 @@ def _non_finite_case(tmp_path, case):
                                          str(tmp_path / "pl.json")],
         "simulate alpha nan": simulate + ["--fwhm", "30", "--alpha", "nan"],
         "simulate beta inf": simulate + ["--fwhm", "30", "--beta", "inf"],
+        "simulate b overflow": simulate + ["--fwhm", "30", "--b", "0,0,1e308"],
+        "simulate alpha overflow": simulate + ["--fwhm", "30", "--alpha", "1e306"],
         "stats bin-width nan": stats + ["nan"],
         "stats bin-width inf": stats + ["inf"],
         "stats bin-width 1e-12": stats + ["1e-12"],
@@ -937,6 +955,11 @@ def _non_finite_case(tmp_path, case):
     ("fit-pl sem overflow", "the standard error of the mean of the values is not finite (inf)"),
     ("simulate alpha nan", "strain alpha_ghz must be finite, got nan"),
     ("simulate beta inf", "strain beta_ghz must be finite, got inf"),
+    ("simulate b overflow", "gnd: the Hamiltonian is not finite at B = (0.0, 0.0, 1e+308) T, "
+                            "alpha = 0.0 GHz, beta = 0.0 GHz: a term overflows the float range"),
+    ("simulate alpha overflow", "gnd: the Hamiltonian is not finite at B = (0.0, 0.0, 0.0) T, "
+                                "alpha = 1e+306 GHz, beta = 0.0 GHz: a term overflows the float "
+                                "range"),
     ("stats bin-width nan", "bin_width must be positive and finite, got nan"),
     ("stats bin-width inf", "bin_width must be positive and finite, got inf"),
     ("stats bin-width 1e-12", "bin_width 1e-12 gives more than the 10000000 histogram bins "
