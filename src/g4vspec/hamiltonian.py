@@ -361,8 +361,9 @@ def _build(emitter, manifold, b, alpha_ghz, beta_ghz, ops):
     params = emitter.manifold(manifold)
     alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    with np.errstate(over="ignore", invalid="ignore"):  # a term beyond the float range
-        h = _soc(params, ops)                           # is refused just below
+    # A term beyond the float range is refused by name just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _soc(params, ops)
         h = h + _strain(alpha, beta, ops)
         h = h + _zeeman(emitter, manifold, b, ops)
         h = h + _hyperfine(params, ops)
@@ -386,7 +387,8 @@ def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
 
     Strain defaults to the emitter's shared alpha/beta and can be
     overridden per call.  An (n, 3) field and/or n strains give (n, d, d).
-    The result is complex128.
+    The result is complex128.  A term that overflows the float range is a
+    ValueError naming the manifold and the first such point.
     """
     return _build(emitter, manifold, b, alpha_ghz, beta_ghz, _operators(emitter.nuclear_spin))
 
