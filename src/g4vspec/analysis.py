@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import EmitterModel, _no_overflow, a_ple, term_hyperfine, term_strain
+from .hamiltonian import EmitterModel, _hyperfine, _no_overflow, _operators, _strain, a_ple
 from .spectrum import (SpectrumTrace, _line_slopes, _real_frame, _reference_line,
                        _solve_transitions, _unit_direction)
 
@@ -576,10 +576,10 @@ def fit_gaussian(trace, init: dict | None = None, seed: int | None = None):
 # an emitter's (gnd, exc) Hamiltonians.
 _TABLE_PARAMS = {
     "a_ple_scale": (lambda e: 1.0, EmitterModel.scaled_hyperfine,
-                    lambda e: (term_hyperfine(e.gnd, e.nuclear_spin),
-                               term_hyperfine(e.exc, e.nuclear_spin))),
+                    lambda e: (_hyperfine(e.gnd, _operators(e.nuclear_spin)),
+                               _hyperfine(e.exc, _operators(e.nuclear_spin)))),
     "strain_alpha": (lambda e: e.strain_alpha_ghz, lambda e, v: replace(e, strain_alpha_ghz=v),
-                     lambda e: (term_strain(1.0, 0.0, e.nuclear_spin),) * 2),
+                     lambda e: (_strain(1.0, 0.0, _operators(e.nuclear_spin), True),) * 2),
 }
 FULL_MODEL_FREE = (*_TABLE_PARAMS, "fwhm", "amplitude", "freq_offset")
 

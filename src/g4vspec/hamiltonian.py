@@ -24,14 +24,15 @@ An (n, 3) field and/or n strains give an (n, d, d) stack whose slices
 equal their one-point builds bit for bit: each term is the same
 elementwise expression, broadcast over a leading axis.
 
-Dtype rule: the public builders return complex128.  In the product basis
-every operator is real except sy_orb, S_y and I_y, which enter only
-through beta and B_y.  A point with B_y = 0 and beta = 0 is therefore a
-real symmetric matrix.  `_build_stack`, the solver's builder, is the one
-place that applies this rule: when every point of a stack is real it
-builds the same terms in the same order from float64 copies of the real
-operators, which equal the real part of build_hamiltonian bit for bit;
-otherwise it returns build_hamiltonian's complex128.
+Dtype rule: in the product basis every operator is real except sy_orb,
+S_y and I_y, which enter only through beta and B_y.  The one operator set
+keeps those three in complex128 and every other one as its float64 real
+part, and a point with B_y = 0 and beta = 0 is a real symmetric matrix.
+`_build`, the one builder, applies this rule: when every point of a stack
+is real it leaves the beta and B_y parts out and builds in float64, the
+real part of the complex arithmetic bit for bit; otherwise the imaginary
+operators make the stack complex128.  The public builders cast their
+result to complex128.
 """
 import dataclasses
 import math
@@ -193,7 +194,8 @@ class EmitterModel:
 
 @dataclass(frozen=True)
 class _Operators:
-    """The fixed full-basis operators of one nuclear spin, each read-only."""
+    """The fixed full-basis operators of one nuclear spin, each read-only:
+    complex128 where an element is imaginary, float64 otherwise."""
 
     soc: np.ndarray        # sz_orb sz_spin
     strain_x: np.ndarray   # sx_orb
@@ -221,7 +223,7 @@ def _operators(i) -> _Operators:
     quad = nuc.z @ nuc.z - i * (i + 1.0) / 3.0 * one_n
     j = [kron(IDENTITY_2, 0.5 * s, one_n) + kron(IDENTITY_2, IDENTITY_2, n)
          for s, n in ((SIGMA_X, nuc.x), (SIGMA_Y, nuc.y), (SIGMA_Z, nuc.z))]
-    ops = _Operators(
+    ops = dict(
         soc=kron(SIGMA_Z, SIGMA_Z, one_n),
         strain_x=kron(SIGMA_X, IDENTITY_2, one_n),
         strain_y=kron(SIGMA_Y, IDENTITY_2, one_n),
@@ -238,38 +240,25 @@ def _operators(i) -> _Operators:
         ioc=kron(SIGMA_Z, IDENTITY_2, nuc.z),
         jsq=j[0] @ j[0] + j[1] @ j[1] + j[2] @ j[2],
     )
-    for m in vars(ops).values():
-        m.flags.writeable = False
-    return ops
-
-
-# The operators of _Operators with an imaginary matrix, the others being real.
-_IMAGINARY = ("strain_y", "s_y", "i_y")
-
-
-@lru_cache(maxsize=None)
-def _real_operators(i) -> _Operators:
-    """Float64 copies of the real operators of _operators(i), read-only;
-    the imaginary ones, which only beta and B_y multiply, are None."""
-    ops = {name: None if name in _IMAGINARY else np.ascontiguousarray(m.real)
-           for name, m in vars(_operators(i)).items()}
-    for m in ops.values():
-        if m is not None:
-            m.flags.writeable = False
+    for name, m in ops.items():
+        # An operator with no imaginary element is kept as its float64 real part.
+        ops[name] = m if m.imag.any() else np.ascontiguousarray(m.real)
+        ops[name].flags.writeable = False
     return _Operators(**ops)
 
 
-# Each term from an operator set: _operators(i), or _real_operators(i),
-# without whose imaginary operators the beta and B_y parts drop out.
+# Each term from the operators of one spin.  With real=True, which the
+# builder passes when B_y = 0 and beta = 0 at every point, the beta and B_y
+# parts drop out and every term is float64.
 
 def _soc(params, ops):
     return 0.5 * params.lambda_soc_ghz * GHZ * ops.soc
 
 
-def _strain(alpha_ghz, beta_ghz, ops):
+def _strain(alpha_ghz, beta_ghz, ops, real=False):
     alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
     beta_ghz = _per_point("strain beta_ghz", beta_ghz)
-    if ops.strain_y is None:  # beta is 0 at every point; a stack of them sets the shape
+    if real:  # beta is 0 at every point; a stack of them sets the shape
         return -alpha_ghz * GHZ * ops.strain_x - 0.0 * beta_ghz
     return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
 
@@ -289,10 +278,9 @@ def _fields(b) -> np.ndarray:
     return fields
 
 
-def _zeeman(emitter, manifold, b, ops):
+def _zeeman(emitter, manifold, b, ops, real=False):
     bx, by, bz = (_per_point("magnetic field component", c) for c in _fields(b).T)
     params = emitter.manifold(manifold)
-    real = ops.s_y is None
 
     ge_mub = emitter.g_electron * MU_B_MHZ_PER_T
     if real:
@@ -324,7 +312,7 @@ def _ioc(params, ops):
 
 def term_soc(params: ManifoldParams, i) -> np.ndarray:
     """Spin-orbit term (lambda/2) sz_orb sz_spin, MHz."""
-    return _soc(params, _operators(i))
+    return _soc(params, _operators(i)).astype(complex)
 
 
 def term_strain(alpha_ghz, beta_ghz, i) -> np.ndarray:
@@ -344,28 +332,33 @@ def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
 
 def term_hyperfine(params: ManifoldParams, i) -> np.ndarray:
     """A_perp (Sx Ix + Sy Iy) + A_par Sz Iz on spin (x) nucleus, MHz."""
-    return _hyperfine(params, _operators(i))
+    return _hyperfine(params, _operators(i)).astype(complex)
 
 
 def term_quadrupole(params: ManifoldParams, i) -> np.ndarray:
     """Axial quadrupole term Q (Iz^2 - I(I+1)/3), traceless, zero for I <= 1/2."""
-    return _quadrupole(params, _operators(i))
+    return _quadrupole(params, _operators(i)).astype(complex)
 
 
 def term_ioc(params: ManifoldParams, i) -> np.ndarray:
     """Nuclear spin-orbit term (upsilon/2) sz_orb Iz, MHz."""
-    return _ioc(params, _operators(i))
+    return _ioc(params, _operators(i)).astype(complex)
 
 
-def _build(emitter, manifold, b, alpha_ghz, beta_ghz, ops):
-    params = emitter.manifold(manifold)
+def _build(emitter, manifold, b, alpha_ghz, beta_ghz):
+    """The Hamiltonian of build_hamiltonian in float64 when every point is
+    real (B_y = 0 and beta = 0), else in complex128."""
     alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
+    real = ((_fields(b)[..., 1] == 0.0)
+            & (_no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)).all()
+    params = emitter.manifold(manifold)
+    ops = _operators(emitter.nuclear_spin)
     # A term beyond the float range is refused by name just below.
     with np.errstate(over="ignore", invalid="ignore"):
         h = _soc(params, ops)
-        h = h + _strain(alpha, beta, ops)
-        h = h + _zeeman(emitter, manifold, b, ops)
+        h = h + _strain(alpha, beta, ops, real)
+        h = h + _zeeman(emitter, manifold, b, ops, real)
         h = h + _hyperfine(params, ops)
         h = h + _quadrupole(params, ops)
         h = h + _ioc(params, ops)
@@ -390,17 +383,7 @@ def build_hamiltonian(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
     The result is complex128.  A term that overflows the float range is a
     ValueError naming the manifold and the first such point.
     """
-    return _build(emitter, manifold, b, alpha_ghz, beta_ghz, _operators(emitter.nuclear_spin))
-
-
-def _build_stack(emitter: EmitterModel, manifold: str, b, alpha_ghz, beta_ghz) -> np.ndarray:
-    """build_hamiltonian in float64, its real part bit for bit, when every
-    point is real (B_y = 0 and beta = 0); otherwise its complex128."""
-    beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    if ((_fields(b)[..., 1] == 0.0)
-            & (_no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)).all():
-        return _build(emitter, manifold, b, alpha_ghz, beta, _real_operators(emitter.nuclear_spin))
-    return build_hamiltonian(emitter, manifold, b, alpha_ghz, beta_ghz)
+    return _build(emitter, manifold, b, alpha_ghz, beta_ghz).astype(complex, copy=False)
 
 
 def a_parallel(params: ManifoldParams) -> float:
@@ -422,11 +405,13 @@ def a_ple(emitter: EmitterModel) -> float:
     return 0.5 * (a_parallel(emitter.exc) - a_parallel(emitter.gnd))
 
 
+@lru_cache(maxsize=None)
 def jsq_operator(i) -> np.ndarray:
-    """Total electro-nuclear angular momentum squared, J = S + I, full basis.
-
-    Cached per spin and read-only."""
-    return _operators(i).jsq
+    """Total electro-nuclear angular momentum squared, J = S + I, full basis,
+    complex128.  Cached per spin and read-only."""
+    jsq = _operators(i).jsq.astype(complex)
+    jsq.flags.writeable = False
+    return jsq
 
 
 def jt_shifted_params(params: ManifoldParams, delta_fc_mhz: float,

@@ -24,13 +24,14 @@ along a change of the Hamiltonian without solving again.
 
 Dtype rule.  A point with B_y = 0 and beta = 0 is real: every term of its
 Hamiltonian is real in the product basis (see `hamiltonian`).
-`solve_manifold` solves a stack in the dtype `hamiltonian._build_stack`
-builds it in: float64 when every point is real, complex128 otherwise.  A
-stack that mixes both kinds (only a caller's own) is complex128 throughout,
-so its real points keep their one-point tables only to eigensolver
-rounding, not bit for bit.  The tables, J^2 labels, reference lines and
-line slopes of a stack keep its dtype; `_like` gives J^2 or a dH in the
-dtype of the vectors.
+`solve_manifold` solves a stack in the dtype `hamiltonian._build` builds
+it in: float64 when every point is real, complex128 otherwise.  A stack
+that mixes both kinds (only a caller's own) is complex128 throughout, so
+its real points keep their one-point tables only to eigensolver rounding,
+not bit for bit.  J^2 and each dH are float64 operators of the one set,
+`hamiltonian._operators`, which `eigh` and `@` promote for a complex
+stack, so the tables, J^2 labels, reference lines and line slopes of a
+stack keep its dtype.
 `sweep_field` and the rows of a field-map fit are solved in the real frame
 (`_real_frame`), which changes no spectrum, so each stack they solve is of
 one kind, float64 exactly when beta = 0.  One-point `transitions` solves at
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hamiltonian import (EmitterModel, _build_stack, _fields, _no_overflow, _per_point, a_parallel,
-                          a_perp, jsq_operator)
+from .hamiltonian import (EmitterModel, _build, _fields, _no_overflow, _operators, _per_point,
+                          a_parallel, a_perp)
 from .spinops import CLUSTER_TOL, EigenSystem, eigh, spin_matrices
 
 __all__ = [
@@ -131,22 +132,17 @@ def dipole_operator(i) -> np.ndarray:
     return np.eye(4 * spin_matrices(i).dim, dtype=complex)
 
 
-def _like(op: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The operator op (J^2, or a dH real wherever a is) in the dtype of the
-    array a: the float64 real part where a is float64, else op itself."""
-    return np.ascontiguousarray(op.real) if a.dtype == np.float64 else op
-
-
 def solve_manifold(emitter: EmitterModel, manifold: str, b=(0.0, 0.0, 0.0),
                    alpha_ghz=None, beta_ghz=None) -> EigenSystem:
     """Diagonalize one manifold with the degenerate-subspace basis pinned
     by the total angular momentum J^2 (reproducible <J^2> labels).
 
     An (n, 3) field and/or n strains are solved as one stack, in one `eigh`,
-    in the dtype `hamiltonian._build_stack` gives it: float64 when every
-    point is real (B_y = 0 and beta = 0), else complex128."""
-    h = _build_stack(emitter, manifold, b, alpha_ghz, beta_ghz)
-    return eigh(h, degeneracy_operator=_like(jsq_operator(emitter.nuclear_spin), h))
+    in the dtype `hamiltonian._build` gives it: float64 when every point is
+    real (B_y = 0 and beta = 0), else complex128.  J^2 is float64 for
+    either."""
+    return eigh(_build(emitter, manifold, b, alpha_ghz, beta_ghz),
+                degeneracy_operator=_operators(emitter.nuclear_spin).jsq)
 
 
 def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations=()):
@@ -169,7 +165,7 @@ def _reference_line(emitter: EmitterModel, b, alpha_ghz, beta_ghz, perturbations
         es = solve_manifold(neutral, manifold, b, alpha_ghz, beta_ghz)
         v = es.vectors[..., :2]
         return es.values[:, :2].mean(axis=1), [
-            0.5 * np.einsum("kij,kij->k", v.conj(), _like(dh[m], v) @ v).real for dh in dhs]
+            0.5 * np.einsum("kij,kij->k", v.conj(), dh[m] @ v).real for dh in dhs]
 
     (e_gnd, s_gnd), (e_exc, s_exc) = mean_and_slopes("gnd", 0), mean_and_slopes("exc", 1)
     return e_exc - e_gnd, [e - g for g, e in zip(s_gnd, s_exc)]
@@ -249,7 +245,7 @@ def _solve_transitions(emitter: EmitterModel, b_stack, alpha_ghz, beta_ghz, e_re
     _check_branch_gaps(emitter, es_g.values, es_e.values)
     ref = _reference_line(emitter, b_stack, alpha_ghz, beta_ghz)[0] if e_ref is None else e_ref
 
-    jop = _like(jsq_operator(emitter.nuclear_spin), es_g.vectors)
+    jop = _operators(emitter.nuclear_spin).jsq
     jsq_g = _jsq_labels(es_g, jop)[:, :n_low]
     jsq_e = _jsq_labels(es_e, jop)[:, :n_low]
     intens = transition_intensity_matrix(es_g, es_e)[:, :n_low, :n_low] * (1.0 / n_low)
@@ -294,8 +290,9 @@ def _line_slopes(tables, eigensystems, perturbations):
     eigenbasis of the projected dh.  Only a table's kept lines get
     weights, so a line sum over them costs what the table's own does.
 
-    A stack of real points (float64 eigenvectors) takes the real part of
-    each dh, which must be real there: hyperfine and strain alpha are.
+    Each dh is used as given: `analysis._TABLE_PARAMS` gives float64 ones
+    (hyperfine and strain alpha are real), which `@` promotes for a
+    complex stack.
     """
     es_g, es_e = eigensystems
     n_low = es_g.values.shape[-1] // 2
@@ -310,7 +307,7 @@ def _line_slopes(tables, eigensystems, perturbations):
     def mixing(values, vectors, same, dh):
         # (V^H dh V)[m, n] for every m and each lower-branch n: C off the
         # clusters, the in-cluster block on them.
-        a = np.swapaxes(vectors.conj(), -1, -2) @ (_like(dh, vectors) @ vectors[:, :, :n_low])
+        a = np.swapaxes(vectors.conj(), -1, -2) @ (dh @ vectors[:, :, :n_low])
         gap = values[:, None, :n_low] - values[:, :, None]
         c = np.where(same, 0.0, a / np.where(same, 1.0, gap))
         return c, np.where(same[:, :n_low], a[:, :n_low], 0.0)
@@ -382,8 +379,7 @@ def sweep_strain(emitter: EmitterModel, manifold: str, alpha_values_ghz) -> Leve
     es = solve_manifold(emitter, manifold, (0.0, 0.0, 0.0), alphas, None)
     low = es.values[:, :n_low]
     return LevelSweep(axis=alphas, levels=low - low.mean(axis=1, keepdims=True),
-                      jsq=_jsq_labels(es, _like(jsq_operator(emitter.nuclear_spin),
-                                                es.vectors))[:, :n_low],
+                      jsq=_jsq_labels(es, _operators(emitter.nuclear_spin).jsq)[:, :n_low],
                       meta={"emitter": emitter.isotope, "manifold": manifold, "axis": "alpha_ghz"})
 
 

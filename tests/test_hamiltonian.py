@@ -423,8 +423,10 @@ def _assert_matches_oracle(emitter, manifold, b, alpha, beta):
     assert np.abs(got - want).max() <= tol, (emitter.isotope, manifold)
 
 
+# Zero field, two complex points, and an oblique real point (B_y = 0,
+# beta = 0), which is built in float64.
 ORACLE_POINTS = (((0.0, 0.0, 0.0), 0.0, 0.0), ((0.03, -0.12, 0.21), 40.0, 7.0),
-                 ((0.3, 0.1, -0.05), 0.0, 15.0))
+                 ((0.3, 0.1, -0.05), 0.0, 15.0), ((0.17, 0.0, -0.26), -35.0, 0.0))
 
 
 @pytest.mark.parametrize("spin_neutral", [False, True], ids=["own-I", "I=0"])

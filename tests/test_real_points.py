@@ -1,6 +1,6 @@
 """Real points: with B_y = 0 and beta = 0 every term of the Hamiltonian is
 real, and such points are built, solved and turned into tables in
-float64.  The complex128 path is the oracle for them.  Every other point
+float64.  The complex128 arithmetic is the oracle for them.  Every other point
 keeps that path bit for bit: test_golden_tables pins their tables.  A
 field sweep turns its direction into the x-z plane, so with beta = 0 its
 rows are real points whatever the direction."""
@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from g4vspec import analysis, spectrum
-from g4vspec.hamiltonian import (_IMAGINARY, _build_stack, _operators, _real_operators,
-                                 build_hamiltonian, jsq_operator, registry_labels,
-                                 registry_lookup)
+from g4vspec.hamiltonian import (_build, _operators, build_hamiltonian, jsq_operator,
+                                 registry_labels, registry_lookup)
 from g4vspec.spectrum import (INTENSITY_FLOOR, TransitionTable, _jsq_labels, _solve_transitions,
                               merge_lines, solve_manifold, sweep_field, synth_spectrum,
                               transitions)
@@ -37,33 +36,41 @@ SPINS = (0.0, 0.5, 1.0, 1.5, 4.5)
 
 @pytest.mark.parametrize("i", SPINS)
 def test_only_sy_orb_s_y_and_i_y_are_imaginary(i):
+    """Each spin has one cached set of read-only operators: complex128 with
+    no real part for sy_orb, S_y and (for I > 0) I_y, float64 for every
+    other one; the public J^2 is its J^2 cast to complex128, bit for bit."""
     ops = _operators(i)
+    assert _operators(i) is ops
+    imaginary = {"strain_y", "s_y", "i_y"} if i > 0 else {"strain_y", "s_y"}
     for name, m in vars(ops).items():
-        if name in _IMAGINARY:
-            assert not m.real.any(), name
+        assert m.flags.c_contiguous and not m.flags.writeable, name
+        if name in imaginary:
+            assert m.dtype == np.complex128 and not m.real.any() and m.imag.any(), name
         else:
-            assert not m.imag.any(), name
-    assert set(_IMAGINARY) == {"strain_y", "s_y", "i_y"}
+            assert m.dtype == np.float64, name
+    assert _bits(jsq_operator(i)) == _bits(ops.jsq.astype(complex))
+    assert jsq_operator(i) is jsq_operator(i) and not jsq_operator(i).flags.writeable
 
 
-@pytest.mark.parametrize("i", SPINS)
-def test_real_operators_are_read_only_float64_copies_of_the_real_ones(i):
-    real, ops = _real_operators(i), _operators(i)
-    assert _real_operators(i) is real
-    for name, m in vars(real).items():
-        if name in _IMAGINARY:
-            assert m is None
-        else:
-            assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
-            assert np.array_equal(m, getattr(ops, name).real)
+def _with_a_complex_point(b, alpha, beta, n):
+    """The n points (b, alpha, beta) as a stack of fields, with one more
+    point at B_y = 0.01 T appended."""
+
+    def grow(x):  # a strain stack repeats its last value
+        return x if np.ndim(x) == 0 else np.append(x, x[-1])
+
+    fields = np.broadcast_to(np.reshape(b, (-1, 3)), (n, 3))
+    return np.vstack([fields, (0.0, 0.01, 0.0)]), grow(alpha), grow(beta)
 
 
 @pytest.mark.parametrize("label", registry_labels())
 def test_real_build_is_the_real_part_of_the_complex_build_bit_for_bit(label):
-    """`_build_stack` is float64 exactly when every point is real, and then
-    the real part of `build_hamiltonian` bit for bit; otherwise it is
-    `build_hamiltonian` itself, also when a single row of a field stack has
-    B_y != 0 or a single beta of a beta stack is not 0."""
+    """`_build` is float64 exactly when every point is real, and then each
+    of its points, cast to complex128, is bit for bit that point's row of
+    the complex128 stack that one appended complex point makes; otherwise
+    it is complex128, also when a single row of a field stack has B_y != 0
+    or a single beta of a beta stack is not 0.  `build_hamiltonian` is its
+    complex128 cast either way."""
     e = registry_lookup(label, strain_alpha_ghz=12.5)
     n = len(REAL_FIELDS)
     off_row = REAL_FIELDS.copy()
@@ -76,14 +83,18 @@ def test_real_build_is_the_real_part_of_the_complex_build_bit_for_bit(label):
                                   (REAL_FIELDS, None, True), (REAL_FIELDS[1], np.zeros(n), True),
                                   (REAL_FIELDS, np.zeros(n), True), (off_row, 0.0, False),
                                   (REAL_FIELDS[3], one_beta, False), (REAL_FIELDS, 2.0, False)):
+                built = _build(e, manifold, b, alpha, beta)
                 h = build_hamiltonian(e, manifold, b, alpha, beta)
-                built = _build_stack(e, manifold, b, alpha, beta)
+                assert _bits(h) == _bits(built.astype(complex))
                 if real:
-                    assert built.dtype == np.float64 and not h.imag.any()
-                    assert _bits(built) == _bits(np.ascontiguousarray(h.real))
+                    assert built.dtype == np.float64
+                    points = built.reshape(-1, e.dim, e.dim)
+                    oracle = _build(e, manifold, *_with_a_complex_point(b, alpha, beta,
+                                                                        len(points)))
+                    assert oracle.dtype == np.complex128 and oracle[-1].imag.any()
+                    assert _bits(oracle[:-1]) == _bits(points.astype(complex))
                 else:
-                    assert built.dtype == np.complex128 and h.imag.any()
-                    assert _bits(built) == _bits(h)
+                    assert built.dtype == np.complex128 and built.imag.any()
 
 
 def _eigenvalue_bound(h):
@@ -151,7 +162,7 @@ def test_real_tables_match_the_complex_oracle(label):
     e = registry_lookup(label)
     n_low = e.dim // 2
     jsq_scale = np.linalg.norm(jsq_operator(e.nuclear_spin), 2)
-    jop = _real_operators(e.nuclear_spin).jsq
+    jop = _operators(e.nuclear_spin).jsq
     for alpha in (0.0, 35.0):
         tables, (es_g, es_e) = _solve_transitions(e, REAL_FIELDS, alpha, 0.0)
         assert es_g.vectors.dtype == es_e.vectors.dtype == np.float64
@@ -252,8 +263,9 @@ def test_solve_manifold_returns_the_dtype_of_its_stack(label):
 
 def test_a_mixed_stack_checks_its_branch_gaps_in_stack_order():
     e = registry_lookup("117Sn", lambda_gnd_ghz=12.0)
-    # both rows fail the check, with different gaps; the complex row comes
-    # first in stack order, though the real kind is solved first
+    # both rows fail the check, with different gaps; the stack, solved in
+    # complex128 as a whole, names its first row as that row's one-point
+    # solve names it
     fields = [(0.0, 0.2, 0.0), (0.3, 0.0, 0.0)]
     with pytest.raises(ValueError) as mixed:
         _solve_transitions(e, fields, None, 0.0)
@@ -329,7 +341,8 @@ def test_a_sweep_off_the_x_z_plane_equals_synthesis_at_the_given_fields(label):
 
 def test_a_sweep_off_the_x_z_plane_solves_only_float64_stacks_unless_beta(calls):
     """With beta = 0 every row of a sweep whose direction has B_y != 0 is a
-    real point in the real frame; with beta != 0 every row stays complex."""
+    real point in the real frame; with beta != 0 every row stays complex.
+    J^2 is float64 either way: `eigh` promotes it for a complex stack."""
     direction = (0.48, 0.6, 0.64)
     grid = np.arange(-300.0, 300.0, 6.0)
     eighs = calls(spectrum, "eigh")
@@ -339,7 +352,7 @@ def test_a_sweep_off_the_x_z_plane_solves_only_float64_stacks_unless_beta(calls)
         sweep_field(e, direction, [0.0, 0.05, 0.1], 30.0, grid)
         dtypes = {(np.asarray(c["h"]).dtype, np.asarray(c["degeneracy_operator"]).dtype)
                   for c in eighs}
-        assert dtypes == {(np.dtype(dtype), np.dtype(dtype))}
+        assert dtypes == {(np.dtype(dtype), np.dtype(float))}
         # gnd, exc and both reference solves, each one stack of all rows
         assert [np.shape(c["h"])[0] for c in eighs] == [3] * 4
 
