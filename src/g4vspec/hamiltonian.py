@@ -94,11 +94,24 @@ def _finite(name, value):
 
 
 def _per_point(name, x):
-    """One finite value as a float, a stack of n as an (n, 1, 1) array."""
+    """One finite value as a float, a 1-D stack of n as an (n, 1, 1) array."""
     x = _no_overflow(name, np.asarray, x, float)
+    if x.ndim > 1:
+        raise ValueError(f"{name} must be one value or a 1-D stack, got shape {x.shape}")
     if not np.isfinite(x).all():
         _finite(name, float(x[~np.isfinite(x)][0]))
     return float(x) if x.ndim == 0 else x[:, None, None]
+
+
+def _one_length(*named):
+    """ValueError unless the stacks among the (name, value) pairs, each
+    value as `_per_point` gives it, have one length; a stack of one point
+    goes with any."""
+    stacks = [(name, len(x)) for name, x in named if np.ndim(x) and len(x) != 1]
+    for name, n in stacks[1:]:
+        if n != stacks[0][1]:
+            raise ValueError(f"{stacks[0][0]} has {stacks[0][1]} points but {name} has {n}: "
+                             "stacks must have one length, or one point")
 
 
 @dataclass(frozen=True)
@@ -256,8 +269,7 @@ def _soc(params, ops):
 
 
 def _strain(alpha_ghz, beta_ghz, ops, real=False):
-    alpha_ghz = _per_point("strain alpha_ghz", alpha_ghz)
-    beta_ghz = _per_point("strain beta_ghz", beta_ghz)
+    """From alpha and beta as `_per_point` gives them."""
     if real:  # beta is 0 at every point; a stack of them sets the shape
         return -alpha_ghz * GHZ * ops.strain_x - 0.0 * beta_ghz
     return -alpha_ghz * GHZ * ops.strain_x - beta_ghz * GHZ * ops.strain_y
@@ -278,8 +290,13 @@ def _fields(b) -> np.ndarray:
     return fields
 
 
-def _zeeman(emitter, manifold, b, ops, real=False):
-    bx, by, bz = (_per_point("magnetic field component", c) for c in _fields(b).T)
+def _components(b):
+    """bx, by and bz of the field or fields b, each as `_per_point` gives it."""
+    return tuple(_per_point("magnetic field component", c) for c in _fields(b).T)
+
+
+def _zeeman(emitter, manifold, components, ops, real=False):
+    bx, by, bz = components
     params = emitter.manifold(manifold)
 
     ge_mub = emitter.g_electron * MU_B_MHZ_PER_T
@@ -319,7 +336,10 @@ def term_strain(alpha_ghz, beta_ghz, i) -> np.ndarray:
     """Transverse-strain term -alpha sx_orb - beta sy_orb, inputs GHz.
 
     Each of alpha and beta is one value or a stack of n."""
-    return _strain(alpha_ghz, beta_ghz, _operators(i))
+    alpha = _per_point("strain alpha_ghz", alpha_ghz)
+    beta = _per_point("strain beta_ghz", beta_ghz)
+    _one_length(("strain alpha_ghz", alpha), ("strain beta_ghz", beta))
+    return _strain(alpha, beta, _operators(i))
 
 
 def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
@@ -327,7 +347,7 @@ def term_zeeman(emitter: EmitterModel, manifold: str, b) -> np.ndarray:
 
     b is the magnetic field vector in Tesla, or an (n, 3) stack of them.
     """
-    return _zeeman(emitter, manifold, b, _operators(emitter.nuclear_spin))
+    return _zeeman(emitter, manifold, _components(b), _operators(emitter.nuclear_spin))
 
 
 def term_hyperfine(params: ManifoldParams, i) -> np.ndarray:
@@ -350,22 +370,27 @@ def _build(emitter, manifold, b, alpha_ghz, beta_ghz):
     real (B_y = 0 and beta = 0), else in complex128."""
     alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
-    real = ((_fields(b)[..., 1] == 0.0)
-            & (_no_overflow("strain beta_ghz", np.asarray, beta, float) == 0.0)).all()
+    fields = _fields(b)
+    betas = _no_overflow("strain beta_ghz", np.asarray, beta, float)
     params = emitter.manifold(manifold)
+    alphas, betas = _per_point("strain alpha_ghz", alpha), _per_point("strain beta_ghz", betas)
+    components = _components(fields)
+    _one_length(("magnetic field", components[1]), ("strain alpha_ghz", alphas),
+                ("strain beta_ghz", betas))
+    real = np.all((components[1] == 0.0) & (betas == 0.0))
     ops = _operators(emitter.nuclear_spin)
     # A term beyond the float range is refused by name just below.
     with np.errstate(over="ignore", invalid="ignore"):
         h = _soc(params, ops)
-        h = h + _strain(alpha, beta, ops, real)
-        h = h + _zeeman(emitter, manifold, b, ops, real)
+        h = h + _strain(alphas, betas, ops, real)
+        h = h + _zeeman(emitter, manifold, components, ops, real)
         h = h + _hyperfine(params, ops)
         h = h + _quadrupole(params, ops)
         h = h + _ioc(params, ops)
     if not np.isfinite(h).all():
         k = int(np.argmin(np.isfinite(h).all(axis=(-2, -1))))  # the first such point
         b, alpha, beta = (x[k] if x.ndim > nd else x for x, nd in (
-            (_fields(b), 1), (np.asarray(alpha, float), 0), (np.asarray(beta, float), 0)))
+            (fields, 1), (np.asarray(alpha, float), 0), (np.asarray(beta, float), 0)))
         where = f"point {k} of the stack, " if h.ndim == 3 and len(h) > 1 else ""
         raise ValueError(f"{manifold}: the Hamiltonian is not finite at {where}B = "
                          f"{tuple(b.tolist())} T, alpha = {alpha} GHz, beta = {beta} GHz: a term "

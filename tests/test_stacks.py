@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g4vspec.hamiltonian import build_hamiltonian, jsq_operator, registry_labels, registry_lookup
+from g4vspec.hamiltonian import (build_hamiltonian, jsq_operator, registry_labels, registry_lookup,
+                                 term_strain)
 from g4vspec.spectrum import (
     _jsq_labels,
     _reference_line,
@@ -174,6 +175,35 @@ def test_a_ragged_field_stack_is_refused_by_name(solve):
         solve(registry_lookup("117Sn"), [[0, 0, 1], [0, 0]])
     assert str(info.value) == ("magnetic field needs 3 components per point, got ragged or "
                                "non-numeric points")
+
+
+_LENGTHS = "stacks must have one length, or one point"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda e: solve_manifold(e, "gnd", [(0, 0, 0)] * 3, None, [0.0, 0.0]),
+     f"magnetic field has 3 points but strain beta_ghz has 2: {_LENGTHS}"),
+    (lambda e: build_hamiltonian(e, "gnd", [(0, 0, 0)] * 3, [1.0, 2.0]),
+     f"magnetic field has 3 points but strain alpha_ghz has 2: {_LENGTHS}"),
+    (lambda e: solve_manifold(e, "gnd", (0, 0, 0), [1.0, 2.0], [0.0, 1.0, 2.0]),
+     f"strain alpha_ghz has 2 points but strain beta_ghz has 3: {_LENGTHS}"),
+    (lambda e: solve_manifold(e, "gnd", (0, 0, 0), [[1.0, 2.0]]),
+     "strain alpha_ghz must be one value or a 1-D stack, got shape (1, 2)"),
+    (lambda e: term_strain([[1.0, 2.0]], 0.0, 0.5),
+     "strain alpha_ghz must be one value or a 1-D stack, got shape (1, 2)"),
+    (lambda e: term_strain([1.0, 2.0], [0.0, 1.0, 2.0], 0.5),
+     f"strain alpha_ghz has 2 points but strain beta_ghz has 3: {_LENGTHS}"),
+], ids=["fields-betas", "fields-alphas", "alphas-betas", "alpha-2d", "term-alpha-2d",
+        "term-alphas-betas"])
+def test_stacks_of_different_lengths_are_refused_by_name(build, message):
+    """NumPy's "operands could not be broadcast together" came out before;
+    a stack of one point still goes with a stack of any length."""
+    e = registry_lookup("117Sn")
+    with pytest.raises(ValueError) as info:
+        build(e)
+    assert str(info.value) == message
+    assert solve_manifold(e, "gnd", [(0, 0, 0)], None, [0.0, 1.0, 2.0]).values.shape == (3, 8)
+    assert term_strain([1.0], [0.0, 1.0, 2.0], 0.5).shape == (3, 8, 8)
 
 
 @pytest.mark.parametrize("b, alpha, beta, message", [
