@@ -768,6 +768,8 @@ def kde(values, bandwidth: float) -> SpectrumTrace:
         raise ValueError("kde needs at least one value")
     if not (_no_overflow("bandwidth", math.isfinite, bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if 2.0 * bandwidth * bandwidth == 0.0:
+        raise ValueError(f"bandwidth {bandwidth} is too small: 2 bandwidth^2 underflows to 0")
     with np.errstate(all="ignore"):  # overflow near the float range is refused below
         lo = values.min() - 3.0 * bandwidth
         hi = values.max() + 3.0 * bandwidth

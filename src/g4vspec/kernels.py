@@ -88,6 +88,8 @@ def gaussian_sum(centers, weights, sigma: float, grid):
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sigma = float(sigma)
+    if 2.0 * sigma * sigma == 0.0:  # the profile's exponent divides by it
+        raise ValueError(f"sigma {sigma} is too small: 2 sigma^2 underflows to 0")
 
     def profile(c, g):
         u = np.subtract(g, c)

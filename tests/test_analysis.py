@@ -80,6 +80,27 @@ def test_triplet_noisy_round_trip():
     assert res.seed == 42
 
 
+def test_a_trace_with_two_peaks_seeds_the_triplet_from_both():
+    """A triplet whose side pair (delta = 10 MHz) merges into one peak shows
+    two peaks above the noise floor: a_ple is seeded with their offset and
+    delta with the seeded width, and the triplet fit from that seed
+    converges on the triplet."""
+    grid = np.arange(-150.0, 250.0, 1.0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    signal = make_triplet(grid, 0.0, -100.0, 10.0, 30.0, 1.0, baseline=0.05)
+    signal += rng.normal(0.0, 0.01, grid.size)
+    peaks, _ = analysis._find_peaks(grid, signal)
+    assert grid[peaks].tolist() == [0.0, 100.0]
+    seed = analysis._seed_peaks(grid, signal)
+    assert seed["a_ple"] == 100.0
+    assert seed["delta"] == seed["fwhm"] == pytest.approx(30.0, abs=2.0)
+    res = fit_lorentzians(SpectrumTrace(grid, signal), model="triplet211")
+    assert res.converged
+    assert res.params["a_ple"] == pytest.approx(-100.0, abs=1.0)
+    assert res.params["delta"] == pytest.approx(10.0, abs=2.0)
+    assert res.params["fwhm"] == pytest.approx(30.0, abs=1.0)
+
+
 def test_triplet_residual_not_above_initial():
     grid = np.arange(-300.0, 700.0, 2.0)
     clean = make_triplet(grid, -100.0, -345.0, 120.0, 35.0, 1.0)
@@ -245,6 +266,15 @@ def test_kde_validation():
         kde([], bandwidth=1.0)
     with pytest.raises(ValueError):
         kde([1.0], bandwidth=0.0)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-170, 1e-320, 5e-324])
+def test_kde_refuses_a_bandwidth_whose_square_underflows_by_name(bandwidth):
+    """The Gaussian profile divided by 2 bandwidth^2 = 0: a ZeroDivisionError
+    before."""
+    with pytest.raises(ValueError) as info:
+        kde([1.0, 2.0, 3.5], bandwidth=bandwidth)
+    assert str(info.value) == f"bandwidth {bandwidth} is too small: 2 bandwidth^2 underflows to 0"
 
 
 # --- isotope shift ---

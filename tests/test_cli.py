@@ -899,6 +899,9 @@ def _non_finite_case(tmp_path, case):
                                  "nan", "--grid", "-10:10:1", "--out", str(out)],
         "fit-pl bandwidth nan": fit_pl + [str(values), "--bandwidth", "nan"],
         "fit-pl bandwidth inf": fit_pl + [str(values), "--bandwidth", "inf"],
+        "fit-pl bandwidth 1e-170": fit_pl + [str(values), "--bandwidth", "1e-170"],
+        "fit-pl bandwidth 1e-320": fit_pl + [str(values), "--bandwidth", "1e-320"],
+        "fit-pl bandwidth 5e-324": fit_pl + [str(values), "--bandwidth", "5e-324"],
         "fit-pl density overflow": fit_pl + [str(huge), "--bandwidth", "1e299"],
         "fit-pl sem overflow": fit_pl + [str(wide), "--bandwidth", "1e140", "--out",
                                          str(tmp_path / "pl.json")],
@@ -951,6 +954,9 @@ def _non_finite_case(tmp_path, case):
     ("sweep-field fwhm nan", "fwhm must be positive and finite, got nan"),
     ("fit-pl bandwidth nan", "bandwidth must be positive and finite, got nan"),
     ("fit-pl bandwidth inf", "bandwidth must be positive and finite, got inf"),
+    ("fit-pl bandwidth 1e-170", "bandwidth 1e-170 is too small: 2 bandwidth^2 underflows to 0"),
+    ("fit-pl bandwidth 1e-320", "bandwidth 1e-320 is too small: 2 bandwidth^2 underflows to 0"),
+    ("fit-pl bandwidth 5e-324", "bandwidth 5e-324 is too small: 2 bandwidth^2 underflows to 0"),
     ("fit-pl density overflow", "kde density is not finite with bandwidth 1e+299"),
     ("fit-pl sem overflow", "the standard error of the mean of the values is not finite (inf)"),
     ("simulate alpha nan", "strain alpha_ghz must be finite, got nan"),
@@ -1003,3 +1009,80 @@ def test_non_finite_inputs_are_refused_with_one_error_line(tmp_path, capsys, cas
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not any(p.exists() for p in outputs)
+
+
+# --- extreme values of every numeric flag ---
+
+_EXTREMES = ["1e-320", "1e-170", "1e-160", "-0.0", "0", "1e300", "1e308", "-1e308", "nan",
+             "inf", "-1", "5e-324"]
+_SIMULATE = ["simulate", "117Sn", "--out", "{out}"]
+_SWEEP_FIELD = ["sweep-field", "117Sn", "--b-range", "0:0.01:0.01", "--grid", "-10:10:1",
+                "--out", "{out}"]
+_SYNTH = ["synth", "117Sn", "--n", "2", "--grid", "-100:100:1", "--out-dir", "{out}",
+          "--truth", "{out}.json"]
+_TRIPLET = {"f_ch1": 0.0, "a_ple": -100.0, "delta": 30.0, "amplitude": 1.0, "baseline": 0.0}
+# Each numeric flag as an argv whose "{v}" takes the value, "{out}" an output
+# path, "{trace}", "{map}" and "{values}" the inputs of `_extreme_inputs`.
+_FLAGS = {
+    "simulate --fwhm": _SIMULATE + ["--grid", "-100:100:1", "--fwhm", "{v}"],
+    "simulate --alpha": _SIMULATE + ["--grid", "-100:100:1", "--fwhm", "30", "--alpha", "{v}"],
+    "simulate --beta": _SIMULATE + ["--grid", "-100:100:1", "--fwhm", "30", "--beta", "{v}"],
+    "simulate --b": _SIMULATE + ["--grid", "-100:100:1", "--fwhm", "30", "--b", "0.01,0,{v}"],
+    "simulate grid step": _SIMULATE + ["--grid", "-100:100:{v}", "--fwhm", "30"],
+    "sweep-strain --alphas end": ["sweep-strain", "117Sn", "--alphas", "0:{v}:10",
+                                  "--out", "{out}"],
+    "sweep-field --fwhm": _SWEEP_FIELD + ["--fwhm", "{v}"],
+    "sweep-field --direction": _SWEEP_FIELD + ["--fwhm", "30", "--direction", "{v},0,1"],
+    "fit triplet init fwhm": ["fit", "--trace", "{trace}", "--model", "triplet",
+                              "--init", {**_TRIPLET, "fwhm": "{v}"}, "--out", "{out}"],
+    "fit full init fwhm": ["fit", "--trace", "{trace}", "--model", "full", "--emitter", "117Sn",
+                           "--init", {"fwhm": "{v}"}, "--out", "{out}"],
+    "fit map init a_ple_scale": ["fit", "--map", "{map}", "--model", "full", "--emitter",
+                                 "117Sn", "--init", {"a_ple_scale": "{v}"}, "--out", "{out}"],
+    "fit-pl --bandwidth": ["fit-pl", "--values", "{values}", "--kde-out", "{out}",
+                           "--bandwidth", "{v}"],
+    "stats --bin-width": ["stats", "--values", "{values}", "--out", "{out}", "--bin-width",
+                          "{v}"],
+    "stats --aple-exp": ["stats", "--aple-exp", "73Ge={v}", "--out", "{out}"],
+    "synth --fwhm": _SYNTH + ["--fwhm", "{v}"],
+    "synth --noise": _SYNTH + ["--fwhm", "30", "--noise", "{v}"],
+    "synth --aple-scale": _SYNTH + ["--fwhm", "30", "--aple-scale", "{v}"],
+    "synth --jitter-alpha": _SYNTH + ["--fwhm", "30", "--jitter-alpha", "{v}"],
+}
+
+
+@pytest.fixture(scope="module")
+def _extreme_inputs(tmp_path_factory):
+    """A ¹¹⁷Sn trace, a two-row ¹¹⁷Sn field map and a values file."""
+    from g4vspec.hamiltonian import registry_lookup
+    from g4vspec.spectrum import synth_spectrum, transitions
+
+    where = tmp_path_factory.mktemp("extreme_inputs")
+    grid = np.arange(-300.0, 300.0, 6.0)
+    trace = synth_spectrum(transitions(registry_lookup("117Sn")), 40.0, grid)
+    dataio.write_spectrum_csv(where / "t.csv", dataio.MeasuredTrace(grid, trace.signal, "t"))
+    dataio.write_values_csv(where / "v.csv", [1.0, 2.0, 4.0])
+    return {"trace": where / "t.csv", "map": _small_map(where), "values": where / "v.csv"}
+
+
+@pytest.mark.parametrize("value", _EXTREMES)
+@pytest.mark.parametrize("flag", list(_FLAGS))
+def test_every_numeric_flag_takes_an_extreme_value_without_a_traceback(
+        tmp_path, capsys, _extreme_inputs, flag, value):
+    """Exit 0, 1 or 2, with no exception and no warning; an exit 1 prints
+    one error line, or the usage."""
+    import warnings
+
+    names = {key: str(path) for key, path in _extreme_inputs.items()}
+    names.update(v=value, out=str(tmp_path / "out"))
+    argv = [json.dumps({k: float(v.format(**names)) if isinstance(v, str) else v
+                        for k, v in a.items()}) if isinstance(a, dict) else a.format(**names)
+            for a in _FLAGS[flag]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.splitlines()
+        assert (len(lines) == 1 and lines[0].startswith("error: ")) or "usage: g4vspec" in err, err

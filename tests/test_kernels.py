@@ -95,6 +95,14 @@ def _two_chunk_comb(rng):
     return centers, weights, np.linspace(-100.0, 100.0, 801)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-320, 5e-324])
+def test_a_sigma_whose_square_underflows_is_refused_by_name(sigma):
+    """Its profile divided by 2 sigma^2 = 0: a ZeroDivisionError before."""
+    with pytest.raises(ValueError) as info:
+        kernels.gaussian_sum([0.0], [1.0], sigma, np.linspace(-1.0, 1.0, 5))
+    assert str(info.value) == f"sigma {sigma} is too small: 2 sigma^2 underflows to 0"
+
+
 def test_lorentzian_sums_peak_rows_are_lorentzian_sum_bit_for_bit(rng):
     centers, weights, grid = _two_chunk_comb(rng)
     other = rng.uniform(0.0, 1.0, 200)
