@@ -579,7 +579,7 @@ _TABLE_PARAMS = {
                     lambda e: (_hyperfine(e.gnd, _operators(e.nuclear_spin)),
                                _hyperfine(e.exc, _operators(e.nuclear_spin)))),
     "strain_alpha": (lambda e: e.strain_alpha_ghz, lambda e, v: replace(e, strain_alpha_ghz=v),
-                     lambda e: (_strain(1.0, 0.0, _operators(e.nuclear_spin), True),) * 2),
+                     lambda e: (_strain(1.0, 0.0, _operators(e.nuclear_spin), real=True),) * 2),
 }
 FULL_MODEL_FREE = (*_TABLE_PARAMS, "fwhm", "amplitude", "freq_offset")
 

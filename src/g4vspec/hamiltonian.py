@@ -370,6 +370,7 @@ def _build(emitter, manifold, b, alpha_ghz, beta_ghz):
     real (B_y = 0 and beta = 0), else in complex128."""
     alpha = emitter.strain_alpha_ghz if alpha_ghz is None else alpha_ghz
     beta = emitter.strain_beta_ghz if beta_ghz is None else beta_ghz
+    # The field and beta's conversion are refused before the manifold and alpha.
     fields = _fields(b)
     betas = _no_overflow("strain beta_ghz", np.asarray, beta, float)
     params = emitter.manifold(manifold)
