@@ -223,7 +223,7 @@ def _cmd_fit_batch(args) -> int:
         dataio._write_csv(
             args.summary_out,
             ("label", "model", "a_ple_mhz", "delta_mhz", "fwhm_mhz", "residual_rms"),
-            [zip(*summary)], {"label": "%s", "model": "%s"},
+            zip(*summary), {"label": "%s", "model": "%s"},
         )
     print(f"wrote {args.out} ({len(reports)} fits)")
     return 0 if all(res.converged for res in fits) else 2
@@ -273,7 +273,7 @@ def _cmd_fit_pl(args) -> int:
     density = analysis.kde(centers, args.bandwidth)
     if args.out:  # refused before anything is written
         n, mean, sem = analysis._mean_sem(centers)
-    dataio._write_csv(args.kde_out, ("value", "density"), [(density.freq_mhz, density.signal)])
+    dataio._write_csv(args.kde_out, ("value", "density"), (density.freq_mhz, density.signal))
     if args.out:
         payload = {
             "schema_version": "1",

@@ -5,9 +5,14 @@ Each format is defined once.  `_read_rows` reads the spectrum and map
 CSVs (header, blank lines, field count, finite numbers) in one NumPy C
 parse, or line by line if that parse refuses the file; `read_values_csv`
 picks one column of a ragged CSV.  Both name a file that is not UTF-8.
-`_write_csv` writes every CSV, at 9 significant digits with '.' decimal
-separator and LF line endings, so repeated runs diff clean; it formats a
-whole file with one `%` call over one template.  `_MANIFOLD_KEYS` and
+Every CSV is written at 9 significant digits with '.' decimal separator
+and LF line endings, so repeated runs diff clean, and each file is
+formatted by one `%` call over one template.  `_write_csv` writes one block
+of plain columns: the spectrum (freq_mhz,intensity), the strain levels
+(alpha_ghz,level_index,energy_mhz,jsq), a values file (one named column),
+and the CLI's batch summary and KDE.  `write_map_csv` builds the field
+map's own template (b_tesla,freq_mhz,intensity), with each trace's field
+and grid as template text.  `_MANIFOLD_KEYS` and
 `_TOP_KEYS` map emitter-file keys to `EmitterModel` fields both ways.
 File writes are whole-file atomic (temp file + rename).  Emitter files
 are checked against their packaged JSON schema when read; fit reports
@@ -337,34 +342,20 @@ def _read_rows(path, header):
     return linenos, np.array(rows, dtype=float).reshape(-1, ncols).T.copy()
 
 
-def _write_csv(path, columns, blocks, formats=None) -> None:
-    """One `write_text` of the header `columns` and each block's rows.
+def _cells(column) -> list:
+    """A column's values as a list, NumPy scalars as Python numbers."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
-    A block holds one sequence per column, cut to the shortest, with
-    `itertools.repeat(x)` for a value shared by its rows.  Cells are at 9
-    significant digits unless `formats` maps the column name to another
-    format.  One `%` call formats the file: a shared value, and the first
-    sequence a block shares with the block before in its column (a map's
-    grid), are template text escaped for `%`; every other cell an argument."""
-    specs = [(formats or {}).get(name, "%.9g") for name in columns]
-    template, args, before = [",".join(columns).replace("%", "%%") + "\n"], [], {}
-    for block in map(list, blocks):
-        n = min((len(c) for c in block if not isinstance(c, itertools.repeat)), default=0)
-        row, fresh = [""], []  # a row's text, or its text, shared cells and the text after
-        for k, (spec, col) in enumerate(zip(specs, block)):
-            if isinstance(col, itertools.repeat):
-                row[-1] += (spec % next(col)).replace("%", "%%")
-            elif col is before.get(k, (None,))[0] and len(row) == 1:
-                before[k] = (col, before[k][1] or [(spec % v).replace("%", "%%") for v in col])
-                row += [before[k][1][:n], ""]
-            else:
-                fresh.append((col.tolist() if isinstance(col, np.ndarray) else list(col))[:n])
-                before[k], row[-1] = (col, None), row[-1] + spec
-            row[-1] += "," if k + 1 < len(block) else "\n"
-        head, cells, tail = row if len(row) == 3 else ("", [""] * n, row[0])
-        template.append(head + (tail + head).join(cells) + tail if n else "")
-        args += fresh[0] if len(fresh) == 1 else itertools.chain.from_iterable(zip(*fresh))
-    write_text(path, "".join(template) % tuple(args))
+
+def _write_csv(path, columns, block, formats=None) -> None:
+    """One `write_text` of the header `columns` and the rows of `block`, one
+    sequence per column, cut to the shortest.  Cells are at 9 significant
+    digits unless `formats` maps the column name to another format.  One
+    `%` call formats the file; the header is escaped for it."""
+    specs = ",".join((formats or {}).get(name, "%.9g") for name in columns) + "\n"
+    rows = list(zip(*map(_cells, block)))
+    template = ",".join(columns).replace("%", "%%") + "\n" + specs * len(rows)
+    write_text(path, template % tuple(itertools.chain.from_iterable(rows)))
 
 
 def ingest_csv(path) -> MeasuredTrace:
@@ -380,14 +371,26 @@ def ingest_csv(path) -> MeasuredTrace:
 
 
 def write_spectrum_csv(path, trace) -> None:
-    _write_csv(path, ("freq_mhz", "intensity"), [(trace.freq_mhz, trace.signal)])
+    _write_csv(path, ("freq_mhz", "intensity"), (trace.freq_mhz, trace.signal))
 
 
 def write_map_csv(path, traces) -> None:
-    """Field map rows in field-outer order: b_tesla,freq_mhz,intensity."""
-    _write_csv(path, ("b_tesla", "freq_mhz", "intensity"),
-               ((itertools.repeat(t.meta.get("b_mag_tesla", 0.0)), t.freq_mhz, t.signal)
-                for t in traces))
+    """Field map rows in field-outer order: b_tesla,freq_mhz,intensity.
+
+    Each trace's rows are cut to the shorter of its grid and signal.  One
+    `%` call formats the file: a trace's field and grid are template text,
+    its intensities the arguments.  A grid is formatted once for a run of
+    traces that share its array, as the rows of a sweep do."""
+    template, args, grid, cells = ["b_tesla,freq_mhz,intensity\n"], [], None, []
+    for t in traces:
+        if t.freq_mhz is not grid:
+            grid, cells = t.freq_mhz, ["%.9g" % f for f in _cells(t.freq_mhz)]
+        signal = _cells(t.signal)[:len(cells)]
+        head = "%.9g," % t.meta.get("b_mag_tesla", 0.0)
+        if signal:
+            template.append(head + (",%.9g\n" + head).join(cells[:len(signal)]) + ",%.9g\n")
+        args += signal
+    write_text(path, "".join(template) % tuple(args))
 
 
 def read_map_csv(path) -> list:
@@ -426,13 +429,13 @@ def write_levels_csv(path, sweep) -> None:
     """Strain sweep rows: alpha_ghz,level_index,energy_mhz,jsq."""
     n_points, n_levels = sweep.levels.shape
     _write_csv(path, ("alpha_ghz", "level_index", "energy_mhz", "jsq"),
-               [(np.repeat(sweep.axis, n_levels), np.tile(np.arange(n_levels), n_points),
-                 sweep.levels.ravel(), sweep.jsq.ravel())],
+               (np.repeat(sweep.axis, n_levels), np.tile(np.arange(n_levels), n_points),
+                sweep.levels.ravel(), sweep.jsq.ravel()),
                {"level_index": "%d"})
 
 
 def write_values_csv(path, values, column: str = "value") -> None:
-    _write_csv(path, (column,), [(values,)])
+    _write_csv(path, (column,), (values,))
 
 
 def read_values_csv(path, column: str | None = None) -> np.ndarray:

@@ -2,7 +2,6 @@
 per-row reference built with `fmt`, the exact reader messages on a corpus
 of bad files, write-then-read round trips, and the emitter key map."""
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -53,20 +52,26 @@ def test_map_writer_bytes(tmp_path):
 
 
 def test_map_writer_bytes_with_shared_grids(tmp_path):
-    """Rows that share one grid array (formatted once per map), rows whose
-    equal grids are distinct arrays, a grid that differs from the shared one
-    only by the sign of a zero, and the shared grid again after them."""
+    """Rows that share one grid array (formatted once per run of traces
+    sharing it), rows whose equal grids are distinct arrays, a grid that
+    differs from the shared one only by the sign of a zero, the shared grid
+    again after them, a signal shorter than its grid (its rows cut to the
+    signal) and an empty trace between two full ones."""
     grid = np.array(ODD)
     unsigned = np.where(grid == 0.0, 0.0, grid)
-    grids = [grid, grid, grid.copy(), unsigned, grid, INT_FREQS, INT_FREQS]
-    traces = [SpectrumTrace(g, np.array(ODD) * (k - 2), {"b_mag_tesla": 0.005 * k})
-              for k, g in enumerate(grids)]
+    grids = [grid, grid, grid.copy(), unsigned, grid, INT_FREQS, INT_FREQS, grid, grid, grid]
+    signals = [np.array(ODD) * (k - 2) for k in range(len(grids))]
+    signals[7], signals[8] = np.array(ODD[:3]), np.array([])
+    traces = [SpectrumTrace(g, y, {"b_mag_tesla": 0.005 * k})
+              for k, (g, y) in enumerate(zip(grids, signals))]
     path = tmp_path / "m.csv"
     dataio.write_map_csv(path, traces)
     rows = [(fmt(t.meta["b_mag_tesla"]), fmt(f), fmt(s))
             for t in traces for f, s in zip(t.freq_mhz, t.signal)]
     assert path.read_text() == reference_csv("b_tesla,freq_mhz,intensity", rows)
     assert "\n0.005,-0,0\n" in path.read_text() and "\n0.015,0,-0\n" in path.read_text()
+    fields = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert [fields.count(b) for b in ("0.035", "0.04", "0.045")] == [3, 0, len(ODD)]
 
 
 def test_levels_writer_bytes(tmp_path):
@@ -152,36 +157,17 @@ def _sequence(spec):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(specs=st.lists(st.sampled_from(sorted(CELL)), min_size=1, max_size=4), data=st.data())
 def test_write_csv_bytes_equal_the_per_row_reference(tmp_path, specs, data):
-    """Blocks of repeated values, a sequence shared with an earlier block
-    (a map's grid), fresh float, int and str columns, empty blocks and
-    unequal lengths cut to the shortest, under column names and values
-    holding '%': the one-template writer gives the bytes of formatting each
-    row on its own."""
+    """One block of fresh float, int and str columns (lists, arrays and
+    tuples), empty or of unequal lengths cut to the shortest, under column
+    names and values holding '%': the one-template writer gives the bytes
+    of formatting each row on its own."""
     names = data.draw(st.lists(st.text(alphabet="ab%s_", min_size=1, max_size=4),
                                min_size=len(specs), max_size=len(specs), unique=True))
-    last = [None] * len(specs)  # the last fresh sequence of each column
-    blocks, rows = [], []
-    for _ in range(data.draw(st.integers(0, 4))):
-        kinds = data.draw(st.lists(st.sampled_from(["repeat", "shared", "fresh"]),
-                                   min_size=len(specs), max_size=len(specs)))
-        if set(kinds) == {"repeat"}:
-            kinds[0] = "fresh"
-        block = []
-        for k, (spec, kind) in enumerate(zip(specs, kinds)):
-            if kind == "repeat":
-                block.append(itertools.repeat(data.draw(VALUES[spec])))
-            elif kind == "fresh" or last[k] is None:
-                last[k] = data.draw(_sequence(spec))
-                block.append(last[k])
-            else:
-                block.append(last[k])
-        blocks.append(tuple(block))
-        rows += zip(*(itertools.repeat(next(c)) if isinstance(c, itertools.repeat) else list(c)
-                      for c in block))
+    block = tuple(data.draw(_sequence(spec)) for spec in specs)
     path = tmp_path / "w.csv"
-    dataio._write_csv(path, names, blocks, dict(zip(names, specs)))
+    dataio._write_csv(path, names, block, dict(zip(names, specs)))
     want = reference_csv(",".join(names),
-                         [[CELL[s](v) for s, v in zip(specs, row)] for row in rows])
+                         [[CELL[s](v) for s, v in zip(specs, row)] for row in zip(*block)])
     assert path.read_bytes() == want.encode()
 
 
