@@ -79,6 +79,8 @@ def lorentzian_sums(centers, fwhm: float, grid, terms):
     if not 0 < fwhm < np.inf:
         raise ValueError(f"fwhm must be positive and finite, got {fwhm}")
     hw = 0.5 * float(fwhm)
+    if hw * hw == 0.0 or 1.0 / (hw * hw) == np.inf:  # the profile's peak is 1/hw^2 times hw/pi
+        raise ValueError(f"fwhm {fwhm} is too small: 1/(fwhm/2)^2 overflows")
     slopes = any(len(t) > 1 for t in terms)
     return _line_sum(centers, terms, grid, lambda c, g: _lorentzian(c, g, hw, slopes))
 

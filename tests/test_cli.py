@@ -888,6 +888,7 @@ def _non_finite_case(tmp_path, case):
     dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
     simulate = ["simulate", "117Sn", "--grid", "-100:100:1", "--out", str(out)]
     fit_pl = ["fit-pl", "--kde-out", str(out), "--values"]
+    on_line = ["simulate", "120Sn", "--grid", "-10:10:1", "--out", str(out), "--fwhm"]
     stats = ["stats", "--values", str(values), "--out", str(out), "--bin-width"]
     synth = ["synth", "117Sn", "--n", "2", "--grid", "-100:100:1",
              "--out-dir", str(tmp_path / "traces"), "--truth", str(out)]
@@ -897,6 +898,9 @@ def _non_finite_case(tmp_path, case):
         "simulate fwhm inf": simulate + ["--fwhm", "inf"],
         "sweep-field fwhm nan": ["sweep-field", "117Sn", "--b-range", "0:0.01:0.01", "--fwhm",
                                  "nan", "--grid", "-10:10:1", "--out", str(out)],
+        "simulate fwhm 1e-155 on a line": on_line + ["1e-155"],
+        "simulate fwhm 1e-320 on a line": on_line + ["1e-320"],
+        "simulate fwhm 5e-324 on a line": on_line + ["5e-324"],
         "fit-pl bandwidth nan": fit_pl + [str(values), "--bandwidth", "nan"],
         "fit-pl bandwidth inf": fit_pl + [str(values), "--bandwidth", "inf"],
         "fit-pl bandwidth 1e-170": fit_pl + [str(values), "--bandwidth", "1e-170"],
@@ -952,6 +956,9 @@ def _non_finite_case(tmp_path, case):
     ("simulate fwhm nan", "fwhm must be positive and finite, got nan"),
     ("simulate fwhm inf", "fwhm must be positive and finite, got inf"),
     ("sweep-field fwhm nan", "fwhm must be positive and finite, got nan"),
+    ("simulate fwhm 1e-155 on a line", "fwhm 1e-155 is too small: 1/(fwhm/2)^2 overflows"),
+    ("simulate fwhm 1e-320 on a line", "fwhm 1e-320 is too small: 1/(fwhm/2)^2 overflows"),
+    ("simulate fwhm 5e-324 on a line", "fwhm 5e-324 is too small: 1/(fwhm/2)^2 overflows"),
     ("fit-pl bandwidth nan", "bandwidth must be positive and finite, got nan"),
     ("fit-pl bandwidth inf", "bandwidth must be positive and finite, got inf"),
     ("fit-pl bandwidth 1e-170", "bandwidth 1e-170 is too small: 2 bandwidth^2 underflows to 0"),
@@ -1009,6 +1016,14 @@ def test_non_finite_inputs_are_refused_with_one_error_line(tmp_path, capsys, cas
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not any(p.exists() for p in outputs)
+
+
+def test_the_narrowest_width_whose_peak_is_finite_still_writes_it(tmp_path):
+    """120Sn has a line at 0 MHz, on a grid point: its peak is 2/(pi fwhm)."""
+    out = tmp_path / "s.csv"
+    assert run_cli(["simulate", "120Sn", "--fwhm", "1e-150", "--grid", "-10:10:1",
+                    "--out", str(out)]) == 0
+    assert "\n0,6.36619772e+149\n" in out.read_text()
 
 
 # --- extreme values of every numeric flag ---

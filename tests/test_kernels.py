@@ -103,6 +103,20 @@ def test_a_sigma_whose_square_underflows_is_refused_by_name(sigma):
     assert str(info.value) == f"sigma {sigma} is too small: 2 sigma^2 underflows to 0"
 
 
+@pytest.mark.parametrize("fwhm", [1.4e-154, 1e-155, 1e-163, 1e-320, 5e-324])
+def test_a_fwhm_whose_peak_overflows_is_refused_by_name(fwhm):
+    """A line on a grid point peaks at 1/(fwhm/2)^2 times fwhm/(2 pi): an inf,
+    or a nan where (fwhm/2)^2 underflows, before."""
+    grid = np.linspace(-1.0, 1.0, 5)
+    for call in (lambda: kernels.lorentzian_sum([0.0], [1.0], fwhm, grid),
+                 lambda: kernels.lorentzian_sums([0.0], fwhm, grid, [([1.0], [1.0], [1.0])])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"fwhm {fwhm} is too small: 1/(fwhm/2)^2 overflows"
+    peak = kernels.lorentzian_sum([0.0], [1.0], 1.5e-154, grid)[2]
+    assert peak == pytest.approx(2.0 / (np.pi * 1.5e-154), rel=1e-15)
+
+
 def test_lorentzian_sums_peak_rows_are_lorentzian_sum_bit_for_bit(rng):
     centers, weights, grid = _two_chunk_comb(rng)
     other = rng.uniform(0.0, 1.0, 200)
