@@ -690,7 +690,10 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     a_ple_scale multiplies the hyperfine couplings of both manifolds by a
     single factor (a spectrum near the C line constrains only that
     combination).  The derived a_ple_mhz is included in the report.  The
-    map's points are counted before anything is solved.
+    map's points are counted before anything is solved.  A start the model
+    cannot evaluate (a branch gap, an overflowing Hamiltonian, a width the
+    kernel refuses) is refused with that ValueError; at a trial point the
+    same failure is a rejected step.
 
     The model is `_map_model`'s.  a_ple_scale and strain_alpha change the
     line tables; `_TABLE_PARAMS` says how.  It keeps two dicts: the rows
@@ -739,12 +742,20 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     fixed = {name: value for name, value in defaults.items() if name not in free}
     signal, jacobian, last = _map_model(emitter, _real_frame(fields), grids, free, fixed)
     p0 = np.array([defaults[n] for n in free], dtype=float)
+    start = signal(p0)  # raises the start's own error
     if "amplitude" in free and (init is None or "amplitude" not in init):
         # Deterministic scale seed: match the peak of the unit model.
-        top = float(signal(p0).max())
+        top = float(start.max())
         if top > 0:
             p0[free.index("amplitude")] = float(y_all.max()) / top
-    res = _fit("full", free, lambda v: signal(v) - y_all, p0, seed, jac=jacobian)
+
+    def residual(values):
+        try:
+            return signal(values) - y_all
+        except ValueError:  # a trial the model cannot evaluate: the core rejects the step
+            return np.full(y_all.shape, np.nan)
+
+    res = _fit("full", free, residual, p0, seed, jac=jacobian)
     # The core takes its last Jacobian at the optimum, for the covariance.
     res = replace(res, cond_jtj=float(np.linalg.cond(last().T @ last())))
     scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])

@@ -741,6 +741,36 @@ def _small_map(tmp_path):
     return path
 
 
+def _map_fit_from(tmp_path, capsys, a_ple_scale):
+    """Exit code, stderr lines and report path of a full fit of the small
+    map started at a_ple_scale, with warnings as errors."""
+    import warnings
+
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["fit", "--map", str(_small_map(tmp_path)), "--model", "full",
+                        "--emitter", "117Sn", "--init", json.dumps({"a_ple_scale": a_ple_scale}),
+                        "--out", str(out)])
+    return code, capsys.readouterr().err.splitlines(), out
+
+
+def test_a_map_fit_rejects_a_trial_whose_table_cannot_be_solved(tmp_path, capsys):
+    """From a_ple_scale 0.001 the fit tries a point near 5.6e5, whose ground
+    manifold fails the branch-gap check; that trial is a rejected step, and
+    the fit goes on to write its report."""
+    code, err, out = _map_fit_from(tmp_path, capsys, 0.001)
+    assert code in (0, 2), err
+    assert json.loads(out.read_text())["model"] == "full"
+
+
+def test_a_map_fit_whose_start_cannot_be_solved_is_refused_by_its_own_error(tmp_path, capsys):
+    code, err, out = _map_fit_from(tmp_path, capsys, 1e300)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: gnd: spin-orbit branch separation ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     ("0,0,0", "field direction must be 3 finite numbers, not all 0, got '0,0,0'"),
     ("0,1", "field direction must be 3 finite numbers, not all 0, got '0,1'"),
