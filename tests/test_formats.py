@@ -148,7 +148,7 @@ VALUES = {"%.9g": st.floats() | INT64, "%d": INT64, "%s": st.text(alphabet="ab%s
 
 
 def _sequence(spec):
-    """A fresh column: a list, or a float or int array; str columns a tuple."""
+    """A column: a list, or a float or int array; str columns a tuple."""
     values = st.lists(VALUES[spec], max_size=6)
     return values.map(tuple) if spec == "%s" else values | values.map(np.array)
 
