@@ -3,12 +3,15 @@ Hamiltonian-model fits of spectra and field maps, kernel density
 estimation, the sqrt(mass) isotope-shift model, and contingency testing.
 
 All fitters share one damped least-squares core (Levenberg-Marquardt style)
-that solves one problem or a stack of k independent ones at once: each
-problem keeps its own damping, acceptance, convergence and iteration count,
-and every product, solve and inverse is taken per slice, so a problem gives
-the same bits alone or in any stack.  `_fit` is the one place that calls
-the core and reports: it names the parameters and their errors and gives
-the parameters that a model sees only through |.| their reported sign.  The
+that solves a stack of k independent problems at once, one problem being a
+stack of one, and always returns stacks: each problem keeps its own damping,
+acceptance, convergence and iteration count, and every product, solve and
+inverse is taken per slice, so a problem gives the same bits alone or in
+any stack.  The core forms each problem's J^T J at its optimum once, for the
+covariance, and hands it back.  `_fit` is the one place that calls the core
+and turns its stacks into FitResults: it names the parameters and their
+errors, gives the parameters that a model sees only through |.| their
+reported sign, and keeps each fit's J^T J, from which `cond_jtj` is read.  The
 closed-form peak models (single Lorentzian, 2:1:1 triplet, Gaussian) sit in
 one table with their Jacobians and broadcast over a stack of traces, with
 no separate path for one trace; the Lorentzian ones take their peaks from
@@ -30,14 +33,14 @@ counted before anything is solved.  One builder, `_map_model`, holds the
 full model of a field map, its signal and analytic Jacobian: it solves all
 rows as one stack per manifold, in the real frame, and reuses row tables
 and reference lines within the fit.  `fit_full_model` is its input checks,
-that builder and `_fit`.
+that builder and `_fit`; it forms no J^T J of its own.
 
 Standard errors are 1-sigma values from the diagonal of (J^T J)^-1 scaled
 by the residual variance at the optimum.
 """
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +76,11 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameter estimates with 1-sigma errors and fit diagnostics."""
+    """Named parameter estimates with 1-sigma errors and fit diagnostics.
+
+    A fit keeps J^T J at its optimum, as the LM core formed it for the
+    covariance; it stays out of the repr, equality and the report, and
+    cond_jtj is taken from it when read."""
 
     model: str
     params: dict
@@ -82,9 +89,12 @@ class FitResult:
     converged: bool
     n_iterations: int
     seed: int | None = None
-    # cond(J^T J) of the Jacobian at the optimum, where a fitter reports it
-    # (full-model fits); not part of the report.
-    cond_jtj: float | None = None
+    _jtj: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def cond_jtj(self) -> float | None:
+        """cond(J^T J) at the optimum, or None for a result built without it."""
+        return None if self._jtj is None else float(np.linalg.cond(self._jtj))
 
     def as_report(self) -> dict:
         return {
@@ -157,15 +167,16 @@ def _solve_damped(jtj, diag, g, mu):
 
 
 def _levenberg_marquardt(residual_fn, p0, *, jac):
-    """Minimize sum(residual^2) of one problem or of k independent ones.
+    """Minimize sum(residual^2) of k independent problems.
 
-    With p0 of shape (n,), residual_fn(p) returns the (m,) residual and
-    jac(p) its (m, n) Jacobian; the result is (p, cov, rms,
-    converged, iters).  With p0 of shape (k, n), residual_fn(P, rows) and
-    jac(P, rows) get the parameters of the problems at positions rows
-    (anything that indexes a first axis) and return (k', m) and (k', m, n);
-    they are called only for problems still pending, and the five results
-    come back stacked.  Each problem keeps its own damping, acceptance,
+    With p0 of shape (k, n), residual_fn(P, rows) and jac(P, rows) get the
+    parameters of the problems at positions rows (anything that indexes a
+    first axis) and return (k', m) and (k', m, n); they are called only for
+    problems still pending.  A p0 of shape (n,) is a stack of one, whose
+    residual_fn(p) and jac(p) take one problem's parameters and return (m,)
+    and (m, n).  The result is always stacked: (p, cov, rms, converged,
+    iters, jtj), with J^T J at each problem's optimum, from which its
+    covariance is taken.  Each problem keeps its own damping, acceptance,
     convergence and iteration count, and every product is taken per slice,
     so a problem's result does not depend on the stack it is solved in.
     After a round in which any pending problem moved, the Jacobian is taken
@@ -175,8 +186,7 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
     naming the first such problem.
     """
     p = np.array(p0, dtype=float)
-    single = p.ndim == 1
-    if single:  # one problem is a stack of one
+    if p.ndim == 1:  # one problem is a stack of one
         p, fn, fn_jac = p[None], residual_fn, jac
         residual_fn = lambda q, rows: fn(q[0])[None]
         jac = lambda q, rows: fn_jac(q[0])[None]
@@ -204,7 +214,7 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
     # The loop works on the pending problems, at positions rows, and writes
     # each one's final state back here when it finishes.
     cost = _rowdot(r, r)
-    p_out, r_out, cost_out = p.copy(), r.copy(), cost.copy()
+    p_out, cost_out = p.copy(), cost.copy()
     converged_out = np.zeros(k, dtype=bool)
     iters_out = np.zeros(k, dtype=int)
     rows = np.arange(k)
@@ -241,7 +251,7 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
         n_done = np.count_nonzero(done)
         if n_done:
             at = rows[done]
-            p_out[at], r_out[at], cost_out[at] = p[done], r[done], cost[done]
+            p_out[at], cost_out[at] = p[done], cost[done]
             converged_out[at], iters_out[at] = converged[done], iters[done]
             if n_done == rows.size:
                 break
@@ -252,23 +262,11 @@ def _levenberg_marquardt(residual_fn, p0, *, jac):
             sel = rows
         iters += moved
 
-    _, jtj = normal_equations(p_out, r_out, everything)
+    j = jac(p_out, everything)  # J^T J alone at each optimum: the covariance's, and the fit's
+    jtj = j.transpose(0, 2, 1) @ j
     variance = cost_out / max(m - n_par, 1)
     cov = _per_slice(np.linalg.inv, np.linalg.pinv, jtj) * variance[:, None, None]
-    rms = np.sqrt(cost_out / m)
-    if single:
-        return p_out[0], cov[0], float(rms[0]), bool(converged_out[0]), int(iters_out[0])
-    return p_out, cov, rms, converged_out, iters_out
-
-
-def _report(model, names, seed, p, cov, rms, converged, iters) -> FitResult:
-    params = dict(zip(names, p))
-    for name, sign in _REPORTED_SIGNS.items():
-        if name in params:
-            params[name] = sign * abs(params[name])
-    std = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
-    return FitResult(model=model, params=params, std_errs=std, residual_rms=float(rms),
-                     converged=bool(converged), n_iterations=int(iters), seed=seed)
+    return p_out, cov, np.sqrt(cost_out / m), converged_out, iters_out, jtj
 
 
 def _check_points(points, names):
@@ -282,14 +280,19 @@ def _check_points(points, names):
 def _fit(model, names, residual, p0, seed, jac):
     """Minimize residual from p0, one problem (n,) or a stack (k, n), and
     report the named parameters, their 1-sigma errors and the reported sign
-    of each |.| parameter: one FitResult, or a list of k.  The callers check
-    each problem's point count (`_check_points`)."""
-    out = _levenberg_marquardt(residual, p0, jac=jac)
-    if np.ndim(p0) == 1:
-        return _report(model, names, seed, *out)
-    p, cov, rms, converged, iters = out
-    return [_report(model, names, seed, *row)
-            for row in zip(p, cov, rms.tolist(), converged.tolist(), iters.tolist())]
+    of each |.| parameter: one FitResult, or a list of k, each keeping its
+    J^T J.  The callers check each problem's point count (`_check_points`)."""
+    fits = []
+    for p, cov, rms, converged, iters, jtj in zip(*_levenberg_marquardt(residual, p0, jac=jac)):
+        params = dict(zip(names, p))
+        for name, sign in _REPORTED_SIGNS.items():
+            if name in params:
+                params[name] = sign * abs(params[name])
+        std = dict(zip(names, np.sqrt(np.clip(np.diag(cov), 0.0, None))))
+        fits.append(FitResult(model=model, params=params, std_errs=std, residual_rms=float(rms),
+                              converged=bool(converged), n_iterations=int(iters), seed=seed,
+                              _jtj=jtj))
+    return fits[0] if np.ndim(p0) == 1 else fits
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +614,9 @@ def _trace_field(meta, index):
 
 
 def _map_model(emitter, fields, grids, free, fixed):
-    """(signal, jacobian, last) of a map's rows at the real-frame fields, on
-    the grids: the rows' model signal, concatenated, and its Jacobian at the
-    values of free (fixed holds the others), and the last Jacobian taken."""
+    """(signal, jacobian) of a map's rows at the real-frame fields, on the
+    grids: the rows' model signal, concatenated, and its Jacobian at the
+    values of free (fixed holds the others)."""
     # What one unit of each free table parameter adds to the Hamiltonians.
     moved = {name: _TABLE_PARAMS[name][2](emitter) for name in free if name in _TABLE_PARAMS}
     # The rows solved at each tuple of table values, tables with their
@@ -623,7 +626,7 @@ def _map_model(emitter, fields, grids, free, fixed):
     # Reference lines and their slopes stay for each coupling-free emitter.
     solved = {}
     ref_lines = {}
-    jac_key = jac_last = None
+    jac_key = None
 
     def params(values):
         p = dict(fixed)
@@ -656,7 +659,7 @@ def _map_model(emitter, fields, grids, free, fixed):
 
     def jacobian(values):
         # Every column from the rows the residual at these values solved.
-        nonlocal jac_key, jac_last
+        nonlocal jac_key
         p = params(values)
         jac_key, (rows, ref_slopes) = rows_at(p)
         perturbations = [moved[n] + (d_ref,) for n, d_ref in zip(moved, ref_slopes)]
@@ -673,10 +676,9 @@ def _map_model(emitter, fields, grids, free, fixed):
                 [terms[name] for name in free]).T
             start += grid.size
         j[:, [name != "amplitude" for name in free]] *= p["amplitude"]
-        jac_last = j
         return j
 
-    return signal, jacobian, lambda: jac_last
+    return signal, jacobian
 
 
 def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
@@ -711,7 +713,8 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     J^2-pinned clusters of every B = 0 row) take degenerate perturbation
     theory: each cluster counts as if rotated into the eigenbasis of the
     perturbation projected onto it.  The result's cond_jtj is cond(J^T J)
-    at the optimum; the report leaves it out.
+    at the optimum, of the J^T J the core formed there; the report leaves
+    it out.
     """
     traces = list(data) if isinstance(data, (list, tuple)) else [data]
     if not traces:
@@ -740,7 +743,7 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
     if init:
         defaults.update(init)
     fixed = {name: value for name, value in defaults.items() if name not in free}
-    signal, jacobian, last = _map_model(emitter, _real_frame(fields), grids, free, fixed)
+    signal, jacobian = _map_model(emitter, _real_frame(fields), grids, free, fixed)
     p0 = np.array([defaults[n] for n in free], dtype=float)
     start = signal(p0)  # raises the start's own error
     if "amplitude" in free and (init is None or "amplitude" not in init):
@@ -756,8 +759,6 @@ def fit_full_model(data, free, emitter: EmitterModel, init: dict | None = None,
             return np.full(y_all.shape, np.nan)
 
     res = _fit("full", free, residual, p0, seed, jac=jacobian)
-    # The core takes its last Jacobian at the optimum, for the covariance.
-    res = replace(res, cond_jtj=float(np.linalg.cond(last().T @ last())))
     scale = res.params.get("a_ple_scale", defaults["a_ple_scale"])
     res.params["a_ple_mhz"] = scale * a_ple(emitter)
     if "a_ple_scale" in res.std_errs:

@@ -504,21 +504,25 @@ def _valley_jac(p):
 def test_lm_flags_non_convergence_at_iteration_cap():
     # one iteration is never enough from here
     with mock.patch.object(analysis, "MAX_ITERATIONS", 1):
-        p, cov, rms, converged, iters = _levenberg_marquardt(
+        p, cov, rms, converged, iters, jtj = _levenberg_marquardt(
             _valley, np.array([-1.2, 1.0]), jac=_valley_jac
         )
-    assert not converged
-    assert iters == 1
+    assert converged.tolist() == [False]
+    assert iters.tolist() == [1]
     # best-so-far is still an improvement over the start
     start = _valley(np.array([-1.2, 1.0]))
-    assert rms <= math.sqrt(float(start @ start) / start.size)
+    assert rms.shape == (1,) and rms[0] <= math.sqrt(float(start @ start) / start.size)
 
 
 def test_lm_solves_curved_valley():
-    p, cov, rms, converged, iters = _levenberg_marquardt(_valley, np.array([-1.2, 1.0]),
-                                                         jac=_valley_jac)
-    assert converged
-    assert np.allclose(p, [1.0, 1.0], atol=1e-6)
+    """One problem (n,) comes back as a stack of one, J^T J with it."""
+    p, cov, rms, converged, iters, jtj = _levenberg_marquardt(_valley, np.array([-1.2, 1.0]),
+                                                              jac=_valley_jac)
+    assert converged.tolist() == [True]
+    assert p.shape == (1, 2) and cov.shape == jtj.shape == (1, 2, 2)
+    assert np.allclose(p[0], [1.0, 1.0], atol=1e-6)
+    j = _valley_jac(p[0])
+    assert np.array_equal(jtj[0], j.T @ j)
 
 
 # --- stacked row solves and reference lines inside full-model fits ---
@@ -555,20 +559,20 @@ def _full_model_problem(calls, data, base, init):
 def test_the_map_model_built_afresh_is_what_the_fit_hands_its_core(calls, free, init):
     """_map_model's signal and Jacobian, built again from the arguments the
     fit built it with and called at the fit's start, give the residual and
-    Jacobian the fit hands the LM core there, bit for bit; last() is the
-    Jacobian taken last."""
+    Jacobian the fit hands the LM core there, bit for bit; the fit keeps
+    J^T J of that Jacobian at its reported optimum, bit for bit."""
     base, traces, _ = _ge_map_with_zero_field_row()
     built = calls(analysis, "_map_model")
     cores = calls(analysis, "_levenberg_marquardt")
-    fit_full_model(traces, free, base, init=init)
+    res = fit_full_model(traces, free, base, init=init)
     assert len(built) == len(cores) == 1
     p, residual, jac = cores[0]["p0"], cores[0]["residual_fn"], cores[0]["jac"]
-    signal, jacobian, last = analysis._map_model(**built[0])
+    signal, jacobian = analysis._map_model(**built[0])
     y = np.concatenate([t.signal for t in traces])
     assert _bits(signal(p) - y) == _bits(residual(p))
-    j = jacobian(p)
-    assert last() is j
-    assert _bits(j) == _bits(jac(p))
+    assert _bits(jacobian(p)) == _bits(jac(p))
+    j = jacobian(np.array([res.params[name] for name in free]))
+    assert _bits(j.T @ j) == _bits(res._jtj)
 
 
 def test_a_map_with_no_more_points_than_free_parameters_is_refused_before_any_solve(calls):
@@ -1275,6 +1279,37 @@ def test_a_list_fits_each_trace_as_it_fits_alone(case):
             assert str(info.value) == alone[info.value.index]
 
 
+def test_a_stacked_triplet_fit_keeps_the_normal_matrix_its_trace_gives_alone():
+    """Each fit of a stack keeps its own J^T J at the optimum: its cond_jtj
+    is, bit for bit, that of the trace fitted alone, and matches cond of a
+    central-difference J^T J there, as the field-map fit's does."""
+    names, model, _ = analysis._PEAK_MODELS["triplet211"]
+    grid = np.arange(-400.0, 900.0, 4.0)
+    rng = np.random.Generator(np.random.PCG64(36))
+    traces = [SpectrumTrace(grid, make_triplet(grid, center, -350.0, 100.0, 35.0, 1.0)
+                            + rng.normal(0.0, 0.02, grid.size)) for center in (-40.0, 0.0, 55.0)]
+    stack = fit_lorentzians(traces, "triplet211")
+    for trace, res in zip(traces, stack):
+        alone = fit_lorentzians(trace, "triplet211")
+        assert np.float64(res.cond_jtj).tobytes() == np.float64(alone.cond_jtj).tobytes()
+        assert res.converged and res.cond_jtj > 1.0
+        # The reported signs flip Jacobian columns, which leaves cond unchanged.
+        p = np.array([res.params[name] for name in names])
+        j = np.column_stack([central_difference(lambda q: model(q, grid) - trace.signal, p, col)
+                             for col in range(p.size)])
+        assert res.cond_jtj == pytest.approx(np.linalg.cond(j.T @ j), rel=1e-6)
+
+
+def test_the_kept_normal_matrix_stays_out_of_equality_repr_and_report():
+    grid = np.arange(-100.0, 100.0, 2.0)
+    res = fit_lorentzians(SpectrumTrace(grid, lorentz_peak(grid, 3.0, 20.0)))
+    other = dataclasses.replace(res, _jtj=res._jtj + np.eye(4))
+    assert other.cond_jtj != res.cond_jtj
+    assert other == res and repr(other) == repr(res) and other.as_report() == res.as_report()
+    assert "jtj" not in repr(res)
+    assert dataclasses.replace(res, _jtj=None).cond_jtj is None
+
+
 # (residual, Jacobian) of toy problems
 PROBLEMS = (
     (lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]),  # linear: converges under the cap
@@ -1296,9 +1331,12 @@ def _stacked(problems, calls):
 
 
 def _assert_rows_equal(stacked, alone):
+    """Each problem's row of every stacked result, J^T J too, is the one
+    row of that result when the problem is solved alone."""
     for s, one in enumerate(alone):
+        assert len(one) == len(stacked) == 6
         for got, want in zip(stacked, one):
-            assert np.array_equal(got[s], want)
+            assert len(want) == 1 and np.array_equal(got[s], want[0])
 
 
 def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
@@ -1309,7 +1347,7 @@ def test_each_problem_of_a_stack_keeps_its_own_iteration_count():
         out = _levenberg_marquardt(residual, starts, jac=jac)
         alone = [_levenberg_marquardt(fn, p0, jac=fn_jac)
                  for (fn, fn_jac), p0 in zip(PROBLEMS, starts)]
-    assert out[4].tolist() == [alone[0][4], 6] and alone[0][4] < 6
+    assert out[4].tolist() == [alone[0][4][0], 6] and alone[0][4][0] < 6
     assert out[3].tolist() == [True, False]
     _assert_rows_equal(out, alone)
     # The valley stops at the cap while the linear problem is still refusing
