@@ -5,6 +5,9 @@ Each format is defined once.  `_read_rows` reads the spectrum and map
 CSVs (header, blank lines, field count, finite numbers) in one NumPy C
 parse, or line by line if that parse refuses the file; `read_values_csv`
 picks one column of a ragged CSV.  Both name a file that is not UTF-8.
+A trace read from disk is a `spectrum.SpectrumTrace`, as a synthesized
+one is, with its provenance in meta: the path as 'source', and the file
+name's stem as 'emitter_id' for a spectrum.
 Every CSV is written at 9 significant digits with '.' decimal separator
 and LF line endings, so repeated runs diff clean, and each file is
 formatted by one `%` call over one template.  `_write_csv` writes one block
@@ -28,7 +31,6 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -38,7 +40,6 @@ from .hamiltonian import (EmitterModel, ManifoldParams, _no_overflow, a_ple, reg
 from .spectrum import SpectrumTrace, synth_spectrum, transitions
 
 __all__ = [
-    "MeasuredTrace",
     "fmt",
     "parse_grid",
     "parse_field",
@@ -60,17 +61,6 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 10**7  # points of a parsed grid, at most (80 MB of float64)
-
-
-@dataclass(frozen=True)
-class MeasuredTrace:
-    """A 1-D spectrum read from disk, with provenance."""
-
-    freq_mhz: np.ndarray
-    signal: np.ndarray
-    source: str
-    emitter_id: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def fmt(x) -> str:
@@ -358,16 +348,17 @@ def _write_csv(path, columns, block, formats=None) -> None:
     write_text(path, template % tuple(itertools.chain.from_iterable(rows)))
 
 
-def ingest_csv(path) -> MeasuredTrace:
+def ingest_csv(path) -> SpectrumTrace:
     """Spectrum CSV with header 'freq_mhz,intensity', at least 3 rows,
-    strictly increasing finite frequencies."""
+    strictly increasing finite frequencies.  meta holds the path as
+    'source' and the file name's stem as 'emitter_id'."""
     path = os.fspath(path)
     linenos, (freqs, signal) = _read_rows(path, "freq_mhz,intensity")
     if len(freqs) < 3:
         raise ValueError(f"{path}: need at least 3 data rows, got {len(freqs)}")
     stem = os.path.splitext(os.path.basename(path))[0]
-    return MeasuredTrace(freq_mhz=_increasing_grid(path, freqs, linenos),
-                         signal=signal, source=path, emitter_id=stem)
+    return SpectrumTrace(freq_mhz=_increasing_grid(path, freqs, linenos), signal=signal,
+                         meta={"source": path, "emitter_id": stem})
 
 
 def write_spectrum_csv(path, trace) -> None:
@@ -394,7 +385,9 @@ def write_map_csv(path, traces) -> None:
 
 
 def read_map_csv(path) -> list:
-    """Inverse of write_map_csv: list of MeasuredTrace, one per field value.
+    """Inverse of write_map_csv: a list of SpectrumTrace, one per field
+    value, each with the path as meta 'source' and its field as
+    'b_mag_tesla'.
 
     Each field value must form one contiguous block of at least 3 rows
     whose frequencies strictly increase (the spectrum rules of ingest_csv).
@@ -419,9 +412,9 @@ def read_map_csv(path) -> list:
                 f"{path}: line {linenos[k]}: field {fmt(b)} T has {j - k} data row(s), "
                 "need at least 3"
             )
-        traces.append(MeasuredTrace(freq_mhz=_increasing_grid(path, freqs[k:j], linenos[k:j]),
-                                    signal=np.array(signal[k:j]), source=path,
-                                    meta={"b_mag_tesla": b}))
+        traces.append(SpectrumTrace(freq_mhz=_increasing_grid(path, freqs[k:j], linenos[k:j]),
+                                    signal=np.array(signal[k:j]),
+                                    meta={"source": path, "b_mag_tesla": b}))
     return traces
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from g4vspec import dataio
 from g4vspec.cli import run_cli
+from g4vspec.spectrum import SpectrumTrace
 
 from conftest import lorentz_peak
 
@@ -197,8 +198,7 @@ def test_ingest_sets_provenance(tmp_path):
     src = tmp_path / "emitter_0042.csv"
     dataio.write_spectrum_csv(src, type("T", (), {"freq_mhz": grid, "signal": grid**2})())
     trace = dataio.ingest_csv(src)
-    assert trace.emitter_id == "emitter_0042"
-    assert trace.source == str(src)
+    assert trace.meta == {"source": str(src), "emitter_id": "emitter_0042"}
 
 
 def test_stats_counts_and_comparison(tmp_path, capsys):
@@ -402,7 +402,7 @@ def test_fit_pl_exit_code_2_when_a_gaussian_fit_does_not_converge(tmp_path, monk
     grid = np.arange(-10.0, 10.0, 1.0)
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:
-        dataio.write_spectrum_csv(path, dataio.MeasuredTrace(grid, np.exp(-grid**2), ""))
+        dataio.write_spectrum_csv(path, SpectrumTrace(grid, np.exp(-grid**2)))
     kde_out, out = tmp_path / "kde.csv", tmp_path / "pl.json"
     assert run_cli(["fit-pl", "--traces", *map(str, paths), "--bandwidth", "1",
                     "--kde-out", str(kde_out), "--out", str(out)]) == 2
@@ -424,12 +424,12 @@ def _reports_written_by(tmp_path, command):
     elif command == "fit-pl --traces":
         for k in range(2):
             sig = np.exp(-((grid - 30.0 * k) ** 2) / (2 * 20.0**2))
-            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", SpectrumTrace(grid, sig))
     else:
         for k in range(2):
             sig = 0.05 + sum(w * lorentz_peak(grid, 8.0 * k + f, 35.0)
                              for w, f in ((1.0, 0.0), (0.5, 410.0), (0.5, 490.0)))
-            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+            dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", SpectrumTrace(grid, sig))
         trace = tmp_path / "t0.csv"
     argv = {
         "fit --trace single": ["fit", "--trace", str(trace), "--model", "single"],
@@ -580,8 +580,7 @@ def test_a_csv_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
         grid = np.arange(-100.0, 100.0, 2.0)
         paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
         for path in paths:
-            dataio.write_spectrum_csv(path, dataio.MeasuredTrace(
-                grid, lorentz_peak(grid, 0.0, 20.0), ""))
+            dataio.write_spectrum_csv(path, SpectrumTrace(grid, lorentz_peak(grid, 0.0, 20.0)))
         bad = paths[1]
         argv = ["fit", "--batch", str(tmp_path / "*.csv"), "--model", "triplet"]
     elif command == "fit --map":
@@ -857,7 +856,7 @@ def test_a_start_with_a_non_finite_jacobian_is_an_error_line(tmp_path, capsys, s
 
     trace = tmp_path / "t.csv"
     grid = np.arange(-50.0, 51.0, 1.0)
-    dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
+    dataio.write_spectrum_csv(trace, SpectrumTrace(grid, 1.0 / (1.0 + grid**2)))
     out = tmp_path / "r.json"
     single = ["--model", "single", "--init",
               '{"f0": 0, "fwhm": 1e200, "amplitude": 1, "baseline": 0}']
@@ -915,7 +914,7 @@ def _non_finite_case(tmp_path, case):
     dataio.write_values_csv(wide, [-1e154, 1e154])
     trace = tmp_path / "t.csv"
     grid = np.arange(-50.0, 51.0, 1.0)
-    dataio.write_spectrum_csv(trace, dataio.MeasuredTrace(grid, 1.0 / (1.0 + grid**2), "t"))
+    dataio.write_spectrum_csv(trace, SpectrumTrace(grid, 1.0 / (1.0 + grid**2)))
     simulate = ["simulate", "117Sn", "--grid", "-100:100:1", "--out", str(out)]
     fit_pl = ["fit-pl", "--kde-out", str(out), "--values"]
     on_line = ["simulate", "120Sn", "--grid", "-10:10:1", "--out", str(out), "--fwhm"]
@@ -1105,7 +1104,7 @@ def _extreme_inputs(tmp_path_factory):
     where = tmp_path_factory.mktemp("extreme_inputs")
     grid = np.arange(-300.0, 300.0, 6.0)
     trace = synth_spectrum(transitions(registry_lookup("117Sn")), 40.0, grid)
-    dataio.write_spectrum_csv(where / "t.csv", dataio.MeasuredTrace(grid, trace.signal, "t"))
+    dataio.write_spectrum_csv(where / "t.csv", SpectrumTrace(grid, trace.signal))
     dataio.write_values_csv(where / "v.csv", [1.0, 2.0, 4.0])
     return {"trace": where / "t.csv", "map": _small_map(where), "values": where / "v.csv"}
 

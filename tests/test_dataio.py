@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from g4vspec import dataio
 from g4vspec.hamiltonian import registry_lookup
-from g4vspec.spectrum import synth_spectrum, transitions
+from g4vspec.spectrum import SpectrumTrace, synth_spectrum, transitions
 
 from conftest import _bits
 
@@ -272,7 +272,7 @@ def test_ingest_minimal(tmp_path):
     p = write_csv(tmp_path, "freq_mhz,intensity\n0,1.0\n1,2.0\n2,1.5\n")
     t = dataio.ingest_csv(p)
     assert len(t.freq_mhz) == 3
-    assert t.source == p
+    assert t.meta == {"source": p, "emitter_id": "t"}
 
 
 def test_ingest_bad_header(tmp_path):
@@ -465,8 +465,8 @@ def test_a_plain_spectrum_or_map_file_is_parsed_without_the_per_line_loop(tmp_pa
     spectrum = tmp_path / "d" / "emitter_0000.csv"
     map_path = tmp_path / "map.csv"
     dataio.write_map_csv(map_path, [
-        dataio.MeasuredTrace(grid, synth_spectrum(transitions(emitter, (0.0, 0.0, b)), 35.0,
-                                                  grid).signal, "", meta={"b_mag_tesla": b})
+        SpectrumTrace(grid, synth_spectrum(transitions(emitter, (0.0, 0.0, b)), 35.0,
+                                           grid).signal, {"b_mag_tesla": b})
         for b in (0.0, 0.05, 0.1)])
     files = [(str(spectrum), "freq_mhz,intensity"), (str(map_path), "b_tesla,freq_mhz,intensity")]
     want = [_read_outcome(_joined_read_rows, path, header) for path, header in files]
@@ -663,7 +663,7 @@ def test_fits_do_not_import_jsonschema_but_an_emitter_file_does(tmp_path):
     for k in range(2):
         sig = 0.05 + sum(w / (1.0 + ((grid - c) / 17.5) ** 2)
                          for w, c in ((1.0, 10.0 * k), (0.5, 420.0), (0.5, 500.0)))
-        dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", dataio.MeasuredTrace(grid, sig, ""))
+        dataio.write_spectrum_csv(tmp_path / f"t{k}.csv", SpectrumTrace(grid, sig))
     emitter = tmp_path / "e.json"
     emitter.write_text('{"isotope": "117Sn", "strain_alpha_ghz": 55.0}')
     runs = [

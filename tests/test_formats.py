@@ -265,7 +265,7 @@ def test_readers_accept_blank_lines_spaces_and_crlf(tmp_path):
         assert trace.signal.tolist() == [1.0, 2.0, 3.0]
     path.write_text(M + "\n0,1,1\n\n-0,2,2\n0,3,3\n")
     (trace,) = dataio.read_map_csv(path)  # -0 and 0 are one field value
-    assert trace.meta == {"b_mag_tesla": 0.0}
+    assert trace.meta == {"source": str(path), "b_mag_tesla": 0.0}
     assert trace.signal.tolist() == [1.0, 2.0, 3.0]
 
 
