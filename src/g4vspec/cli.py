@@ -236,25 +236,31 @@ def _cmd_fit(args) -> int:
     if args.model in ("single", "triplet"):
         if not args.trace:
             raise ValueError(f"--model {args.model} needs --trace")
-        trace = dataio.ingest_csv(args.trace)
         model = "triplet211" if args.model == "triplet" else "single"
-        result = analysis.fit_lorentzians(trace, model=model, init=init, seed=args.seed)
+        result = _fit_files([args.trace], lambda traces: analysis.fit_lorentzians(
+            traces[0], model=model, init=init, seed=args.seed))
     else:
         if not args.emitter:
             raise ValueError("--model full needs --emitter")
         emitter = dataio.load_emitter(args.emitter)
         free = tuple(s for s in args.free.split(",") if s)
+
+        def fit(data):
+            return analysis.fit_full_model(data, free, emitter, init=init, seed=args.seed)
+
         if args.map_path:
             traces = dataio.read_map_csv(args.map_path)
             direction = dataio.parse_direction(args.direction)
             for t in traces:
                 t.meta["b_direction"] = tuple(direction)
-            data = traces
+            try:
+                result = fit(traces)
+            except analysis.TraceError as exc:  # its index is a row of the map
+                raise ValueError(f"{args.map_path}: {exc}") from None
         elif args.trace:
-            data = dataio.ingest_csv(args.trace)
+            result = _fit_files([args.trace], lambda traces: fit(traces[0]))
         else:
             raise ValueError("--model full needs --trace or --map")
-        result = analysis.fit_full_model(data, free, emitter, init=init, seed=args.seed)
     dataio.write_json(args.out, result.as_report())
     print(f"wrote {args.out} (converged={result.converged}, "
           f"rms={dataio.fmt(result.residual_rms)})")

@@ -827,22 +827,26 @@ def test_bad_init_is_an_error_line_not_a_traceback(tmp_path, capsys, model, init
     assert not out.exists()
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["trace", "batch"])
-def test_a_fit_with_fewer_points_than_parameters_is_an_error_line(tmp_path, capsys, batch):
+@pytest.mark.parametrize("source", ["trace", "batch", "full", "map"])
+def test_a_fit_with_fewer_points_than_parameters_is_an_error_line(tmp_path, capsys, source):
     """A 3-row trace fitted as a triplet with a full --init reported
     converged: true, with std_errs 0.0 on a_ple, delta, amplitude and
-    baseline."""
+    baseline.  The error names the file, whichever way it is read."""
     trace = tmp_path / "t.csv"
     trace.write_text("freq_mhz,intensity\n0,1\n1,2\n2,1\n")
-    init = ('{"f_ch1": 0, "a_ple": 1, "delta": 1, "fwhm": 1, "amplitude": 1, '
-            '"baseline": 0}')
+    map_path = tmp_path / "map.csv"
+    map_path.write_text("b_tesla,freq_mhz,intensity\n0,0,1\n0,1,2\n0,2,1\n")
+    triplet = ["--model", "triplet", "--init", '{"f_ch1": 0, "a_ple": 1, "delta": 1, '
+                                                '"fwhm": 1, "amplitude": 1, "baseline": 0}']
+    full = ["--model", "full", "--emitter", "117Sn", "--free", "a_ple_scale,fwhm,amplitude"]
+    argv, named, free = {"trace": (["--trace", str(trace), *triplet], trace, 6),
+                         "batch": (["--batch", str(trace), *triplet], trace, 6),
+                         "full": (["--trace", str(trace), *full], trace, 3),
+                         "map": (["--map", str(map_path), *full], map_path, 3)}[source]
     out = tmp_path / "r.json"
-    source = ["--batch", str(trace)] if batch else ["--trace", str(trace)]
-    assert run_cli(["fit", *source, "--model", "triplet", "--init", init,
-                    "--out", str(out)]) == 1
-    named = f"{trace}: " if batch else ""
-    assert capsys.readouterr().err == (f"error: {named}3 data points cannot determine 6 free "
-                                       "parameters; a fit needs more data points than free "
+    assert run_cli(["fit", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {named}: 3 data points cannot determine {free} "
+                                       "free parameters; a fit needs more data points than free "
                                        "parameters\n")
     assert not out.exists()
 
@@ -867,9 +871,8 @@ def test_a_start_with_a_non_finite_jacobian_is_an_error_line(tmp_path, capsys, s
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["fit", *argv, "--out", str(out)]) == 1
-    named = f"{trace}: " if source == "batch" else ""
-    assert capsys.readouterr().err == (f"error: {named}the fit cannot start: its Jacobian at the "
-                                       "initial parameters is not finite\n")
+    assert capsys.readouterr().err == (f"error: {trace}: the fit cannot start: its Jacobian at "
+                                       "the initial parameters is not finite\n")
     assert not out.exists()
 
 
@@ -1026,8 +1029,8 @@ def _non_finite_case(tmp_path, case):
     ("stats aple-exp inf", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=inf'"),
     ("stats aple-exp text", "--aple-exp needs LABEL=MHZ with a finite MHZ, got '73Ge=abc'"),
     ("stats counts text", "--counts needs four integers 'a,b,c,d'"),
-    ("fit zero-width start", "the fit cannot start: its residual at the initial parameters "
-                             "is not finite"),
+    ("fit zero-width start", "<tmp>/t.csv: the fit cannot start: its residual at the initial "
+                             "parameters is not finite"),
     ("fit batch full model", "--batch supports --model single or triplet"),
     ("fit batch no match", "--batch matched no files: "),
     ("fit full no emitter", "--model full needs --emitter"),
@@ -1043,7 +1046,7 @@ def test_non_finite_inputs_are_refused_with_one_error_line(tmp_path, capsys, cas
         code = run_cli(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert len(err) == 1 and err[0].startswith(f"error: {message}".replace("<tmp>", str(tmp_path)))
     assert not any(p.exists() for p in outputs)
 
 
