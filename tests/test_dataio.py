@@ -37,6 +37,17 @@ def test_parse_grid_inclusive_endpoints():
     assert np.allclose(g, [0.0, 0.3, 0.6, 0.9])
 
 
+def test_parse_grid_ends_a_step_early_when_rounding_overshoots_max():
+    """(max - min) / step rounds to 1028 steps, whose last point lies 4.5e-10
+    more than step/2 beyond max; the grid takes the floor, 1027 steps, and
+    ends within step/2 below max."""
+    lo, step = -7927295.5171399675, 7715.129457070529
+    assert round((0.0 - lo) / step) == 1028 and lo + 1028 * step - 0.5 * step > 4e-10
+    g = dataio.parse_grid(f"{lo!r}:0.0:{step!r}")
+    assert len(g) == 1028 and g[0] == lo
+    assert g[-1] == -3857.5647285347804 and abs(g[-1]) <= 0.5 * step
+
+
 def test_parse_grid_errors():
     for bad in ("1:2", "a:b:c", "0:10:0", "5:1:1"):
         with pytest.raises(ValueError):
